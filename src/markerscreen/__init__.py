@@ -33,6 +33,7 @@ from .lr import (
     MixtureFit,
     PooledFit,
     ProteinScore,
+    ScoreTable,
     deviance_lr,
     fit_mixture_fixed_weights,
     fit_pooled_normal,
@@ -44,6 +45,7 @@ from .select import (
     SelectionPolicy,
     SelectionResult,
     apply_policy,
+    parse_policy,
     select_bh,
     select_fixed,
     select_gap,
@@ -57,6 +59,7 @@ __all__ = [
     "PooledFit",
     "MixtureFit",
     "ProteinScore",
+    "ScoreTable",
     "fit_pooled_normal",
     "fit_mixture_fixed_weights",
     "deviance_lr",
@@ -74,6 +77,7 @@ __all__ = [
     "select_gap",
     "select_bh",
     "apply_policy",
+    "parse_policy",
     "ErrorLaw",
     "SimSpec",
     "LabeledMatrix",

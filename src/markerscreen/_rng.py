@@ -12,14 +12,16 @@ import hashlib
 import numpy as np
 
 
+def _digest(seed: int, label: str) -> bytes:
+    return hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
+
+
 def substream(seed: int, label: str) -> np.random.Generator:
     """Return a Generator keyed by (seed, label), independent across labels."""
-    digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
-    key = np.frombuffer(digest[:16], dtype=np.uint64)
+    key = np.frombuffer(_digest(seed, label)[:16], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def derive_seed(seed: int, label: str) -> int:
     """A derived integer seed (for handing to components that take seeds)."""
-    digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little") % (2**63)
+    return int.from_bytes(_digest(seed, label)[:8], "little") % (2**63)

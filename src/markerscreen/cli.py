@@ -16,10 +16,11 @@ import argparse
 import datetime
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
+
+import numpy as np
 
 from . import __version__
 from .errors import MarkerScreenError, NoGapFound, ParseError, RegimeViolation
@@ -35,11 +36,12 @@ from .matrix_io import (
     write_table,
     write_truth,
 )
-from .select import SelectionPolicy, apply_policy, select_bh, select_fixed, select_gap
+from .select import apply_policy, parse_policy
 from .simulate import generate, preset
 
 DEFAULT_N_VALUES = "3,5,8,10,15,20,30"
 DEFAULT_ALPHAS = "0.01,0.05,0.10"
+EXIT_CODES = {RegimeViolation: 3, NoGapFound: 4}  # other MarkerScreenErrors exit 2
 
 
 @dataclass
@@ -87,12 +89,16 @@ def _resolve_stat(cfg: RunConfig, matrix) -> str:
     return "lr" if min(matrix.n1, matrix.n2) >= 5 else "ks"
 
 
-def _score(cfg: RunConfig, matrix):
+def _score(cfg: RunConfig):
+    """Ingest --input and score it; returns (matrix, scores, stat)."""
+    if not cfg.input:
+        raise ParseError(f"{cfg.command} needs --input")
+    matrix = ingest_matrix(cfg.input, cfg.layout)
     stat = _resolve_stat(cfg, matrix)
     if stat == "lr":
-        return score_matrix_lr(matrix), stat
+        return matrix, score_matrix_lr(matrix), stat
     if stat == "ks":
-        return score_matrix_ks(matrix, replicates=cfg.replicates, seed=cfg.seed), stat
+        return matrix, score_matrix_ks(matrix, replicates=cfg.replicates, seed=cfg.seed), stat
     raise ParseError(f"unknown statistic {stat!r}")
 
 
@@ -102,32 +108,11 @@ def _scale_scores(scores, stat: str, scale: str):
         return scores
     if stat != "lr":
         raise ParseError("--cutoff-scale other than 'deviance' applies only to --stat lr")
-    out = []
-    for s in scores:
-        if scale == "lnR":
-            value = s.value / 2.0
-        elif scale == "R":
-            value = math.exp(min(s.value / 2.0, 700.0))
-        else:
-            raise ParseError(f"unknown cutoff scale {scale!r}")
-        out.append(replace(s, value=value))
-    return out
-
-
-def _select(cfg: RunConfig, scores):
-    spec = cfg.policy
-    if spec.startswith("fixed:"):
-        return select_fixed(scores, float(spec.split(":", 1)[1]))
-    if spec == "gap":
-        return apply_policy(scores, SelectionPolicy(kind="gap_knee"))
-    if spec == "gap:strict":
-        return select_gap(scores)
-    if spec == "bh" or spec.startswith("bh:"):
-        q = float(spec.split(":", 1)[1]) if ":" in spec else 0.05
-        return select_bh(scores, q)
-    raise ParseError(
-        f"unknown policy {spec!r}; expected fixed:<c>, gap, gap:strict or bh:<q>"
-    )
+    if scale == "lnR":
+        return replace(scores, value=scores.value / 2.0)
+    if scale == "R":
+        return replace(scores, value=np.exp(np.minimum(scores.value / 2.0, 700.0)))
+    raise ParseError(f"unknown cutoff scale {scale!r}")
 
 
 def _out(cfg: RunConfig, name: str) -> str:
@@ -148,10 +133,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_score(cfg: RunConfig) -> int:
-    if not cfg.input:
-        raise ParseError("score needs --input")
-    matrix = ingest_matrix(cfg.input, cfg.layout)
-    scores, stat = _score(cfg, matrix)
+    matrix, scores, stat = _score(cfg)
     write_scores(_out(cfg, "scores.csv"),
                  scores, _header_lines(cfg) + [f"stat: {stat}"])
     print(f"scored {matrix.p} proteins with {stat}; wrote scores.csv")
@@ -159,17 +141,18 @@ def cmd_score(cfg: RunConfig) -> int:
 
 
 def cmd_select(cfg: RunConfig) -> int:
-    if not cfg.input:
-        raise ParseError("select needs --input")
-    matrix = ingest_matrix(cfg.input, cfg.layout)
-    scores, stat = _score(cfg, matrix)
+    matrix, scores, stat = _score(cfg)
     scaled = _scale_scores(scores, stat, cfg.cutoff_scale)
-    result = _select(cfg, scaled)
-    header = _header_lines(cfg) + [f"stat: {stat}", f"scale: {cfg.cutoff_scale}"]
+    policy, fallback_q = parse_policy(cfg.policy, min(matrix.n1, matrix.n2))
+    result = apply_policy(scaled, policy, fallback_q=fallback_q)
+    header = _header_lines(cfg) + [f"stat: {stat}"]
+    if stat == "lr":  # the cutoff scale applies only to deviance scores
+        header.append(f"scale: {cfg.cutoff_scale}")
     write_scores(_out(cfg, "scores.csv"), scores, header)
     write_selection(_out(cfg, "selection.csv"), result, header)
     write_preview(_out(cfg, "preview.csv"), result, header)
-    note = " (no gap found, fell back to BH)" if result.fallback_used else ""
+    note = (f" (no gap found, fell back to BH at q = {result.policy.q:g})"
+            if result.fallback_used else "")
     print(f"selected {len(result.selected)} of {matrix.p} proteins{note}")
     return 0
 
@@ -261,15 +244,9 @@ def main(argv=None) -> int:
     cfg = RunConfig(**{k: v for k, v in vars(args).items() if v is not None})
     try:
         return run(cfg)
-    except RegimeViolation as exc:
-        print(f"error [{exc.category}]: {exc}", file=sys.stderr)
-        return 3
-    except NoGapFound as exc:
-        print(f"error [{exc.category}]: {exc}", file=sys.stderr)
-        return 4
     except MarkerScreenError as exc:
         print(f"error [{exc.category}]: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_CODES.get(type(exc), 2)
     except ValueError as exc:
         print(f"error [input]: {exc}", file=sys.stderr)
         return 2

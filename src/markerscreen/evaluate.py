@@ -11,9 +11,9 @@ from scipy import stats
 from ._rng import derive_seed, substream
 from .errors import MarkerScreenError, TruthMismatch
 from .ks import score_matrix_ks
-from .lr import ProteinScore, _deviance_core, score_matrix_lr
+from .lr import ScoreTable, _deviance_core, score_matrix_lr
 from .matrix import ExpressionMatrix
-from .select import SelectionPolicy, SelectionResult, apply_policy
+from .select import SelectionResult, apply_policy, parse_policy
 from .simulate import generate, presets
 
 DEFAULT_ALPHAS = (0.01, 0.05, 0.10)
@@ -104,7 +104,7 @@ def score_against_truth(result: SelectionResult, truth: dict) -> TruthScore:
     return TruthScore(sensitivity, fdr, selected, tp, fp)
 
 
-def ttest_baseline(m: ExpressionMatrix) -> list[ProteinScore]:
+def ttest_baseline(m: ExpressionMatrix) -> ScoreTable:
     """Per-protein Welch two-sample t-test (two-sided).
 
     Unequal variances, Welch-Satterthwaite degrees of freedom. Rows where
@@ -126,11 +126,8 @@ def ttest_baseline(m: ExpressionMatrix) -> list[ProteinScore]:
     df = df_num / np.where(df_den == 0.0, 1.0, df_den)
     p = 2.0 * stats.t.sf(np.abs(t), df)
     t = np.where(degenerate, 0.0, t)
-    p = np.where(degenerate, 1.0, p)
-    return [
-        ProteinScore(pid, "welch_t", float(t[j]), float(min(p[j], 1.0)), None)
-        for j, pid in enumerate(m.protein_ids)
-    ]
+    p = np.where(degenerate, 1.0, np.minimum(p, 1.0))
+    return ScoreTable(m.protein_ids, "welch_t", t, p, degenerate)
 
 
 def convergence_table(
@@ -177,24 +174,6 @@ def convergence_text(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def _policy_for(policy_spec: str, n_per_condition: int):
-    """Parse a policy token: gap | bh | bh:<q> | fixed:<c>.
-
-    The default BH level is 0.05, loosened to 0.1 for very small designs
-    (n < 5 per condition), matching the benchmark configuration the
-    comparison tables use. Returns (policy, fallback_q).
-    """
-    default_q = 0.1 if n_per_condition < 5 else 0.05
-    if policy_spec == "gap":
-        return SelectionPolicy(kind="gap_knee"), default_q
-    if policy_spec == "bh" or policy_spec.startswith("bh:"):
-        q = float(policy_spec.split(":", 1)[1]) if ":" in policy_spec else default_q
-        return SelectionPolicy(kind="bh_fdr", q=q), default_q
-    if policy_spec.startswith("fixed:"):
-        return SelectionPolicy(kind="fixed_cutoff", c=float(policy_spec.split(":", 1)[1])), default_q
-    raise ValueError(f"unknown policy spec: {policy_spec!r}")
-
-
 def _run_method(method: str, labeled, ks_replicates: int, run_seed: int) -> SelectionResult:
     stat, _, policy_spec = method.partition("+")
     if not policy_spec:
@@ -208,7 +187,7 @@ def _run_method(method: str, labeled, ks_replicates: int, run_seed: int) -> Sele
         scores = ttest_baseline(m)
     else:
         raise ValueError(f"unknown statistic in method {method!r}")
-    policy, fallback_q = _policy_for(policy_spec, m.n1)
+    policy, fallback_q = parse_policy(policy_spec, min(m.n1, m.n2))
     return apply_policy(scores, policy, fallback_q=fallback_q)
 
 

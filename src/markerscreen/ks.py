@@ -22,7 +22,7 @@ from scipy.special import ndtr
 
 from ._rng import substream
 from .errors import DegenerateData
-from .lr import ProteinScore
+from .lr import ScoreTable
 from .matrix import ExpressionMatrix
 
 DEFAULT_REPLICATES = 10000
@@ -34,7 +34,6 @@ class KernelEstimate:
 
     centers: np.ndarray
     bandwidth: float
-    kind: str = "gaussian"
 
 
 @dataclass
@@ -43,6 +42,15 @@ class KsScore:
     p_value: float | None
     bandwidth_used: float
     mc_replicates: int
+
+
+def _bandwidth(rows: np.ndarray) -> np.ndarray:
+    """Gaussian-reference bandwidth of each (m, N) row; see select_bandwidth."""
+    s = rows.std(axis=1, ddof=1)
+    q75, q25 = np.percentile(rows, [75, 25], axis=1)
+    iqr = q75 - q25
+    scale = np.where(iqr > 0, np.minimum(s, iqr / 1.349), s)
+    return 1.06 * scale * rows.shape[1] ** (-1.0 / 5.0)
 
 
 def select_bandwidth(x) -> float:
@@ -54,13 +62,9 @@ def select_bandwidth(x) -> float:
     x = np.asarray(x, dtype=float).ravel()
     if x.size < 3:
         raise ValueError("need at least 3 observations")
-    s = float(np.std(x, ddof=1))
-    if s == 0.0:
+    if np.std(x, ddof=1) == 0.0:
         raise DegenerateData("zero sample standard deviation")
-    q75, q25 = np.percentile(x, [75, 25])
-    iqr = float(q75 - q25)
-    scale = min(s, iqr / 1.349) if iqr > 0 else s
-    return 1.06 * scale * x.size ** (-1.0 / 5.0)
+    return float(_bandwidth(x[None, :])[0])
 
 
 def kernel_cdf(est: KernelEstimate, t):
@@ -76,12 +80,7 @@ def _d_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (d, h) per row. d compares the kernel CDF against the normal
     fitted with the MLE variance, evaluated at the observed points only.
     """
-    N = rows.shape[1]
-    s = rows.std(axis=1, ddof=1)
-    q75, q25 = np.percentile(rows, [75, 25], axis=1)
-    iqr = q75 - q25
-    scale = np.where(iqr > 0, np.minimum(s, iqr / 1.349), s)
-    h = 1.06 * scale * N ** (-1.0 / 5.0)
+    h = _bandwidth(rows)
     z = (rows[:, :, None] - rows[:, None, :]) / h[:, None, None]
     g = ndtr(z).mean(axis=2)
     mu = rows.mean(axis=1, keepdims=True)
@@ -135,7 +134,7 @@ def score_matrix_ks(
     m: ExpressionMatrix,
     replicates: int = DEFAULT_REPLICATES,
     seed: int = 0,
-) -> list[ProteinScore]:
+) -> ScoreTable:
     """Statistic d and Monte-Carlo p-value for every pooled protein row.
 
     Intended for very small designs (n < 5 per condition); larger matrices
@@ -160,9 +159,4 @@ def score_matrix_ks(
     n_ge = table.size - np.searchsorted(table, d, side="left")
     pvals = (1.0 + n_ge) / (replicates + 1.0)
     pvals = np.where(degenerate, 1.0, pvals)
-    d = np.where(degenerate, 0.0, d)
-
-    return [
-        ProteinScore(pid, "ks_d", float(d[j]), float(pvals[j]), None)
-        for j, pid in enumerate(m.protein_ids)
-    ]
+    return ScoreTable(m.protein_ids, "ks_d", d, pvals, degenerate)

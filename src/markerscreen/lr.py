@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,15 +75,61 @@ class ProteinScore:
     fit_diagnostics: tuple[MixtureFit, PooledFit] | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class ScoreTable:
+    """Scores of every protein as columns, in matrix row order.
+
+    ids, value, p_value and degenerate are length-p arrays, held read-only.
+    fits, set only by lr scoring with diagnostics, is a (p, 10) array of
+    per-row fits with columns mu1, mu2, sigma21, sigma22, w1, w2, split
+    loglik, pooled mu, pooled sigma2, pooled loglik. len(), table[j] and
+    iteration give ProteinScore row views.
+    """
+
+    ids: np.ndarray
+    kind: str
+    value: np.ndarray
+    p_value: np.ndarray
+    degenerate: np.ndarray
+    fits: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name, dtype in (("ids", str), ("value", float), ("p_value", float),
+                            ("degenerate", bool)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            if column.shape != (len(self.ids),):
+                raise ValueError(f"{name} needs one entry per protein id")
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, j: int) -> ProteinScore:
+        fits = None
+        if self.fits is not None and not self.degenerate[j]:
+            row = self.fits[j].tolist()
+            fits = (MixtureFit(*row[:7], iterations=0, converged=True), PooledFit(*row[7:]))
+        return ProteinScore(str(self.ids[j]), self.kind, float(self.value[j]),
+                            float(self.p_value[j]), fits)
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self)))
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Row indices by descending value, ties broken by ascending id."""
+        return np.lexsort((self.ids, -self.value))
+
+
 def _variance_floor(sample_var: float) -> float:
     return VARIANCE_FLOOR_REL * sample_var if sample_var > 0 else VARIANCE_FLOOR_ABS
 
 
-def _normal_loglik(x: np.ndarray, mu: float, sigma2: float) -> float:
-    return float(
-        -0.5 * x.size * np.log(2.0 * np.pi * sigma2)
-        - 0.5 * np.sum((x - mu) ** 2) / sigma2
-    )
+def _normal_loglik(x: np.ndarray, mu, sigma2):
+    """Normal log-likelihood of each row of x (last axis) under its mu, sigma2."""
+    return (-0.5 * x.shape[-1] * np.log(2.0 * np.pi * sigma2)
+            - 0.5 * np.sum((x - np.expand_dims(mu, -1)) ** 2, axis=-1) / sigma2)
 
 
 def fit_pooled_normal(x) -> PooledFit:
@@ -96,21 +143,14 @@ def fit_pooled_normal(x) -> PooledFit:
     sigma2 = float(np.mean((x - mu) ** 2))
     if sigma2 < _variance_floor(sigma2) or sigma2 <= 0.0:
         raise DegenerateData("all observations identical, zero pooled variance")
-    return PooledFit(mu=mu, sigma2=sigma2, loglik=_normal_loglik(x, mu, sigma2))
+    return PooledFit(mu=mu, sigma2=sigma2, loglik=float(_normal_loglik(x, mu, sigma2)))
 
 
 def _em_candidate_starts(x, n1, pooled):
-    x1, x2 = x[:n1], x[n1:]
     s = float(np.sqrt(pooled.sigma2))
-    floor = _variance_floor(pooled.sigma2)
-    # (a) condition-wise moments, (b) pooled mean +/- one sd, (c) range-anchored
+    # (a) the condition-split fit, (b) pooled mean +/- one sd, (c) range-anchored
     return [
-        (
-            float(np.mean(x1)),
-            float(np.mean(x2)),
-            max(float(np.mean((x1 - np.mean(x1)) ** 2)), floor),
-            max(float(np.mean((x2 - np.mean(x2)) ** 2)), floor),
-        ),
+        tuple(_fit_columns(x[None, :], n1)[0, :4].tolist()),
         (pooled.mu - s, pooled.mu + s, pooled.sigma2, pooled.sigma2),
         (float(np.min(x)), float(np.max(x)), pooled.sigma2, pooled.sigma2),
     ]
@@ -185,6 +225,15 @@ def fit_mixture_fixed_weights(
     return best
 
 
+def _variances(values: np.ndarray, n1: int):
+    """Per-row MLE variances (pooled, condition 1, condition 2), each floored
+    at VARIANCE_FLOOR_REL x pooled, and the zero-pooled-variance mask."""
+    vpool = values.var(axis=1)
+    floor = VARIANCE_FLOOR_REL * np.where(vpool > 0, vpool, 1.0)
+    return (np.maximum(vpool, floor), np.maximum(values[:, :n1].var(axis=1), floor),
+            np.maximum(values[:, n1:].var(axis=1), floor), vpool == 0.0)
+
+
 def _deviance_core(values: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized deviance over rows laid out condition-1-first.
 
@@ -192,19 +241,32 @@ def _deviance_core(values: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray]
     flagged degenerate and get deviance 0.
     """
     N = values.shape[1]
-    n2 = N - n1
-    vpool = values.var(axis=1)
-    v1 = values[:, :n1].var(axis=1)
-    v2 = values[:, n1:].var(axis=1)
-    degenerate = vpool == 0.0
-    floor = VARIANCE_FLOOR_REL * np.where(vpool > 0, vpool, 1.0)
-    vpool_f = np.maximum(vpool, floor)
-    v1_f = np.maximum(v1, floor)
-    v2_f = np.maximum(v2, floor)
-    dev = N * np.log(vpool_f) - n1 * np.log(v1_f) - n2 * np.log(v2_f)
+    vpool, v1, v2, degenerate = _variances(values, n1)
+    dev = N * np.log(vpool) - n1 * np.log(v1) - (N - n1) * np.log(v2)
     dev = np.maximum(dev, 0.0)
     dev[degenerate] = 0.0
     return dev, degenerate
+
+
+def _fit_columns(values: np.ndarray, n1: int) -> np.ndarray:
+    """ScoreTable.fits for rows laid out condition-1-first: the condition-split
+    fit with design weights, whose loglik is the condition-assigned
+    likelihood, and the pooled fit. Degenerate rows carry placeholders."""
+    p, N = values.shape
+    vpool, v1, v2, _ = _variances(values, n1)
+    x1, x2 = values[:, :n1], values[:, n1:]
+    m1, m2, mu = x1.mean(axis=1), x2.mean(axis=1), values.mean(axis=1)
+    split_ll = _normal_loglik(x1, m1, v1) + _normal_loglik(x2, m2, v2)
+    return np.column_stack([m1, m2, v1, v2, np.full(p, n1 / N), np.full(p, (N - n1) / N),
+                            split_ll, mu, vpool, _normal_loglik(values, mu, vpool)])
+
+
+def _score_rows(values: np.ndarray, n1: int, ids, diagnostics: bool) -> ScoreTable:
+    dev, degen = _deviance_core(values, n1)
+    pvals = np.exp(-dev / 2.0)
+    pvals[degen] = 1.0
+    fits = _fit_columns(values, n1) if diagnostics else None
+    return ScoreTable(ids, "deviance_lr", dev, pvals, degen, fits)
 
 
 def deviance_lr(x, n1: int, n2: int, protein_id: str = "P0001") -> ProteinScore:
@@ -224,38 +286,20 @@ def deviance_lr(x, n1: int, n2: int, protein_id: str = "P0001") -> ProteinScore:
         raise ValueError("n1 + n2 must equal len(x)")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite observations")
-
-    dev_vec, degen = _deviance_core(x[None, :], n1)
-    if degen[0]:
-        return ProteinScore(protein_id, "deviance_lr", 0.0, 1.0, None)
-    value = float(dev_vec[0])
-    p_value = float(np.exp(-value / 2.0))
-
-    pooled = fit_pooled_normal(x)
-    x1, x2 = x[:n1], x[n1:]
-    floor = _variance_floor(pooled.sigma2)
-    m1, m2 = float(np.mean(x1)), float(np.mean(x2))
-    v1 = max(float(np.mean((x1 - m1) ** 2)), floor)
-    v2 = max(float(np.mean((x2 - m2) ** 2)), floor)
-    split = MixtureFit(
-        mu1=m1, mu2=m2, sigma21=v1, sigma22=v2,
-        w1=n1 / x.size, w2=n2 / x.size,
-        loglik=_normal_loglik(x1, m1, v1) + _normal_loglik(x2, m2, v2),
-        iterations=0, converged=True,
-    )
-    return ProteinScore(protein_id, "deviance_lr", value, p_value, (split, pooled))
+    return _score_rows(x[None, :], n1, (protein_id,), diagnostics=True)[0]
 
 
 def score_matrix_lr(
     m: ExpressionMatrix,
     override: bool = False,
     diagnostics: bool = False,
-) -> list[ProteinScore]:
+) -> ScoreTable:
     """Deviance scores for every protein row, order preserved.
 
     The statistic's validity regime is at least 5 samples per condition;
     smaller designs raise RegimeViolation unless override=True (which
-    warns and proceeds). Pure function of the matrix.
+    warns and proceeds). diagnostics=True attaches the per-row fits of
+    deviance_lr. Pure function of the matrix.
     """
     if min(m.n1, m.n2) < 5:
         if not override:
@@ -270,16 +314,4 @@ def score_matrix_lr(
         )
     mask1, mask2 = m.condition_masks()
     ordered = np.concatenate([m.values[:, mask1], m.values[:, mask2]], axis=1)
-    dev, degen = _deviance_core(ordered, m.n1)
-    pvals = np.exp(-dev / 2.0)
-    pvals[degen] = 1.0
-
-    scores = []
-    for j, pid in enumerate(m.protein_ids):
-        if diagnostics and not degen[j]:
-            scores.append(deviance_lr(ordered[j], m.n1, m.n2, protein_id=pid))
-        else:
-            scores.append(
-                ProteinScore(pid, "deviance_lr", float(dev[j]), float(pvals[j]), None)
-            )
-    return scores
+    return _score_rows(ordered, m.n1, m.protein_ids, diagnostics)

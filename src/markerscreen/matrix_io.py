@@ -157,14 +157,15 @@ def read_truth(path: str) -> dict:
 
 
 def write_scores(path: str, scores, header_lines=()) -> None:
+    """One CSV row per protein of a ScoreTable, in table order."""
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
         writer.writerow(["protein_id", "statistic_kind", "value", "p_value"])
-        for s in scores:
-            writer.writerow([s.protein_id, s.statistic_kind, _num(s.value),
-                             _num(s.p_value)])
+        for pid, value, p_value in zip(scores.ids.tolist(), scores.value.tolist(),
+                                       scores.p_value.tolist()):
+            writer.writerow([pid, scores.kind, _num(value), _num(p_value)])
 
 
 def write_selection(path: str, result, header_lines=()) -> None:
@@ -175,6 +176,8 @@ def write_selection(path: str, result, header_lines=()) -> None:
         cutoff = result.cutoff_used
         fh.write(f"# cutoff: {_num(cutoff) if cutoff is not None else 'none'}\n")
         fh.write(f"# fallback_used: {int(result.fallback_used)}\n")
+        if result.fallback_used:
+            fh.write(f"# fallback_q: {_num(result.policy.q)}\n")
         writer = csv.writer(fh)
         writer.writerow(["protein_id"])
         for pid in result.selected:

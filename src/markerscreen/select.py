@@ -11,12 +11,12 @@ behavior of falling back to BH selection when no gap is found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoGapFound
-from .lr import ProteinScore
+from .lr import ScoreTable
 
 DEFAULT_TOP_WINDOW = 100
 # A winning drop must be a >= 50% step down in level; smaller ratios are
@@ -60,30 +60,28 @@ class SelectionResult:
         return frozenset(self.selected)
 
 
-def _ranked(scores: list[ProteinScore]) -> list[ProteinScore]:
-    # stable rank: descending value, id as the deterministic tie-break
-    return sorted(scores, key=lambda s: (-s.value, s.protein_id))
-
-
-def _preview(ranked: list[ProteinScore]) -> tuple[tuple[float, str], ...]:
-    return tuple((s.value, s.protein_id) for s in ranked[:PREVIEW_SIZE])
-
-
-def select_fixed(scores: list[ProteinScore], c: float) -> SelectionResult:
-    """Select every protein whose statistic is >= c (ties at c included)."""
-    if c <= 0:
-        raise ValueError("cutoff must be positive")
-    ranked = _ranked(scores)
-    chosen = tuple(s.protein_id for s in ranked if s.value >= c)
+def _result(scores: ScoreTable, cutoff: float, policy: SelectionPolicy,
+            chosen: np.ndarray | None = None) -> SelectionResult:
+    """A selection of the row indices `chosen`, by default the ranked rows
+    whose value is >= cutoff, previewing the top of the ranked curve."""
+    if chosen is None:
+        chosen = scores.order[scores.value[scores.order] >= cutoff]
+    top = scores.order[:PREVIEW_SIZE]
     return SelectionResult(
-        selected=chosen,
-        cutoff_used=float(c),
-        sorted_preview=_preview(ranked),
-        policy=SelectionPolicy(kind="fixed_cutoff", c=float(c)),
+        selected=tuple(scores.ids[chosen].tolist()),
+        cutoff_used=float(cutoff),
+        sorted_preview=tuple(zip(scores.value[top].tolist(), scores.ids[top].tolist())),
+        policy=policy,
     )
 
 
-def select_gap(scores: list[ProteinScore],
+def select_fixed(scores: ScoreTable, c: float) -> SelectionResult:
+    """Select every protein whose statistic is >= c (ties at c included)."""
+    policy = SelectionPolicy(kind="fixed_cutoff", c=float(c))  # validates c > 0
+    return _result(scores, c, policy)
+
+
+def select_gap(scores: ScoreTable,
                top_window: int = DEFAULT_TOP_WINDOW) -> SelectionResult:
     """Cut at the largest sudden drop of the descending statistic curve.
 
@@ -95,20 +93,18 @@ def select_gap(scores: list[ProteinScore],
     a cliff raise NoGapFound; callers fall back to BH selection
     (see apply_policy).
     """
-    if top_window < 2:
-        raise ValueError("top_window must be >= 2")
+    policy = SelectionPolicy(kind="gap_knee", top_window=top_window)  # validates the window
     if len(scores) < 2:
         raise ValueError("need at least 2 scores")
-    ranked = _ranked(scores)
-    w = min(top_window, len(ranked))
-    top = np.array([s.value for s in ranked[:w]], dtype=float)
+    w = min(top_window, len(scores))
+    top = scores.value[scores.order[:w]]
 
     span = top[0] - top[-1]
     if span <= 0:
         raise NoGapFound("statistic curve is flat over the window")
     guard = 0.1 * span / w
     drops = top[:-1] - top[1:]
-    with np.errstate(divide="ignore"):
+    with np.errstate(all="ignore"):  # x/0 and 0/0 are masked; x/tiny is inf
         ratios = np.where(top[1:] > 0, top[:-1] / top[1:], np.inf)
     ratios = np.where(drops >= guard, ratios, 0.0)
     i = int(np.argmax(ratios))  # first occurrence wins ties
@@ -117,39 +113,26 @@ def select_gap(scores: list[ProteinScore],
             f"no drop with ratio >= {MIN_GAP_RATIO} in the top {w} values"
         )
     cutoff = 0.5 * (top[i] + top[i + 1])  # just below s_i
-    chosen = tuple(s.protein_id for s in ranked if s.value >= cutoff)
-    return SelectionResult(
-        selected=chosen,
-        cutoff_used=float(cutoff),
-        sorted_preview=_preview(ranked),
-        policy=SelectionPolicy(kind="gap_knee", top_window=top_window),
-    )
+    return _result(scores, cutoff, policy)
 
 
-def select_bh(scores: list[ProteinScore], q: float) -> SelectionResult:
+def select_bh(scores: ScoreTable, q: float) -> SelectionResult:
     """Benjamini-Hochberg step-up on the scores' p-values at level q."""
-    if not 0 < q < 1:
-        raise ValueError("q must be in (0, 1)")
-    if any(s.p_value is None for s in scores):
+    policy = SelectionPolicy(kind="bh_fdr", q=float(q))  # validates 0 < q < 1
+    if np.isnan(scores.p_value).any():
         raise ValueError("BH selection needs p-values on every score")
     m = len(scores)
-    by_p = sorted(scores, key=lambda s: (s.p_value, s.protein_id))
-    pvals = np.array([s.p_value for s in by_p])
+    by_p = np.lexsort((scores.ids, scores.p_value))
+    pvals = scores.p_value[by_p]
     passing = np.flatnonzero(pvals <= (np.arange(1, m + 1) * q / m))
     k = int(passing[-1]) + 1 if passing.size else 0
-    chosen = tuple(s.protein_id for s in by_p[:k])
-    ranked = _ranked(scores)
-    return SelectionResult(
-        selected=chosen,
-        cutoff_used=float(pvals[k - 1]) if k else float("nan"),
-        sorted_preview=_preview(ranked),
-        policy=SelectionPolicy(kind="bh_fdr", q=float(q)),
-    )
+    return _result(scores, pvals[k - 1] if k else float("nan"), policy, by_p[:k])
 
 
-def apply_policy(scores: list[ProteinScore], policy: SelectionPolicy,
-                 fallback_q: float = FALLBACK_Q) -> SelectionResult:
-    """Run a policy; for gap_knee, fall back to BH when no gap exists."""
+def apply_policy(scores: ScoreTable, policy: SelectionPolicy,
+                 fallback_q: float | None = FALLBACK_Q) -> SelectionResult:
+    """Run a policy; for gap_knee, fall back to BH at fallback_q when no gap
+    exists, or raise NoGapFound when fallback_q is None."""
     if policy.kind == "fixed_cutoff":
         return select_fixed(scores, policy.c)
     if policy.kind == "bh_fdr":
@@ -157,6 +140,29 @@ def apply_policy(scores: list[ProteinScore], policy: SelectionPolicy,
     try:
         return select_gap(scores, policy.top_window)
     except NoGapFound:
+        if fallback_q is None:
+            raise
         result = select_bh(scores, fallback_q)
         result.fallback_used = True
         return result
+
+
+def parse_policy(spec: str, n_per_condition: int) -> tuple[SelectionPolicy, float | None]:
+    """Parse a policy token into apply_policy's (policy, fallback_q).
+
+    Tokens: fixed:<c> | gap | gap:strict | bh | bh:<q>. The default BH
+    level, used by bare `bh` and by the gap rule's fallback, is FALLBACK_Q,
+    loosened to 0.1 for very small designs (n_per_condition < 5).
+    gap:strict has no fallback: apply_policy raises NoGapFound instead.
+    """
+    default_q = 0.1 if n_per_condition < 5 else FALLBACK_Q
+    name, colon, arg = spec.partition(":")
+    if spec in ("gap", "gap:strict"):
+        return SelectionPolicy(kind="gap_knee"), default_q if spec == "gap" else None
+    if name == "bh":
+        return SelectionPolicy(kind="bh_fdr", q=float(arg) if colon else default_q), default_q
+    if name == "fixed" and colon:
+        return SelectionPolicy(kind="fixed_cutoff", c=float(arg)), default_q
+    raise ValueError(
+        f"unknown policy {spec!r}; expected fixed:<c>, gap, gap:strict or bh:<q>"
+    )

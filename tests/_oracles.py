@@ -141,3 +141,58 @@ def bh_oracle(pvals, q):
     mask = np.zeros(m, dtype=bool)
     mask[order[:keep_k]] = True
     return mask
+
+
+# Selection over plain (protein_id, value, p_value) rows, by sorting lists:
+# the ranking semantics the package's columnar selection must reproduce.
+
+PREVIEW_SIZE = 100
+
+
+def _ranked_rows(rows):
+    """Descending value, protein id as the tie-break."""
+    return sorted(rows, key=lambda r: (-r[1], r[0]))
+
+
+def _selection(ranked, chosen, cutoff):
+    preview = tuple((v, pid) for pid, v, _ in ranked[:PREVIEW_SIZE])
+    return tuple(chosen), float(cutoff), preview
+
+
+def fixed_selection_oracle(rows, c):
+    """Every row with value >= c, in ranked order."""
+    ranked = _ranked_rows(rows)
+    return _selection(ranked, [pid for pid, v, _ in ranked if v >= c], c)
+
+
+def gap_selection_oracle(rows, window=100, min_ratio=1.5):
+    """The gap rule by a scalar loop over the ranked top; None when no cliff."""
+    ranked = _ranked_rows(rows)
+    top = [v for _, v, _ in ranked[:window]]
+    w = len(top)
+    span = top[0] - top[-1]
+    if span <= 0:
+        return None
+    guard = 0.1 * span / w
+    best, best_i = 0.0, 0
+    for i in range(w - 1):
+        if top[i] - top[i + 1] >= guard:
+            ratio = top[i] / top[i + 1] if top[i + 1] > 0 else math.inf
+            if ratio > best:
+                best, best_i = ratio, i
+    if best < min_ratio:
+        return None
+    cutoff = 0.5 * (top[best_i] + top[best_i + 1])
+    return _selection(ranked, [pid for pid, v, _ in ranked if v >= cutoff], cutoff)
+
+
+def bh_selection_oracle(rows, q):
+    """BH step-up over rows sorted by (p_value, protein id)."""
+    m = len(rows)
+    by_p = sorted(rows, key=lambda r: (r[2], r[0]))
+    k = 0
+    for rank, (_, _, p) in enumerate(by_p, start=1):
+        if p <= rank * q / m:
+            k = rank
+    cutoff = by_p[k - 1][2] if k else float("nan")
+    return _selection(_ranked_rows(rows), [pid for pid, _, _ in by_p[:k]], cutoff)

@@ -170,6 +170,22 @@ def test_fixed_policy_with_log_ratio_scale(tmp_path):
             == _read_selection_ids(sel_lnr / "selection.csv"))
 
 
+def test_gap_fallback_records_small_design_q(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    run_cli("simulate", "--preset", "water-n3", "--seed", "4",
+            "--out-dir", str(sim), "--deterministic")
+    sel = tmp_path / "sel"
+    assert run_cli("select", "--input", str(sim / "matrix.csv"), "--policy",
+                   "gap", "--replicates", "2000", "--out-dir", str(sel),
+                   "--deterministic") == 0
+    head = [l for l in (sel / "selection.csv").read_text().splitlines()
+            if l.startswith("#")]
+    assert "# fallback_used: 1" in head
+    assert "# fallback_q: 0.1" in head
+    assert not any(l.startswith("# scale:") for l in head)  # ks has no deviance scale
+    assert "fell back to BH at q = 0.1" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_exit_2_on_bad_cell(tmp_path):

@@ -11,7 +11,6 @@ from _oracles import welch_oracle
 
 
 def _result(selected_ids, universe):
-    scores = [ms.ProteinScore(pid, "deviance_lr", 1.0, 0.5) for pid in universe]
     policy = ms.SelectionPolicy(kind="fixed_cutoff", c=1.0)
     return ms.SelectionResult(
         selected=tuple(selected_ids),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,10 +14,15 @@ from _oracles import bh_oracle
 def _scores(values, pvals=None):
     if pvals is None:
         pvals = [math.exp(-v / 2.0) for v in values]
-    return [
-        ms.ProteinScore(f"P{j + 1:04d}", "deviance_lr", float(v), float(p))
-        for j, (v, p) in enumerate(zip(values, pvals))
-    ]
+    ids = [f"P{j + 1:04d}" for j in range(len(values))]
+    return ms.ScoreTable(ids, "deviance_lr", values, pvals, [False] * len(values))
+
+
+def _shuffled(scores, rng):
+    perm = rng.permutation(len(scores))
+    return ms.ScoreTable([scores.ids[k] for k in perm], scores.kind,
+                         scores.value[perm], scores.p_value[perm],
+                         scores.degenerate[perm])
 
 
 # -------------------------------------------------------------- fixed cutoff
@@ -41,11 +47,8 @@ def test_fixed_cutoff_on_hrm_style_simulation():
                       fold_change=math.log2(5.0), seed=42)
     lab = ms.generate(spec)
     scores = ms.score_matrix_lr(lab.matrix)
-    log10_ratio = [
-        ms.ProteinScore(s.protein_id, s.statistic_kind,
-                        s.value / (2.0 * math.log(10.0)), s.p_value)
-        for s in scores
-    ]
+    log10_ratio = dataclasses.replace(
+        scores, value=scores.value / (2.0 * math.log(10.0)))
     res = ms.select_fixed(log10_ratio, 2.5)
     truth = ms.score_against_truth(res, lab.truth_map())
     assert 11 <= len(res.selected) <= 15
@@ -175,6 +178,35 @@ def test_apply_policy_gap_falls_back_to_bh():
     assert res.selected == ()
 
 
+@pytest.mark.parametrize("spec, n, policy, fallback_q", [
+    ("gap", 3, ms.SelectionPolicy(kind="gap_knee"), 0.1),
+    ("gap", 10, ms.SelectionPolicy(kind="gap_knee"), 0.05),
+    ("gap:strict", 3, ms.SelectionPolicy(kind="gap_knee"), None),
+    ("gap:strict", 10, ms.SelectionPolicy(kind="gap_knee"), None),
+    ("bh", 3, ms.SelectionPolicy(kind="bh_fdr", q=0.1), 0.1),
+    ("bh", 10, ms.SelectionPolicy(kind="bh_fdr", q=0.05), 0.05),
+    ("bh:0.2", 3, ms.SelectionPolicy(kind="bh_fdr", q=0.2), 0.1),
+    ("bh:0.2", 10, ms.SelectionPolicy(kind="bh_fdr", q=0.2), 0.05),
+    ("fixed:2", 3, ms.SelectionPolicy(kind="fixed_cutoff", c=2.0), 0.1),
+    ("fixed:2", 10, ms.SelectionPolicy(kind="fixed_cutoff", c=2.0), 0.05),
+])
+def test_parse_policy_table(spec, n, policy, fallback_q):
+    assert ms.parse_policy(spec, n) == (policy, fallback_q)
+
+
+@pytest.mark.parametrize("spec", ["", "gap:loose", "fixed", "fixed:-1", "bh:2", "bh:x"])
+def test_parse_policy_rejects_malformed_tokens(spec):
+    with pytest.raises(ValueError):
+        ms.parse_policy(spec, 10)
+
+
+def test_strict_gap_raises_instead_of_falling_back():
+    vals = [100.0 * 1.05 ** (-k) for k in range(120)]
+    policy, fallback_q = ms.parse_policy("gap:strict", 10)
+    with pytest.raises(NoGapFound):
+        ms.apply_policy(_scores(vals), policy, fallback_q=fallback_q)
+
+
 def test_apply_policy_passthrough_for_fixed():
     res = ms.apply_policy(_scores([3.0, 1.0]),
                           ms.SelectionPolicy(kind="fixed_cutoff", c=2.0))
@@ -188,8 +220,7 @@ def test_selection_order_invariance():
     rng = np.random.default_rng(79)
     vals = list(rng.uniform(0, 30, 150))
     scores = _scores(vals)
-    shuffled = list(scores)
-    rng.shuffle(shuffled)
+    shuffled = _shuffled(scores, rng)
     for policy in (
         ms.SelectionPolicy(kind="fixed_cutoff", c=10.0),
         ms.SelectionPolicy(kind="bh_fdr", q=0.1),
@@ -198,8 +229,7 @@ def test_selection_order_invariance():
         b = ms.apply_policy(shuffled, policy).selected_set
         assert a == b
     cliff = _scores([60.0, 55.0] + list(np.linspace(2, 1, 80)))
-    shuffled_cliff = list(cliff)
-    rng.shuffle(shuffled_cliff)
+    shuffled_cliff = _shuffled(cliff, rng)
     assert (ms.select_gap(cliff).selected_set
             == ms.select_gap(shuffled_cliff).selected_set)
 
