@@ -65,7 +65,11 @@ class RunConfig:
 
 
 def config_digest(cfg: RunConfig) -> str:
-    canonical = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
+    """Names the analysis: every setting except where the artifacts go and
+    whether they carry a timestamp."""
+    fields = asdict(cfg)
+    del fields["out_dir"], fields["deterministic"]
+    canonical = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 

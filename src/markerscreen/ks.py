@@ -105,7 +105,12 @@ def ks_d_statistic(x) -> KsScore:
 
 @lru_cache(maxsize=32)
 def _null_table(N: int, replicates: int, seed: int) -> np.ndarray:
-    """Sorted null statistics for sample size N, derived from (seed, N)."""
+    """Sorted null statistics for sample size N, derived from (seed, N).
+
+    Fewer than 1000 replicates would put p-values on too coarse a grid.
+    """
+    if replicates < 1000:
+        raise ValueError("at least 1000 replicates")
     rng = substream(seed, f"ks-null:{N}:{replicates}")
     draws = rng.standard_normal((replicates, N))
     d, _ = _d_rows(draws)
@@ -123,8 +128,6 @@ def lilliefors_pvalue(d: float, N: int, replicates: int = DEFAULT_REPLICATES,
     """
     if not 0.0 <= d <= 1.0:
         raise ValueError("d must lie in [0, 1]")
-    if replicates < 1000:
-        raise ValueError("at least 1000 replicates")
     table = _null_table(N, replicates, seed)
     n_ge = table.size - int(np.searchsorted(table, d, side="left"))
     return (1.0 + n_ge) / (replicates + 1.0)

@@ -17,29 +17,40 @@ import numpy as np
 from .errors import LayoutError, ParseError
 from .matrix import ExpressionMatrix
 
+_QUOTED_CHARS = frozenset(',"\r\n')  # csv.writer quotes a cell holding any of these
+
 
 def _read_rows(path: str) -> tuple[list[str], list[list[str]], dict[str, str]]:
     """Returns (header, data rows, comment metadata)."""
+    try:
+        with open(path, newline="") as fh:
+            return _scan(csv.reader(fh), path)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _scan(records, path: str) -> tuple[list[str], list[list[str]], dict[str, str]]:
+    """Sorts CSV records into (header, data rows, comment metadata).
+
+    Blank records are skipped; a record whose first cell starts with `#` is
+    a comment, read as `key: value` metadata when it has a colon.
+    """
     meta: dict[str, str] = {}
     header: list[str] | None = None
     rows: list[list[str]] = []
-    try:
-        with open(path, newline="") as fh:
-            for raw in csv.reader(fh):
-                if not raw:
-                    continue
-                if raw[0].startswith("#"):
-                    text = ",".join(raw).lstrip("#").strip()
-                    if ":" in text:
-                        key, _, val = text.partition(":")
-                        meta[key.strip()] = val.strip()
-                    continue
-                if header is None:
-                    header = [c.strip() for c in raw]
-                else:
-                    rows.append(raw)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    for raw in records:
+        if not raw:
+            continue
+        if raw[0].startswith("#"):
+            text = ",".join(raw).lstrip("#").strip()
+            if ":" in text:
+                key, _, val = text.partition(":")
+                meta[key.strip()] = val.strip()
+            continue
+        if header is None:
+            header = [c.strip() for c in raw]
+        else:
+            rows.append(raw)
     if header is None:
         raise ParseError(f"{path}: no header row")
     return header, rows, meta
@@ -86,9 +97,24 @@ def ingest_matrix(path: str, layout_spec: str | None = None) -> ExpressionMatrix
 
     Raises ParseError for structural problems, LayoutError for condition
     mapping problems, and ValueError naming (protein, sample) for any
-    non-numeric or non-finite cell.
+    non-numeric or non-finite cell. A cell is numeric when Python's float()
+    accepts it.
     """
-    header, rows, meta = _read_rows(path)
+    try:
+        with open(path) as fh:  # universal newlines split lines as csv.reader does
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    quoted = '"' in text
+    if quoted:  # a quoted cell may hold a comma or a newline: only csv splits it
+        header, rows, meta = _read_rows(path)
+    else:
+        # Without quotes a CSV record is line.split(","); keep each data line
+        # as [id, rest] so the numbers are split and parsed in one numpy call.
+        header, rows, meta = _scan(
+            (line.split(",", 1) for line in text.split("\n") if line), path)
+        header = [c.strip() for c in ",".join(header).split(",")]  # split it in full
+    del text  # the rows hold their own copies of the lines
     if len(header) < 3 or header[0] != "protein_id":
         raise ParseError(
             f"{path}: header must be protein_id,<at least two sample columns>"
@@ -97,6 +123,42 @@ def ingest_matrix(path: str, layout_spec: str | None = None) -> ExpressionMatrix
     if not rows:
         raise ParseError(f"{path}: no protein rows")
 
+    if quoted:
+        ids, values = _parse_cells(path, header, rows)
+    else:
+        ids = [row[0].strip() for row in rows]
+        values = _parse_block(rows, len(sample_names))
+        if values is None or len(set(ids)) != len(ids):
+            ids, values = _parse_cells(path, header,
+                                       [",".join(row).split(",") for row in rows])
+
+    layout = _parse_layout_spec(layout_spec, sample_names, meta.get("layout"))
+    return ExpressionMatrix(values=values, layout=layout, protein_ids=tuple(ids))
+
+
+def _parse_block(rows: list[list[str]], n_samples: int) -> np.ndarray | None:
+    """All-finite (p, n_samples) values of [id, rest] rows, or None.
+
+    None sends the rows to `_parse_cells`, which accepts what float() accepts
+    (`1_0`, non-ASCII digits) and otherwise names the first bad row or cell.
+    comments=None matters: by default loadtxt reads the cell `1#2` as 1.0.
+    """
+    if any(len(row) != 2 or row[1].count(",") != n_samples - 1 for row in rows):
+        return None
+    try:
+        values = np.loadtxt([row[1] for row in rows], delimiter=",", ndmin=2,
+                            comments=None)
+    except ValueError:
+        return None
+    if values.shape != (len(rows), n_samples) or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _parse_cells(path: str, header: list[str],
+                 rows: list[list[str]]) -> tuple[list[str], np.ndarray]:
+    """Cell-by-cell parse of full rows; raises on the first bad row or cell."""
+    sample_names = header[1:]
     ids = []
     values = np.empty((len(rows), len(sample_names)))
     seen = set()
@@ -123,9 +185,7 @@ def ingest_matrix(path: str, layout_spec: str | None = None) -> ExpressionMatrix
                     f"non-finite cell at protein {pid!r}, sample {sample_names[k]!r}"
                 )
             values[i, k] = v
-
-    layout = _parse_layout_spec(layout_spec, sample_names, meta.get("layout"))
-    return ExpressionMatrix(values=values, layout=layout, protein_ids=tuple(ids))
+    return ids, values
 
 
 def write_matrix(path: str, matrix: ExpressionMatrix, header_lines=()) -> None:
@@ -133,10 +193,11 @@ def write_matrix(path: str, matrix: ExpressionMatrix, header_lines=()) -> None:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write("# layout: " + ",".join(str(c) for c in matrix.layout) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["protein_id"] + [f"s{i + 1:02d}" for i in range(matrix.N)])
-        for pid, row in zip(matrix.protein_ids, matrix.values):
-            writer.writerow([pid] + [_num(v) for v in row])
+        csv.writer(fh).writerow(["protein_id"] + [f"s{i + 1:02d}" for i in range(matrix.N)])
+        fh.write("".join([
+            f"{_field(pid)},{','.join(map(repr, row))}\r\n"
+            for pid, row in zip(matrix.protein_ids, matrix.values.tolist())
+        ]))
 
 
 def write_truth(path: str, protein_ids, truth, header_lines=()) -> None:
@@ -161,11 +222,13 @@ def write_scores(path: str, scores, header_lines=()) -> None:
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["protein_id", "statistic_kind", "value", "p_value"])
-        for pid, value, p_value in zip(scores.ids.tolist(), scores.value.tolist(),
-                                       scores.p_value.tolist()):
-            writer.writerow([pid, scores.kind, _num(value), _num(p_value)])
+        csv.writer(fh).writerow(["protein_id", "statistic_kind", "value", "p_value"])
+        kind = _field(scores.kind)
+        fh.write("".join([
+            f"{_field(pid)},{kind},{value!r},{p_value!r}\r\n"
+            for pid, value, p_value in zip(scores.ids.tolist(), scores.value.tolist(),
+                                           scores.p_value.tolist())
+        ]))
 
 
 def write_selection(path: str, result, header_lines=()) -> None:
@@ -178,6 +241,8 @@ def write_selection(path: str, result, header_lines=()) -> None:
         fh.write(f"# fallback_used: {int(result.fallback_used)}\n")
         if result.fallback_used:
             fh.write(f"# fallback_q: {_num(result.policy.q)}\n")
+        elif result.policy.kind == "bh_fdr":
+            fh.write(f"# q: {_num(result.policy.q)}\n")
         writer = csv.writer(fh)
         writer.writerow(["protein_id"])
         for pid in result.selected:
@@ -203,6 +268,13 @@ def write_table(path: str, rows: list[dict], columns, header_lines=()) -> None:
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_format_cell(row[c]) for c in columns])
+
+
+def _field(cell: str) -> str:
+    """`cell` as csv.writer writes it in a row of several cells."""
+    if _QUOTED_CHARS.isdisjoint(cell):
+        return cell
+    return '"' + cell.replace('"', '""') + '"'
 
 
 def _num(v) -> str:

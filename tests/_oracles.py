@@ -5,10 +5,13 @@ plain loops or brute-force search, not by calling the package code, so
 that agreement is evidence and not tautology.
 """
 
+import csv
 import math
 
 import numpy as np
 from scipy import stats
+
+from markerscreen.errors import ParseError
 
 
 def pooled_normal_oracle(x):
@@ -196,3 +199,60 @@ def bh_selection_oracle(rows, q):
             k = rank
     cutoff = by_p[k - 1][2] if k else float("nan")
     return _selection(_ranked_rows(rows), [pid for pid, _, _ in by_p[:k]], cutoff)
+
+
+def ingest_reference(path):
+    """Matrix ingest as csv.reader plus one float() per cell.
+
+    Returns (protein ids, values, comment metadata) or raises the ParseError
+    or ValueError, with its message, that `ingest_matrix` must raise.
+    """
+    meta, header, rows = {}, None, []
+    with open(path, newline="") as fh:
+        for raw in csv.reader(fh):
+            if not raw:
+                continue
+            if raw[0].startswith("#"):
+                text = ",".join(raw).lstrip("#").strip()
+                if ":" in text:
+                    key, _, val = text.partition(":")
+                    meta[key.strip()] = val.strip()
+                continue
+            if header is None:
+                header = [c.strip() for c in raw]
+            else:
+                rows.append(raw)
+    if header is None:
+        raise ParseError(f"{path}: no header row")
+    if len(header) < 3 or header[0] != "protein_id":
+        raise ParseError(
+            f"{path}: header must be protein_id,<at least two sample columns>"
+        )
+    if not rows:
+        raise ParseError(f"{path}: no protein rows")
+    ids, seen = [], set()
+    values = np.empty((len(rows), len(header) - 1))
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ParseError(
+                f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}"
+            )
+        pid = row[0].strip()
+        if pid in seen:
+            raise ParseError(f"{path}: duplicate protein id {pid!r}")
+        seen.add(pid)
+        ids.append(pid)
+        for k, cell in enumerate(row[1:]):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"non-numeric cell at protein {pid!r}, sample "
+                    f"{header[k + 1]!r}: {cell!r}"
+                ) from None
+            if not math.isfinite(v):
+                raise ValueError(
+                    f"non-finite cell at protein {pid!r}, sample {header[k + 1]!r}"
+                )
+            values[i, k] = v
+    return ids, values, meta

@@ -117,6 +117,18 @@ def test_artifact_headers_and_config_digest(tmp_path):
     assert digest2 != digest  # different config, different fingerprint
 
 
+def test_same_analysis_in_two_directories_is_byte_identical(tmp_path):
+    sim = tmp_path / "sim"
+    run_cli("simulate", "--preset", "water-n10", "--seed", "8",
+            "--out-dir", str(sim), "--deterministic")
+    for name in ("a", "b"):
+        assert run_cli("select", "--input", str(sim / "matrix.csv"), "--policy",
+                       "gap", "--out-dir", str(tmp_path / name),
+                       "--deterministic") == 0
+    for name in ("scores.csv", "selection.csv", "preview.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_timestamp_suppressed_only_when_deterministic(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -186,6 +198,21 @@ def test_gap_fallback_records_small_design_q(tmp_path, capsys):
     assert "fell back to BH at q = 0.1" in capsys.readouterr().out
 
 
+def test_plain_bh_records_its_level(tmp_path):
+    sim = tmp_path / "sim"
+    run_cli("simulate", "--preset", "water-n3", "--seed", "4",
+            "--out-dir", str(sim), "--deterministic")
+    sel = tmp_path / "sel"
+    assert run_cli("select", "--input", str(sim / "matrix.csv"), "--policy",
+                   "bh", "--replicates", "2000", "--out-dir", str(sel),
+                   "--deterministic") == 0
+    head = [l for l in (sel / "selection.csv").read_text().splitlines()
+            if l.startswith("#")]
+    assert "# policy: bh_fdr" in head
+    assert "# q: 0.1" in head  # bare bh below n = 5
+    assert not any(l.startswith("# fallback_q:") for l in head)
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_exit_2_on_bad_cell(tmp_path):
@@ -193,6 +220,15 @@ def test_exit_2_on_bad_cell(tmp_path):
     bad.write_text("protein_id,s1,s2,s3,s4\nA,1.0,2.0,NA,4.0\n")
     assert run_cli("score", "--input", str(bad),
                    "--layout", "1,1,2,2", "--out-dir", str(tmp_path)) == 2
+
+
+def test_exit_2_on_too_few_ks_replicates(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    run_cli("simulate", "--preset", "water-n3", "--seed", "4",
+            "--out-dir", str(sim), "--deterministic")
+    assert run_cli("score", "--input", str(sim / "matrix.csv"), "--replicates",
+                   "10", "--out-dir", str(tmp_path / "x")) == 2
+    assert "error [input]: at least 1000 replicates" in capsys.readouterr().err
 
 
 def test_exit_2_on_unknown_preset(tmp_path):

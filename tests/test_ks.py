@@ -164,6 +164,13 @@ def test_score_matrix_ks_composition_single_protein():
     assert got[0].p_value == pytest.approx(direct_p, abs=1e-15)
 
 
+def test_score_matrix_ks_rejects_too_few_replicates():
+    values = np.random.default_rng(59).normal(0, 1, (4, 6))
+    with pytest.raises(ValueError, match="at least 1000 replicates"):
+        ms.score_matrix_ks(_matrix(values, 3), replicates=999, seed=0)
+    assert len(ms.score_matrix_ks(_matrix(values, 3), replicates=1000, seed=0)) == 4
+
+
 def test_score_matrix_ks_degenerate_row():
     rng = np.random.default_rng(53)
     values = np.vstack([np.full(6, 2.0), rng.normal(0, 1, 6)])

@@ -1,5 +1,11 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import markerscreen as ms
 from markerscreen.errors import LayoutError, ParseError
@@ -7,8 +13,11 @@ from markerscreen.matrix_io import (
     ingest_matrix,
     read_truth,
     write_matrix,
+    write_scores,
     write_truth,
 )
+
+from _oracles import ingest_reference
 
 
 def test_matrix_validation():
@@ -89,3 +98,103 @@ def test_truth_round_trip(tmp_path):
     write_truth(str(path), ("A", "B", "C"), np.array([True, False, True]))
     truth = read_truth(str(path))
     assert truth == {"A": True, "B": False, "C": True}
+
+
+def test_writers_quote_ids_as_csv_writer_does(tmp_path):
+    ids = ["plain", "a,b", 'q"x', "r\rs", "n\nm", " pad "]
+    vals = np.arange(24, dtype=float).reshape(6, 4) / 7.0
+    m = ms.ExpressionMatrix(values=vals, layout=np.array([1, 1, 2, 2]),
+                            protein_ids=ids)
+    scores = ms.ScoreTable(ids, "deviance_lr", vals[:, 0], vals[:, 1] / 10.0,
+                           np.zeros(6, dtype=bool))
+    write_matrix(str(tmp_path / "m.csv"), m)
+    write_scores(str(tmp_path / "s.csv"), scores)
+    expected_m, expected_s = io.StringIO(), io.StringIO()
+    expected_m.write("# layout: 1,1,2,2\n")
+    csv.writer(expected_m).writerows(
+        [["protein_id", "s01", "s02", "s03", "s04"]]
+        + [[pid] + [repr(v) for v in row] for pid, row in zip(ids, vals.tolist())])
+    csv.writer(expected_s).writerows(
+        [["protein_id", "statistic_kind", "value", "p_value"]]
+        + [[pid, "deviance_lr", repr(v), repr(p)]
+           for pid, v, p in zip(ids, vals[:, 0].tolist(), (vals[:, 1] / 10.0).tolist())])
+    with open(tmp_path / "m.csv", newline="") as fh:
+        assert fh.read() == expected_m.getvalue()
+    with open(tmp_path / "s.csv", newline="") as fh:
+        assert fh.read() == expected_s.getvalue()
+    back = ingest_matrix(str(tmp_path / "m.csv"))  # quoted file: csv.reader path
+    assert back.protein_ids == ("plain", "a,b", 'q"x', "r\rs", "n\nm", "pad")
+    assert back.values.tobytes() == vals.tobytes()
+
+
+HEAD = "protein_id,s1,s2,s3,s4\n"
+INGEST_CASES = {
+    "well-formed": HEAD + "P1,1.0,2.0,3.0,4.0\nP2,5.0,6.0,7.0,8.0\n",
+    "crlf-blank-comment": ("protein_id,s1,s2,s3,s4\r\nP1,1,2,3,4\r\n\r\n"
+                           "# layout: 1,2,1,2\r\nP2,5,6,7,8\r\n\r\n"),
+    "cr-only": "protein_id,s1,s2,s3,s4\rP1,1,2,3,4\rP2,5,6,7,8",
+    "padded": "protein_id, s1 ,s2,s3,s4\nP1 , 1.0,\t2.0 ,3.0\t, 4\nP2,5,6,7,8\n",
+    "underscore": HEAD + "P1,1,1_0,3,4\nP2,5,6,7,8\n",
+    "unicode-digits": HEAD + "P1,1,\u0661\u0662,3,4\nP2,5,6,7,\uff18\n",
+    "hash-in-last-cell": HEAD + "P1,1,2,3,1#2\nP2,5,6,7,8\n",
+    "nan": HEAD + "P1,1,2,3,4\nP2,5,nan,7,8\n",
+    "-inf": HEAD + "P1,1,2,3,4\nP2,5,6,7,-inf\n",
+    "empty-cell": HEAD + "P1,1,,3,4\nP2,5,6,7,8\n",
+    "short-row": HEAD + "P1,1,2,3,4\nP2,5,6,7\nP3,1,2,3,4\n",
+    "long-row": HEAD + "P1,1,2,3,4\nP2,5,6,7,8,9\n",
+    "id-only-row": HEAD + "P1,1,2,3,4\nP2\n",
+    "duplicate-id": HEAD + "P1,1,2,3,4\n P1 ,5,6,7,8\n",
+    "bad-cell-before-short-row": HEAD + "P1,1,x,3,4\nP2,5,6,7\n",
+    "duplicate-before-bad-cell": HEAD + "P1,1,2,3,4\nP1,5,6,7,8\nP3,1,x,3,4\n",
+    "quoted-id": HEAD + '"P,1",1,2,3,4\nP2,5,6,7,8\n',
+    "quoted-bad-cell": HEAD + '"P,1",1,"2,5",3,4\n',
+    "single-row": HEAD + "P1,1e-300,-0.0,5e-324,4\n",
+    "no-rows": HEAD + "# nothing\n",
+    "no-header": "# layout: 1,1,2,2\n\n",
+    "one-sample": "protein_id,s1\nP1,1\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(INGEST_CASES))
+def test_ingest_matches_per_cell_reference(tmp_path, case):
+    path = tmp_path / "m.csv"
+    path.write_bytes(INGEST_CASES[case].encode("utf-8"))
+    try:
+        ids, values, meta = ingest_reference(str(path))
+    except (ParseError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            ingest_matrix(str(path), "1,1,2,2")
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    m = ingest_matrix(str(path), None if "layout" in meta else "1,1,2,2")
+    assert m.protein_ids == tuple(ids)
+    assert m.values.shape == values.shape
+    assert m.values.tobytes() == values.tobytes()  # bit exact, -0.0 included
+    if "layout" in meta:
+        assert m.layout.tolist() == [int(t) for t in meta["layout"].split(",")]
+
+
+AWKWARD = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 2.2250738585072014e-308,
+                           2.225073858507201e-308, 1.7976931348623157e308, 0.1, 1e22])
+
+
+@st.composite
+def matrices(draw):
+    p = draw(st.integers(1, 12))
+    n1 = draw(st.integers(1, 5))
+    n2 = draw(st.integers(max(1, 3 - n1), 5))
+    cells = st.one_of(AWKWARD, st.floats(allow_nan=False, allow_infinity=False))
+    values = draw(arrays(np.float64, (p, n1 + n2), elements=cells))
+    layout = np.array(draw(st.permutations([1] * n1 + [2] * n2)))
+    return ms.ExpressionMatrix(values=values, layout=layout)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(matrices())
+def test_write_ingest_round_trip_is_bit_exact(tmp_path_factory, m):
+    path = tmp_path_factory.mktemp("round") / "m.csv"
+    write_matrix(str(path), m)
+    back = ingest_matrix(str(path))
+    assert back.values.tobytes() == m.values.tobytes()
+    assert np.array_equal(back.layout, m.layout)
+    assert back.protein_ids == m.protein_ids
