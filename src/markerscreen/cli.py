@@ -1,9 +1,11 @@
 """Command line front end.
 
-Commands: score, select, simulate, calibrate, bench. Every artifact embeds
-the tool version, the seed, and a digest of the canonical config; reruns
-with the same config and seed write byte-identical artifacts when
---deterministic suppresses the timestamp line.
+Commands: score, select, simulate, calibrate, bench. Each accepts --seed,
+--deterministic, --out-dir and the settings COMMANDS lists for it; any other
+flag is an argparse error (exit 2). Defaults live only on RunConfig. Every
+artifact embeds the tool version, the seed, and a digest of the canonical
+config; reruns with the same config and seed write byte-identical artifacts
+when --deterministic suppresses the timestamp line.
 
 Exit codes: 0 success, 2 input error, 3 statistic outside its regime,
 4 no gap found (only with --policy gap:strict; plain gap falls back to BH
@@ -39,8 +41,6 @@ from .matrix_io import (
 from .select import apply_policy, parse_policy
 from .simulate import generate, preset
 
-DEFAULT_N_VALUES = "3,5,8,10,15,20,30"
-DEFAULT_ALPHAS = "0.01,0.05,0.10"
 EXIT_CODES = {RegimeViolation: 3, NoGapFound: 4}  # other MarkerScreenErrors exit 2
 
 
@@ -57,8 +57,8 @@ class RunConfig:
     preset: str | None = None
     deterministic: bool = False
     out_dir: str = "."
-    n_values: str = DEFAULT_N_VALUES
-    alphas: str = DEFAULT_ALPHAS
+    n_values: str = "3,5,8,10,15,20,30"
+    alphas: str = "0.01,0.05,0.10"
     methods: str = "lr+gap,ttest+bh"
     presets: str = "water-n10,human-n10"
     runs: int = 50
@@ -198,12 +198,32 @@ def cmd_bench(cfg: RunConfig) -> int:
     return 0
 
 
+_SCORING = ("input", "layout", "stat", "replicates")
+# name -> (function, the settings it reads besides --seed, --deterministic, --out-dir)
 COMMANDS = {
-    "simulate": cmd_simulate,
-    "score": cmd_score,
-    "select": cmd_select,
-    "calibrate": cmd_calibrate,
-    "bench": cmd_bench,
+    "simulate": (cmd_simulate, ("preset",)),
+    "score": (cmd_score, _SCORING),
+    "select": (cmd_select, _SCORING + ("policy", "cutoff_scale")),
+    "calibrate": (cmd_calibrate, ("n_values", "alphas", "replicates")),
+    "bench": (cmd_bench, ("methods", "presets", "runs", "replicates")),
+}
+
+# RunConfig field -> (flag, argparse keywords); no defaults here, unset stays None
+_OPTIONS = {
+    "seed": ("--seed", {"type": int}),
+    "out_dir": ("--out-dir", {}),
+    "input": ("--input", {}),
+    "layout": ("--layout", {"help": "inline labels like 1,1,2,2 or a sidecar CSV path"}),
+    "stat": ("--stat", {"choices": ["lr", "ks", "auto"]}),
+    "replicates": ("--replicates", {"type": int}),
+    "policy": ("--policy", {"help": "fixed:<c> | gap | gap:strict | bh:<q>"}),
+    "cutoff_scale": ("--cutoff-scale", {"choices": ["deviance", "lnR", "R"]}),
+    "preset": ("--preset", {}),
+    "n_values": ("--n", {}),
+    "alphas": ("--alpha", {}),
+    "methods": ("--methods", {}),
+    "presets": ("--presets", {}),
+    "runs": ("--runs", {"type": int}),
 }
 
 
@@ -213,41 +233,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Marker discovery for two-condition expression matrices",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, settings) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--input")
-        p.add_argument("--layout",
-                       help="inline labels like 1,1,2,2 or a sidecar CSV path")
-        p.add_argument("--stat", choices=["lr", "ks", "auto"], default="auto")
-        p.add_argument("--policy", default="gap",
-                       help="fixed:<c> | gap | gap:strict | bh:<q>")
-        p.add_argument("--cutoff-scale", dest="cutoff_scale",
-                       choices=["deviance", "lnR", "R"], default="deviance")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--replicates", type=int, default=10000)
-        p.add_argument("--preset")
+        for dest in ("seed", "out_dir") + settings:
+            flag, kwargs = _OPTIONS[dest]
+            p.add_argument(flag, dest=dest, **kwargs)
         p.add_argument("--deterministic", action="store_true")
-        p.add_argument("--out-dir", dest="out_dir", default=".")
-        if name == "calibrate":
-            p.add_argument("--n", dest="n_values", default=DEFAULT_N_VALUES)
-            p.add_argument("--alpha", dest="alphas", default=DEFAULT_ALPHAS)
-        if name == "bench":
-            p.add_argument("--methods", default="lr+gap,ttest+bh")
-            p.add_argument("--presets", default="water-n10,human-n10")
-            p.add_argument("--runs", type=int, default=50)
     return parser
 
 
-def run(cfg: RunConfig) -> int:
-    """Dispatch a validated config; raises module errors to the caller."""
-    return COMMANDS[cfg.command](cfg)
+def parse_config(argv=None) -> RunConfig:
+    """RunConfig from command-line arguments; unset flags keep its defaults."""
+    args = build_parser().parse_args(argv)
+    return RunConfig(**{k: v for k, v in vars(args).items() if v is not None})
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(**{k: v for k, v in vars(args).items() if v is not None})
+    cfg = parse_config(argv)
     try:
-        return run(cfg)
+        return COMMANDS[cfg.command][0](cfg)
     except MarkerScreenError as exc:
         print(f"error [{exc.category}]: {exc}", file=sys.stderr)
         return EXIT_CODES.get(type(exc), 2)

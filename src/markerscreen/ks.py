@@ -30,18 +30,17 @@ DEFAULT_REPLICATES = 10000
 
 @dataclass
 class KernelEstimate:
-    """Gaussian kernel located at the observed points with one bandwidth."""
+    """Gaussian kernel located at the observed points with one bandwidth, or
+    with an array of bandwidths that broadcasts against centers (_d_rows)."""
 
     centers: np.ndarray
-    bandwidth: float
+    bandwidth: float | np.ndarray
 
 
 @dataclass
 class KsScore:
     d: float
-    p_value: float | None
     bandwidth_used: float
-    mc_replicates: int
 
 
 def _bandwidth(rows: np.ndarray) -> np.ndarray:
@@ -81,8 +80,7 @@ def _d_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fitted with the MLE variance, evaluated at the observed points only.
     """
     h = _bandwidth(rows)
-    z = (rows[:, :, None] - rows[:, None, :]) / h[:, None, None]
-    g = ndtr(z).mean(axis=2)
+    g = kernel_cdf(KernelEstimate(rows[:, None, :], h[:, None, None]), rows)
     mu = rows.mean(axis=1, keepdims=True)
     sd = rows.std(axis=1, keepdims=True)  # MLE scale for the reference fit
     f = ndtr((rows - mu) / sd)
@@ -90,7 +88,7 @@ def _d_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ks_d_statistic(x) -> KsScore:
-    """The statistic d for one pooled sample (p-value left unset)."""
+    """The statistic d for one pooled sample, with the bandwidth it used."""
     x = np.asarray(x, dtype=float).ravel()
     if x.size < 3:
         raise ValueError("need at least 3 observations")
@@ -99,8 +97,7 @@ def ks_d_statistic(x) -> KsScore:
     if np.std(x, ddof=1) == 0.0:
         raise DegenerateData("zero sample standard deviation")
     d, h = _d_rows(x[None, :])
-    return KsScore(d=float(d[0]), p_value=None, bandwidth_used=float(h[0]),
-                   mc_replicates=0)
+    return KsScore(d=float(d[0]), bandwidth_used=float(h[0]))
 
 
 @lru_cache(maxsize=32)
@@ -117,6 +114,12 @@ def _null_table(N: int, replicates: int, seed: int) -> np.ndarray:
     return np.sort(d)
 
 
+def _mc_pvalue(table: np.ndarray, d):
+    """(1 + #{D* >= d}) / (B + 1) against a sorted null table of B draws."""
+    n_ge = table.size - np.searchsorted(table, d, side="left")
+    return (1.0 + n_ge) / (table.size + 1.0)
+
+
 def lilliefors_pvalue(d: float, N: int, replicates: int = DEFAULT_REPLICATES,
                       seed: int = 0) -> float:
     """Monte-Carlo p-value of d under the fitted-normal null.
@@ -128,9 +131,7 @@ def lilliefors_pvalue(d: float, N: int, replicates: int = DEFAULT_REPLICATES,
     """
     if not 0.0 <= d <= 1.0:
         raise ValueError("d must lie in [0, 1]")
-    table = _null_table(N, replicates, seed)
-    n_ge = table.size - int(np.searchsorted(table, d, side="left"))
-    return (1.0 + n_ge) / (replicates + 1.0)
+    return float(_mc_pvalue(_null_table(N, replicates, seed), d))
 
 
 def score_matrix_ks(
@@ -152,14 +153,10 @@ def score_matrix_ks(
             stacklevel=2,
         )
     rows = m.values
-    sd1 = rows.std(axis=1, ddof=1)
-    degenerate = sd1 == 0.0
+    degenerate = rows.std(axis=1, ddof=1) == 0.0
     d = np.zeros(m.p)
     if np.any(~degenerate):
         d[~degenerate], _ = _d_rows(rows[~degenerate])
 
-    table = _null_table(m.N, replicates, seed)
-    n_ge = table.size - np.searchsorted(table, d, side="left")
-    pvals = (1.0 + n_ge) / (replicates + 1.0)
-    pvals = np.where(degenerate, 1.0, pvals)
+    pvals = np.where(degenerate, 1.0, _mc_pvalue(_null_table(m.N, replicates, seed), d))
     return ScoreTable(m.protein_ids, "ks_d", d, pvals, degenerate)

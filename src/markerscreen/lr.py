@@ -27,10 +27,9 @@ import numpy as np
 from .errors import DegenerateData, RegimeViolation
 from .matrix import ExpressionMatrix
 
-# Variances below 1e-8 x (pooled variance) are clamped; a pooled variance
-# below the absolute floor means the row carries no information at all.
+# Variances below 1e-8 x (pooled variance) are clamped. A row is degenerate
+# (carries no information) only when its pooled variance is exactly zero.
 VARIANCE_FLOOR_REL = 1e-8
-VARIANCE_FLOOR_ABS = 1e-8
 
 EM_TOL = 1e-8
 EM_MAX_ITER = 500
@@ -122,10 +121,6 @@ class ScoreTable:
         return np.lexsort((self.ids, -self.value))
 
 
-def _variance_floor(sample_var: float) -> float:
-    return VARIANCE_FLOOR_REL * sample_var if sample_var > 0 else VARIANCE_FLOOR_ABS
-
-
 def _normal_loglik(x: np.ndarray, mu, sigma2):
     """Normal log-likelihood of each row of x (last axis) under its mu, sigma2."""
     return (-0.5 * x.shape[-1] * np.log(2.0 * np.pi * sigma2)
@@ -141,7 +136,7 @@ def fit_pooled_normal(x) -> PooledFit:
         raise ValueError("non-finite observations")
     mu = float(np.mean(x))
     sigma2 = float(np.mean((x - mu) ** 2))
-    if sigma2 < _variance_floor(sigma2) or sigma2 <= 0.0:
+    if sigma2 <= 0.0:
         raise DegenerateData("all observations identical, zero pooled variance")
     return PooledFit(mu=mu, sigma2=sigma2, loglik=float(_normal_loglik(x, mu, sigma2)))
 
@@ -184,7 +179,7 @@ def fit_mixture_fixed_weights(
     pooled = fit_pooled_normal(x)  # raises DegenerateData on flat rows
     N = x.size
     w1, w2 = n1 / N, n2 / N
-    floor = _variance_floor(pooled.sigma2)
+    floor = VARIANCE_FLOOR_REL * pooled.sigma2
 
     best = MixtureFit(
         mu1=pooled.mu, mu2=pooled.mu,

@@ -27,6 +27,8 @@ def _read_rows(path: str) -> tuple[list[str], list[list[str]], dict[str, str]]:
             return _scan(csv.reader(fh), path)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _scan(records, path: str) -> tuple[list[str], list[list[str]], dict[str, str]]:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import markerscreen as ms
-from markerscreen.cli import main
+from markerscreen.cli import COMMANDS, build_parser, config_digest, main, parse_config
 from markerscreen.matrix_io import ingest_matrix, read_truth
 
 
@@ -213,6 +213,41 @@ def test_plain_bh_records_its_level(tmp_path):
     assert not any(l.startswith("# fallback_q:") for l in head)
 
 
+# ------------------------------------------------------------------- flags
+
+@pytest.mark.parametrize("argv", [
+    "simulate --stat lr",
+    "score --policy gap",
+    "select --preset water-n3",
+    "calibrate --policy fixed:abc",
+    "bench --input m.csv",
+])
+def test_command_rejects_a_flag_it_does_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_unset_flags_parse_to_none(command):
+    # defaults live on RunConfig only, so main can tell unset from set
+    args = vars(build_parser().parse_args([command]))
+    assert args.pop("command") == command
+    assert args.pop("deterministic") is False
+    assert args and all(v is None for v in args.values())
+
+
+@pytest.mark.parametrize("argv,digest", [
+    ("simulate --preset water-n10 --seed 8", "60f0bb0ae5ec"),
+    ("calibrate", "74184670b614"),
+    ("bench", "5c09a0c19b3b"),
+    ("select --input matrix.csv", "775dd41c4d70"),
+])
+def test_config_digest_is_pinned(argv, digest):
+    # a valid invocation keeps its digest however the parser is built
+    assert config_digest(parse_config(argv.split())) == digest
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_exit_2_on_bad_cell(tmp_path):
@@ -220,6 +255,23 @@ def test_exit_2_on_bad_cell(tmp_path):
     bad.write_text("protein_id,s1,s2,s3,s4\nA,1.0,2.0,NA,4.0\n")
     assert run_cli("score", "--input", str(bad),
                    "--layout", "1,1,2,2", "--out-dir", str(tmp_path)) == 2
+
+
+def test_exit_2_on_oversized_csv_field(tmp_path, capsys):
+    # csv.reader's field limit (131,072 characters) is a parse error, not a crash
+    long_id = "P" * 200_000
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text(f'protein_id,a,b,c,d\n"{long_id}",1.0,2.0,9.0,8.0\n')
+    assert run_cli("score", "--input", str(quoted), "--layout", "1,1,2,2",
+                   "--out-dir", str(tmp_path / "x")) == 2
+    assert "error [parse-error]" in capsys.readouterr().err
+    plain = tmp_path / "m.csv"
+    plain.write_text("protein_id,a,b,c,d\nP1,1.0,2.0,9.0,8.0\nP2,0.5,0.4,0.6,0.7\n")
+    sidecar = tmp_path / "layout.csv"
+    sidecar.write_text(f'sample_id,condition\n"{long_id}",1\na,1\nb,1\nc,2\nd,2\n')
+    assert run_cli("score", "--input", str(plain), "--layout", str(sidecar),
+                   "--out-dir", str(tmp_path / "y")) == 2
+    assert "error [parse-error]" in capsys.readouterr().err
 
 
 def test_exit_2_on_too_few_ks_replicates(tmp_path, capsys):
