@@ -1,10 +1,12 @@
 """Command line front end.
 
-Commands: score, select, simulate, calibrate, bench. Each accepts --seed,
+Commands: score, select, simulate, calibrate, bench. Each accepts
 --deterministic, --out-dir and the settings COMMANDS lists for it; any other
-flag is an argparse error (exit 2). Defaults live only on RunConfig. Every
-artifact embeds the tool version, the seed, and a digest of the canonical
-config; reruns with the same config and seed write byte-identical artifacts
+flag is an argparse error (exit 2). Only simulate, calibrate and bench draw
+random numbers, so only they take --seed; the ks null table of score and
+select depends on (N, replicates) alone. Defaults live only on RunConfig.
+Every artifact embeds the tool version, the seed, and a digest of the
+canonical config; reruns with the same config write byte-identical artifacts
 when --deterministic suppresses the timestamp line.
 
 Exit codes: 0 success, 2 input error, 3 statistic outside its regime,
@@ -102,7 +104,7 @@ def _score(cfg: RunConfig):
     if stat == "lr":
         return matrix, score_matrix_lr(matrix), stat
     if stat == "ks":
-        return matrix, score_matrix_ks(matrix, replicates=cfg.replicates, seed=cfg.seed), stat
+        return matrix, score_matrix_ks(matrix, replicates=cfg.replicates), stat
     raise ParseError(f"unknown statistic {stat!r}")
 
 
@@ -199,13 +201,13 @@ def cmd_bench(cfg: RunConfig) -> int:
 
 
 _SCORING = ("input", "layout", "stat", "replicates")
-# name -> (function, the settings it reads besides --seed, --deterministic, --out-dir)
+# name -> (function, the settings it reads besides --deterministic and --out-dir)
 COMMANDS = {
-    "simulate": (cmd_simulate, ("preset",)),
+    "simulate": (cmd_simulate, ("seed", "preset")),
     "score": (cmd_score, _SCORING),
     "select": (cmd_select, _SCORING + ("policy", "cutoff_scale")),
-    "calibrate": (cmd_calibrate, ("n_values", "alphas", "replicates")),
-    "bench": (cmd_bench, ("methods", "presets", "runs", "replicates")),
+    "calibrate": (cmd_calibrate, ("seed", "n_values", "alphas", "replicates")),
+    "bench": (cmd_bench, ("seed", "methods", "presets", "runs", "replicates")),
 }
 
 # RunConfig field -> (flag, argparse keywords); no defaults here, unset stays None
@@ -235,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, settings) in COMMANDS.items():
         p = sub.add_parser(name)
-        for dest in ("seed", "out_dir") + settings:
+        for dest in ("out_dir",) + settings:
             flag, kwargs = _OPTIONS[dest]
             p.add_argument(flag, dest=dest, **kwargs)
         p.add_argument("--deterministic", action="store_true")

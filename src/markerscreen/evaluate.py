@@ -143,6 +143,12 @@ def convergence_table(
     The statistic is location-scale invariant, so standard-normal rows
     calibrate every normal-error configuration.
     """
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    if not n_values or not alphas:
+        raise ValueError("need at least one n and one alpha")
+    if not all(0.0 < a < 1.0 for a in alphas):
+        raise ValueError("alpha must lie in (0, 1)")
     rows = []
     for n in n_values:
         if n < 2:
@@ -174,7 +180,7 @@ def convergence_text(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def _run_method(method: str, labeled, ks_replicates: int, run_seed: int) -> SelectionResult:
+def _run_method(method: str, labeled, ks_replicates: int) -> SelectionResult:
     stat, _, policy_spec = method.partition("+")
     if not policy_spec:
         raise ValueError(f"method {method!r} must look like 'lr+gap' or 'ttest+bh:0.05'")
@@ -182,7 +188,7 @@ def _run_method(method: str, labeled, ks_replicates: int, run_seed: int) -> Sele
     if stat == "lr":
         scores = score_matrix_lr(m)
     elif stat == "ks":
-        scores = score_matrix_ks(m, replicates=ks_replicates, seed=run_seed)
+        scores = score_matrix_ks(m, replicates=ks_replicates)
     elif stat == "ttest":
         scores = ttest_baseline(m)
     else:
@@ -218,7 +224,7 @@ def benchmark(
             truth = labeled.truth_map()
             for method in methods:
                 try:
-                    result = _run_method(method, labeled, ks_replicates, run_seed)
+                    result = _run_method(method, labeled, ks_replicates)
                     scored = score_against_truth(result, truth)
                     report.runs.append(EvalRun(
                         method=method, preset=preset_name, seed=run_seed,

@@ -8,7 +8,9 @@ statistic d is the largest absolute difference over the observed points.
 Because the reference normal's parameters are estimated from the sample,
 the p-value comes from Monte-Carlo recalibration: standard-normal samples
 of the same size are pushed through the identical pipeline (bandwidth
-re-selected, normal re-fitted) and d is ranked against them.
+re-selected, normal re-fitted) and d is ranked against them. Like
+Lilliefors' published table, that null depends only on N: one table per
+(N, replicates), drawn from a fixed stream, serves every matrix and run.
 """
 
 from __future__ import annotations
@@ -101,14 +103,14 @@ def ks_d_statistic(x) -> KsScore:
 
 
 @lru_cache(maxsize=32)
-def _null_table(N: int, replicates: int, seed: int) -> np.ndarray:
-    """Sorted null statistics for sample size N, derived from (seed, N).
+def _null_table(N: int, replicates: int) -> np.ndarray:
+    """Sorted null statistics for sample size N, from a fixed stream.
 
     Fewer than 1000 replicates would put p-values on too coarse a grid.
     """
     if replicates < 1000:
         raise ValueError("at least 1000 replicates")
-    rng = substream(seed, f"ks-null:{N}:{replicates}")
+    rng = substream(0, f"ks-null:{N}:{replicates}")
     draws = rng.standard_normal((replicates, N))
     d, _ = _d_rows(draws)
     return np.sort(d)
@@ -120,25 +122,20 @@ def _mc_pvalue(table: np.ndarray, d):
     return (1.0 + n_ge) / (table.size + 1.0)
 
 
-def lilliefors_pvalue(d: float, N: int, replicates: int = DEFAULT_REPLICATES,
-                      seed: int = 0) -> float:
+def lilliefors_pvalue(d: float, N: int, replicates: int = DEFAULT_REPLICATES) -> float:
     """Monte-Carlo p-value of d under the fitted-normal null.
 
     Simulates `replicates` standard-normal samples of size N through the
     full pipeline and returns (1 + #{D* >= d}) / (replicates + 1).
-    Deterministic given seed; the null table is cached per (N, replicates,
-    seed) so scoring a whole matrix reuses one table.
+    The null table depends only on (N, replicates) and is cached, so every
+    matrix and run of the same N shares one table.
     """
     if not 0.0 <= d <= 1.0:
         raise ValueError("d must lie in [0, 1]")
-    return float(_mc_pvalue(_null_table(N, replicates, seed), d))
+    return float(_mc_pvalue(_null_table(N, replicates), d))
 
 
-def score_matrix_ks(
-    m: ExpressionMatrix,
-    replicates: int = DEFAULT_REPLICATES,
-    seed: int = 0,
-) -> ScoreTable:
+def score_matrix_ks(m: ExpressionMatrix, replicates: int = DEFAULT_REPLICATES) -> ScoreTable:
     """Statistic d and Monte-Carlo p-value for every pooled protein row.
 
     Intended for very small designs (n < 5 per condition); larger matrices
@@ -158,5 +155,5 @@ def score_matrix_ks(
     if np.any(~degenerate):
         d[~degenerate], _ = _d_rows(rows[~degenerate])
 
-    pvals = np.where(degenerate, 1.0, _mc_pvalue(_null_table(m.N, replicates, seed), d))
+    pvals = np.where(degenerate, 1.0, _mc_pvalue(_null_table(m.N, replicates), d))
     return ScoreTable(m.protein_ids, "ks_d", d, pvals, degenerate)

@@ -3,16 +3,15 @@
 One protein row is  X = mu + C_i + F_j + eps  where C_i is the condition
 effect (identical in both conditions for plain proteins, differing by the
 log2 fold change for true markers), F_j is a per-protein N(0, sigma2_F)
-effect, and eps follows the configured error law. The subject-effect
-variance sigma2_S is carried on SimSpec for completeness but the subject
-term is not emitted: within-row spread is the error law's own scale (a
-subject term of the recorded magnitude would drown every configured effect
-size; see the sigma2_S note in SimSpec).
+effect, and eps follows the configured error law. No subject effect is
+simulated: within-row spread is the error law's own scale, because a
+subject term of the generating design's magnitude (variance 27.37) would
+drown every configured effect size.
 
 All draws derive from SimSpec.seed through independent substreams
-(protein-effect, condition-effect, error; a subject stream name is reserved),
-so changing the error law never perturbs the effect draws and the same seed
-always reproduces the matrix bit for bit.
+(protein-effect, condition-effect, error), so changing the error law never
+perturbs the effect draws and the same seed always reproduces the matrix
+bit for bit.
 """
 
 from __future__ import annotations
@@ -79,17 +78,12 @@ class ErrorLaw:
 @dataclass(frozen=True)
 class SimSpec:
     """Simulation configuration. fold_change is on the log2 scale, so true
-    markers satisfy C1 - C2 = fold_change exactly.
-
-    sigma2_S records the subject-effect variance of the generating design;
-    it is validated but not emitted into the per-protein rows (see module
-    docstring)."""
+    markers satisfy C1 - C2 = fold_change exactly."""
 
     p: int
     n_true: int
     n_per_condition: int
     mu: float
-    sigma2_S: float
     sigma2_F: float
     error_law: ErrorLaw
     fold_change: float
@@ -102,8 +96,8 @@ class SimSpec:
             raise InvalidSpec("n_true must lie in [0, p]")
         if self.n_per_condition < 1:
             raise InvalidSpec("n_per_condition must be >= 1")
-        if self.sigma2_S <= 0 or self.sigma2_F <= 0:
-            raise InvalidSpec("variance components must be > 0")
+        if self.sigma2_F <= 0:
+            raise InvalidSpec("sigma2_F must be > 0")
         if self.fold_change <= 0:
             raise InvalidSpec("fold_change must be > 0")
 
@@ -135,8 +129,6 @@ def generate(spec: SimSpec) -> LabeledMatrix:
     f_stream = substream(spec.seed, "protein-effect")
     u_stream = substream(spec.seed, "condition-effect")
     e_stream = substream(spec.seed, "error")
-    # substream(spec.seed, "subject") is reserved for the subject effect,
-    # which SimSpec records but this generator does not emit.
 
     f = f_stream.normal(0.0, math.sqrt(spec.sigma2_F), p)
     u_plain = u_stream.uniform(1.0, 100.0, p)
@@ -177,7 +169,6 @@ def presets() -> dict[str, SimSpec]:
                 n_true=30,
                 n_per_condition=n,
                 mu=15.0,
-                sigma2_S=27.37,
                 sigma2_F=0.98,
                 error_law=law,
                 fold_change=LOG2_3,

@@ -19,7 +19,7 @@ def water10_scores(water10):
 def null_matrix_n10():
     """Pure-null 1000-protein matrix, n=10 per condition."""
     spec = ms.SimSpec(
-        p=1000, n_true=0, n_per_condition=10, mu=15.0, sigma2_S=27.37,
+        p=1000, n_true=0, n_per_condition=10, mu=15.0,
         sigma2_F=0.98, error_law=ms.ErrorLaw.normal(0.48),
         fold_change=np.log2(3.0), seed=5,
     )

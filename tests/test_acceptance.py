@@ -122,8 +122,7 @@ def _gap_hit_rate(preset_name, use_lr):
         if use_lr:
             scores = ms.score_matrix_lr(lab.matrix)
         else:
-            scores = ms.score_matrix_ks(lab.matrix, replicates=2000,
-                                        seed=seed)
+            scores = ms.score_matrix_ks(lab.matrix, replicates=2000)
         try:
             selected = len(ms.select_gap(scores).selected)
         except NoGapFound:

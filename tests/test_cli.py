@@ -45,7 +45,7 @@ def test_end_to_end_marker_recovery(tmp_path):
             "--out-dir", str(sim), "--deterministic")
     assert run_cli("select", "--input", str(sim / "matrix.csv"),
                    "--policy", "gap", "--out-dir", str(sel),
-                   "--seed", "8", "--deterministic") == 0
+                   "--deterministic") == 0
     ids = _read_selection_ids(sel / "selection.csv")
     assert 28 <= len(ids) <= 32
     truth = read_truth(str(sim / "truth.csv"))
@@ -155,6 +155,19 @@ def test_calibrate_n10(tmp_path):
     assert 0.05 <= tail <= 0.11  # anticonservative at n=10, near 0.08
 
 
+@pytest.mark.parametrize("argv", [
+    "--n 3 --replicates 0",
+    "--n 3 --alpha 2 --replicates 100",
+    "--n , --replicates 100",
+    "--n 3 --alpha , --replicates 100",
+])
+def test_calibrate_rejects_out_of_range_inputs(tmp_path, capsys, argv):
+    out = tmp_path / "cal"
+    assert run_cli("calibrate", *argv.split(), "--out-dir", str(out)) == 2
+    assert "error [input]" in capsys.readouterr().err
+    assert not (out / "calibration.csv").exists()
+
+
 def test_bench_writes_tables(tmp_path):
     out = tmp_path / "bench"
     assert run_cli("bench", "--methods", "ttest+bh:0.05",
@@ -218,7 +231,9 @@ def test_plain_bh_records_its_level(tmp_path):
 @pytest.mark.parametrize("argv", [
     "simulate --stat lr",
     "score --policy gap",
+    "score --seed 1",
     "select --preset water-n3",
+    "select --seed 1",
     "calibrate --policy fixed:abc",
     "bench --input m.csv",
 ])

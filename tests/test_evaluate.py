@@ -6,6 +6,7 @@ from scipy import stats
 
 import markerscreen as ms
 from markerscreen.errors import DegenerateData, TruthMismatch
+from markerscreen.ks import _null_table
 
 from _oracles import welch_oracle
 
@@ -167,6 +168,12 @@ def test_benchmark_is_deterministic_and_paired():
     for run in a.runs:
         seeds.setdefault(run.method, []).append(run.seed)
     assert seeds["ttest+bh:0.05"] == seeds["lr+bh:0.05"]
+
+
+def test_benchmark_builds_one_ks_null_table_for_all_runs():
+    _null_table.cache_clear()
+    ms.benchmark(["ks+gap"], ["water-n3"], runs=3, seed=0)
+    assert _null_table.cache_info().misses == 1
 
 
 def test_benchmark_counting_identity():

@@ -119,8 +119,8 @@ def test_ks_d_affine_invariance():
 # ----------------------------------------------------------- Lilliefors MC
 
 def test_lilliefors_degenerate_endpoints():
-    assert ms.lilliefors_pvalue(0.0, 6, replicates=1000, seed=0) == 1.0
-    assert ms.lilliefors_pvalue(1.0, 6, replicates=1000, seed=0) == pytest.approx(
+    assert ms.lilliefors_pvalue(0.0, 6, replicates=1000) == 1.0
+    assert ms.lilliefors_pvalue(1.0, 6, replicates=1000) == pytest.approx(
         1.0 / 1001.0)
 
 
@@ -132,15 +132,21 @@ def test_lilliefors_rejects_bad_inputs():
 
 
 def test_lilliefors_median_self_consistency():
-    table = _null_table(6, 10000, 0)
+    table = _null_table(6, 10000)
     med = float(np.median(table))
-    p = ms.lilliefors_pvalue(med, 6, replicates=10000, seed=0)
+    p = ms.lilliefors_pvalue(med, 6, replicates=10000)
     assert abs(p - 0.5) < 0.05
 
 
+def test_lilliefors_null_stream_is_pinned():
+    # the table is drawn from substream(0, "ks-null:N:replicates"), the
+    # stream seed 0 used when the table was also keyed by a seed
+    assert ms.lilliefors_pvalue(0.11, 6, replicates=2000) == 0.08595702148925537
+
+
 def test_lilliefors_deterministic_given_seed():
-    a = ms.lilliefors_pvalue(0.11, 6, replicates=2000, seed=9)
-    b = ms.lilliefors_pvalue(0.11, 6, replicates=2000, seed=9)
+    a = ms.lilliefors_pvalue(0.11, 6, replicates=2000)
+    b = ms.lilliefors_pvalue(0.11, 6, replicates=2000)
     assert a == b
 
 
@@ -156,8 +162,8 @@ def test_score_matrix_ks_composition_single_protein():
     rng = np.random.default_rng(47)
     x = rng.normal(0, 1, 6)
     direct_d = ms.ks_d_statistic(x).d
-    direct_p = ms.lilliefors_pvalue(direct_d, 6, replicates=2000, seed=0)
-    got = ms.score_matrix_ks(_matrix(x[None, :], 3), replicates=2000, seed=0)
+    direct_p = ms.lilliefors_pvalue(direct_d, 6, replicates=2000)
+    got = ms.score_matrix_ks(_matrix(x[None, :], 3), replicates=2000)
     assert len(got) == 1
     assert got[0].statistic_kind == "ks_d"
     assert got[0].value == pytest.approx(direct_d, abs=1e-12)
@@ -167,14 +173,14 @@ def test_score_matrix_ks_composition_single_protein():
 def test_score_matrix_ks_rejects_too_few_replicates():
     values = np.random.default_rng(59).normal(0, 1, (4, 6))
     with pytest.raises(ValueError, match="at least 1000 replicates"):
-        ms.score_matrix_ks(_matrix(values, 3), replicates=999, seed=0)
-    assert len(ms.score_matrix_ks(_matrix(values, 3), replicates=1000, seed=0)) == 4
+        ms.score_matrix_ks(_matrix(values, 3), replicates=999)
+    assert len(ms.score_matrix_ks(_matrix(values, 3), replicates=1000)) == 4
 
 
 def test_score_matrix_ks_degenerate_row():
     rng = np.random.default_rng(53)
     values = np.vstack([np.full(6, 2.0), rng.normal(0, 1, 6)])
-    got = ms.score_matrix_ks(_matrix(values, 3), replicates=1000, seed=0)
+    got = ms.score_matrix_ks(_matrix(values, 3), replicates=1000)
     assert got[0].value == 0.0
     assert got[0].p_value == 1.0
     assert got[1].value > 0.0
@@ -184,13 +190,13 @@ def test_score_matrix_ks_warns_in_lr_regime():
     rng = np.random.default_rng(59)
     with pytest.warns(UserWarning):
         ms.score_matrix_ks(_matrix(rng.normal(0, 1, (2, 12)), 6),
-                           replicates=1000, seed=0)
+                           replicates=1000)
 
 
 def test_score_matrix_ks_null_calibration_and_uniformity():
     rng = np.random.default_rng(2024)
     values = rng.standard_normal((5000, 6))
-    scores = ms.score_matrix_ks(_matrix(values, 3), replicates=10000, seed=0)
+    scores = ms.score_matrix_ks(_matrix(values, 3), replicates=10000)
     pvals = np.sort([s.p_value for s in scores])
     frac = float(np.mean(pvals <= 0.05))
     assert abs(frac - 0.05) <= 0.02
@@ -208,8 +214,8 @@ def test_score_matrix_ks_null_calibration_and_uniformity():
     "(see decisions ledger D4)",
 )
 def test_score_matrix_ks_cauchy_sorted_drop_near_true_count():
-    lab = ms.generate(ms.preset("cauchy-n3", seed=0))
-    scores = ms.score_matrix_ks(lab.matrix, replicates=2000, seed=0)
+    lab = ms.generate(ms.preset("cauchy-n3"))
+    scores = ms.score_matrix_ks(lab.matrix, replicates=2000)
     vals = np.sort([s.value for s in scores])[::-1]
     ratios = vals[:99] / vals[1:100]
     drop_at = int(np.argmax(ratios)) + 1

@@ -42,7 +42,7 @@ def test_fixed_cutoff_on_hrm_style_simulation():
     # 120 proteins, 12 true, n=12, 5-fold effect, quiet background;
     # cutoff 2.5 applied on the log10 ratio scale
     spec = ms.SimSpec(p=120, n_true=12, n_per_condition=12, mu=15.0,
-                      sigma2_S=27.37, sigma2_F=0.98,
+                      sigma2_F=0.98,
                       error_law=ms.ErrorLaw.normal(0.48),
                       fold_change=math.log2(5.0), seed=42)
     lab = ms.generate(spec)

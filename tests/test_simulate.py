@@ -8,7 +8,7 @@ from markerscreen.errors import InvalidSpec
 
 
 def _spec(**overrides):
-    base = dict(p=50, n_true=5, n_per_condition=4, mu=15.0, sigma2_S=27.37,
+    base = dict(p=50, n_true=5, n_per_condition=4, mu=15.0,
                 sigma2_F=0.98, error_law=ms.ErrorLaw.normal(0.48),
                 fold_change=math.log2(3.0), seed=1)
     base.update(overrides)
@@ -123,7 +123,6 @@ def test_preset_catalog():
     assert cat["cauchy-n10"].error_law == ms.ErrorLaw.cauchy(15.0, 2.0)
     assert cat["chisq-n10"].error_law == ms.ErrorLaw.chisq(2.0)
     assert cat["water-n10"].mu == 15.0
-    assert cat["water-n10"].sigma2_S == 27.37
     assert cat["water-n10"].sigma2_F == 0.98
 
 
