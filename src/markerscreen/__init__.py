@@ -1,7 +1,7 @@
 """Marker screening for two-condition expression matrices.
 
 The package scores each protein for a between-condition difference
-(variance-decomposition likelihood ratio for n >= 5 per condition,
+(variance-decomposition likelihood ratio for n >= LR_MIN_N per condition,
 kernel-smoothed distribution distance for smaller designs), turns scores
 into a selected set under a pluggable cutoff policy, and ships a seeded
 simulator plus evaluation harness for sensitivity/FDR benchmarking.

@@ -5,13 +5,17 @@ Commands: score, select, simulate, calibrate, bench. Each accepts
 flag is an argparse error (exit 2). Only simulate, calibrate and bench draw
 random numbers, so only they take --seed; the ks null table of score and
 select depends on (N, replicates) alone. Defaults live only on RunConfig.
-Every artifact embeds the tool version, the seed, and a digest of the
-canonical config; reruns with the same config write byte-identical artifacts
-when --deterministic suppresses the timestamp line.
+Every artifact embeds the tool version, the seed where the command takes
+one, and a digest of the canonical config; reruns with the same config write
+byte-identical artifacts when --deterministic suppresses the timestamp line.
 
-Exit codes: 0 success, 2 input error, 3 statistic outside its regime,
-4 no gap found (only with --policy gap:strict; plain gap falls back to BH
-selection as documented).
+score and select run the statistic matrix.regime picks for the design (lr at
+n >= LR_MIN_N per condition, ks below) unless --stat names one, and say on
+stderr which statistic ran and why.
+
+Exit codes: 0 success, 2 input error, 3 --stat lr on a design below the lr
+regime, 4 no gap found (only with --policy gap:strict; plain gap falls back
+to BH selection as documented).
 """
 
 from __future__ import annotations
@@ -28,9 +32,8 @@ import numpy as np
 
 from . import __version__
 from .errors import MarkerScreenError, NoGapFound, ParseError, RegimeViolation
-from .evaluate import benchmark, convergence_table, convergence_text
-from .ks import score_matrix_ks
-from .lr import score_matrix_lr
+from .evaluate import benchmark, convergence_table, convergence_text, score_matrix
+from .matrix import regime
 from .matrix_io import (
     ingest_matrix,
     write_matrix,
@@ -66,21 +69,26 @@ class RunConfig:
     runs: int = 50
 
 
+def _takes_seed(cfg: RunConfig) -> bool:
+    return "seed" in COMMANDS[cfg.command][1]
+
+
 def config_digest(cfg: RunConfig) -> str:
-    """Names the analysis: every setting except where the artifacts go and
-    whether they carry a timestamp."""
+    """Names the analysis: every setting except where the artifacts go,
+    whether they carry a timestamp, and a seed the command does not take."""
     fields = asdict(cfg)
     del fields["out_dir"], fields["deterministic"]
+    if not _takes_seed(cfg):
+        del fields["seed"]
     canonical = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
 def _header_lines(cfg: RunConfig) -> list[str]:
-    lines = [
-        f"markerscreen {__version__}",
-        f"seed: {cfg.seed}",
-        f"config: {config_digest(cfg)}",
-    ]
+    lines = [f"markerscreen {__version__}"]
+    if _takes_seed(cfg):
+        lines.append(f"seed: {cfg.seed}")
+    lines.append(f"config: {config_digest(cfg)}")
     if not cfg.deterministic:
         lines.append(
             "generated: "
@@ -89,23 +97,19 @@ def _header_lines(cfg: RunConfig) -> list[str]:
     return lines
 
 
-def _resolve_stat(cfg: RunConfig, matrix) -> str:
-    if cfg.stat != "auto":
-        return cfg.stat
-    return "lr" if min(matrix.n1, matrix.n2) >= 5 else "ks"
-
-
 def _score(cfg: RunConfig):
-    """Ingest --input and score it; returns (matrix, scores, stat)."""
+    """Ingest --input and score it; returns (matrix, scores, stat). Says on
+    stderr which statistic runs, and why."""
     if not cfg.input:
         raise ParseError(f"{cfg.command} needs --input")
     matrix = ingest_matrix(cfg.input, cfg.layout)
-    stat = _resolve_stat(cfg, matrix)
-    if stat == "lr":
-        return matrix, score_matrix_lr(matrix), stat
-    if stat == "ks":
-        return matrix, score_matrix_ks(matrix, replicates=cfg.replicates), stat
-    raise ParseError(f"unknown statistic {stat!r}")
+    decision = regime(matrix.n1, matrix.n2)
+    if cfg.stat == "auto":
+        stat, why = decision.stat, f"auto: {decision.reason}"
+    else:
+        stat, why = cfg.stat, f"--stat {cfg.stat}; regime says {decision.stat}"
+    print(f"stat: {stat} ({why})", file=sys.stderr)
+    return matrix, score_matrix(matrix, stat, cfg.replicates), stat
 
 
 def _scale_scores(scores, stat: str, scale: str):
@@ -180,16 +184,8 @@ def cmd_bench(cfg: RunConfig) -> int:
     report = benchmark(methods, preset_names, runs=cfg.runs, seed=cfg.seed,
                        ks_replicates=cfg.replicates)
     header = _header_lines(cfg)
-    run_rows = [
-        {
-            "method": r.method, "preset": r.preset, "seed": r.seed,
-            "sensitivity": r.sensitivity, "empirical_fdr": r.empirical_fdr,
-            "selected": r.selected_count, "tp": r.tp, "fp": r.fp,
-            "fallback_used": int(r.fallback_used),
-            "error": r.error or "",
-        }
-        for r in report.runs
-    ]
+    run_rows = [{**asdict(r), "selected": r.selected_count, "fallback_used": int(r.fallback_used),
+                 "error": r.error or ""} for r in report.runs]
     write_table(_out(cfg, "bench_runs.csv"), run_rows,
                 ["method", "preset", "seed", "sensitivity", "empirical_fdr",
                  "selected", "tp", "fp", "fallback_used", "error"], header)

@@ -20,7 +20,7 @@ class DegenerateData(MarkerScreenError):
 
 class RegimeViolation(MarkerScreenError):
     """The requested statistic is outside its validity regime (the
-    likelihood-ratio scorer wants at least 5 samples per condition)."""
+    likelihood-ratio scorer below matrix.regime's LR_MIN_N per condition)."""
 
     category = "regime-violation"
 

@@ -3,7 +3,7 @@ baseline, null-calibration tables, and the seeded multi-run benchmark."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy import special
@@ -50,17 +50,11 @@ class EvalReport:
     def aggregate(self) -> list[dict]:
         """Mean sensitivity/FDR per (method, preset), input order, flagged
         runs excluded from the averages but counted."""
-        order: list[tuple[str, str]] = []
         groups: dict[tuple[str, str], list[EvalRun]] = {}
         for run in self.runs:
-            key = (run.method, run.preset)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(run)
+            groups.setdefault((run.method, run.preset), []).append(run)
         rows = []
-        for method, preset_name in order:
-            runs = groups[(method, preset_name)]
+        for (method, preset_name), runs in groups.items():  # first-seen order
             ok = [r for r in runs if r.error is None]
             rows.append({
                 "method": method,
@@ -130,6 +124,22 @@ def ttest_baseline(m: ExpressionMatrix) -> ScoreTable:
     return ScoreTable(m.protein_ids, "welch_t", t, p, degenerate)
 
 
+# statistic name -> scorer of (matrix, ks replicates); names resolve at call time
+_SCORERS = {
+    "lr": lambda m, replicates: score_matrix_lr(m),
+    "ks": lambda m, replicates: score_matrix_ks(m, replicates=replicates),
+    "ttest": lambda m, replicates: ttest_baseline(m),
+}
+
+
+def score_matrix(m: ExpressionMatrix, stat: str, replicates: int) -> ScoreTable:
+    """Scores of every row under the statistic named lr, ks or ttest;
+    `replicates` sizes the ks null table."""
+    if stat not in _SCORERS:
+        raise ValueError(f"unknown statistic {stat!r}; expected one of {', '.join(_SCORERS)}")
+    return _SCORERS[stat](m, replicates)
+
+
 def convergence_table(
     n_values=DEFAULT_N_VALUES,
     replicates: int = 20000,
@@ -185,14 +195,7 @@ def _run_method(method: str, labeled, ks_replicates: int) -> SelectionResult:
     if not policy_spec:
         raise ValueError(f"method {method!r} must look like 'lr+gap' or 'ttest+bh:0.05'")
     m = labeled.matrix
-    if stat == "lr":
-        scores = score_matrix_lr(m)
-    elif stat == "ks":
-        scores = score_matrix_ks(m, replicates=ks_replicates)
-    elif stat == "ttest":
-        scores = ttest_baseline(m)
-    else:
-        raise ValueError(f"unknown statistic in method {method!r}")
+    scores = score_matrix(m, stat, ks_replicates)
     policy, fallback_q = parse_policy(policy_spec, min(m.n1, m.n2))
     return apply_policy(scores, policy, fallback_q=fallback_q)
 
@@ -226,19 +229,9 @@ def benchmark(
                 try:
                     result = _run_method(method, labeled, ks_replicates)
                     scored = score_against_truth(result, truth)
-                    report.runs.append(EvalRun(
-                        method=method, preset=preset_name, seed=run_seed,
-                        sensitivity=scored.sensitivity,
-                        empirical_fdr=scored.empirical_fdr,
-                        selected_count=scored.selected_count,
-                        tp=scored.tp, fp=scored.fp,
-                        fallback_used=result.fallback_used,
-                    ))
+                    report.runs.append(EvalRun(method, preset_name, run_seed, **asdict(scored),
+                                               fallback_used=result.fallback_used))
                 except MarkerScreenError as exc:
-                    report.runs.append(EvalRun(
-                        method=method, preset=preset_name, seed=run_seed,
-                        sensitivity=float("nan"), empirical_fdr=float("nan"),
-                        selected_count=0, tp=0, fp=0,
-                        error=exc.category,
-                    ))
+                    report.runs.append(EvalRun(method, preset_name, run_seed, float("nan"),
+                                               float("nan"), 0, 0, 0, error=exc.category))
     return report

@@ -1,10 +1,10 @@
 """Small-sample screening statistic: kernel CDF vs fitted normal CDF.
 
-For designs too small for the likelihood-ratio statistic (fewer than 5
-samples per condition) each pooled row is tested for departure from
-normality: a Gaussian-kernel CDF estimate of the N pooled observations is
-compared against the normal CDF fitted to the same observations, and the
-statistic d is the largest absolute difference over the observed points.
+For designs too small for the likelihood-ratio statistic (matrix.regime)
+each pooled row is tested for departure from normality: a Gaussian-kernel
+CDF estimate of the N pooled observations is compared against the normal
+CDF fitted to the same observations, and the statistic d is the largest
+absolute difference over the observed points.
 Because the reference normal's parameters are estimated from the sample,
 the p-value comes from Monte-Carlo recalibration: standard-normal samples
 of the same size are pushed through the identical pipeline (bandwidth
@@ -25,7 +25,7 @@ from scipy.special import ndtr
 from ._rng import substream
 from .errors import DegenerateData
 from .lr import ScoreTable
-from .matrix import ExpressionMatrix
+from .matrix import ExpressionMatrix, regime
 
 DEFAULT_REPLICATES = 10000
 
@@ -138,15 +138,16 @@ def lilliefors_pvalue(d: float, N: int, replicates: int = DEFAULT_REPLICATES) ->
 def score_matrix_ks(m: ExpressionMatrix, replicates: int = DEFAULT_REPLICATES) -> ScoreTable:
     """Statistic d and Monte-Carlo p-value for every pooled protein row.
 
-    Intended for very small designs (n < 5 per condition); larger matrices
-    are allowed but draw a warning since the likelihood-ratio statistic is
-    the better tool there. Degenerate rows get d = 0, p = 1. One shared
-    null table serves all proteins (they share N).
+    Intended for designs below the likelihood-ratio regime (matrix.regime);
+    larger matrices are allowed but draw a warning since the
+    likelihood-ratio statistic is the better tool there. Degenerate rows get
+    d = 0, p = 1. One shared null table serves all proteins (they share N).
     """
-    if min(m.n1, m.n2) >= 5:
+    decision = regime(m.n1, m.n2)
+    if decision.stat == "lr":
         warnings.warn(
-            "small-sample KS scoring on a design with n >= 5 per condition; "
-            "the likelihood-ratio statistic is preferred in this regime",
+            f"small-sample KS scoring in the likelihood-ratio regime "
+            f"({decision.reason}); the likelihood-ratio statistic is preferred",
             stacklevel=2,
         )
     rows = m.values

@@ -18,14 +18,13 @@ labels and asks only whether the pooled sample looks bimodal.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateData, RegimeViolation
-from .matrix import ExpressionMatrix
+from .matrix import ExpressionMatrix, regime
 
 # Variances below 1e-8 x (pooled variance) are clamped. A row is degenerate
 # (carries no information) only when its pooled variance is exactly zero.
@@ -284,28 +283,18 @@ def deviance_lr(x, n1: int, n2: int, protein_id: str = "P0001") -> ProteinScore:
     return _score_rows(x[None, :], n1, (protein_id,), diagnostics=True)[0]
 
 
-def score_matrix_lr(
-    m: ExpressionMatrix,
-    override: bool = False,
-    diagnostics: bool = False,
-) -> ScoreTable:
+def score_matrix_lr(m: ExpressionMatrix, diagnostics: bool = False) -> ScoreTable:
     """Deviance scores for every protein row, order preserved.
 
-    The statistic's validity regime is at least 5 samples per condition;
-    smaller designs raise RegimeViolation unless override=True (which
-    warns and proceeds). diagnostics=True attaches the per-row fits of
+    Designs outside the statistic's regime (see matrix.regime) raise
+    RegimeViolation. diagnostics=True attaches the per-row fits of
     deviance_lr. Pure function of the matrix.
     """
-    if min(m.n1, m.n2) < 5:
-        if not override:
-            raise RegimeViolation(
-                f"likelihood-ratio scoring wants n >= 5 per condition, "
-                f"got n1={m.n1}, n2={m.n2}; pass override=True to force"
-            )
-        warnings.warn(
-            "scoring below the n >= 5 per-condition regime; "
-            "the small-sample KS statistic is the intended tool here",
-            stacklevel=2,
+    decision = regime(m.n1, m.n2)
+    if decision.stat != "lr":
+        raise RegimeViolation(
+            f"likelihood-ratio scoring is outside its regime "
+            f"(n1={m.n1}, n2={m.n2}: {decision.reason}); use ks"
         )
     mask1, mask2 = m.condition_masks()
     ordered = np.concatenate([m.values[:, mask1], m.values[:, mask2]], axis=1)

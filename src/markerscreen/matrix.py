@@ -1,10 +1,29 @@
-"""Two-condition expression matrix container."""
+"""Two-condition expression matrix container, and the design rule that
+picks its statistic."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+
+# Below this many samples per condition the deviance's chi-square(2) p-value
+# is badly anticonservative, and the kernel-CDF statistic takes over.
+LR_MIN_N = 5
+
+
+class Regime(NamedTuple):
+    stat: str  # "lr" or "ks"
+    reason: str  # e.g. "min(n1,n2)=3 < 5 -> ks"
+    default_q: float  # BH level of bare `bh` and of the gap rule's fallback
+
+
+def regime(n1: int, n2: int) -> Regime:
+    """The statistic a design with n1 and n2 samples per condition calls for."""
+    n = min(n1, n2)
+    stat, op, q = ("lr", ">=", 0.05) if n >= LR_MIN_N else ("ks", "<", 0.1)
+    return Regime(stat, f"min(n1,n2)={n} {op} {LR_MIN_N} -> {stat}", q)
 
 
 @dataclass(frozen=True)

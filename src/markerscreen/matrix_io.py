@@ -9,6 +9,7 @@ so a simulate -> ingest round trip is bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 
@@ -190,10 +191,16 @@ def _parse_cells(path: str, header: list[str],
     return ids, values
 
 
-def write_matrix(path: str, matrix: ExpressionMatrix, header_lines=()) -> None:
+@contextlib.contextmanager
+def _artifact(path: str, header_lines):
+    """The artifact file at path, opened for writing after its `# ` header."""
     with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+        fh.write("".join(f"# {line}\n" for line in header_lines))
+        yield fh
+
+
+def write_matrix(path: str, matrix: ExpressionMatrix, header_lines=()) -> None:
+    with _artifact(path, header_lines) as fh:
         fh.write("# layout: " + ",".join(str(c) for c in matrix.layout) + "\n")
         csv.writer(fh).writerow(["protein_id"] + [f"s{i + 1:02d}" for i in range(matrix.N)])
         fh.write("".join([
@@ -203,9 +210,7 @@ def write_matrix(path: str, matrix: ExpressionMatrix, header_lines=()) -> None:
 
 
 def write_truth(path: str, protein_ids, truth, header_lines=()) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+    with _artifact(path, header_lines) as fh:
         writer = csv.writer(fh)
         writer.writerow(["protein_id", "is_true"])
         for pid, flag in zip(protein_ids, truth):
@@ -221,9 +226,7 @@ def read_truth(path: str) -> dict:
 
 def write_scores(path: str, scores, header_lines=()) -> None:
     """One CSV row per protein of a ScoreTable, in table order."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+    with _artifact(path, header_lines) as fh:
         csv.writer(fh).writerow(["protein_id", "statistic_kind", "value", "p_value"])
         kind = _field(scores.kind)
         fh.write("".join([
@@ -234,9 +237,7 @@ def write_scores(path: str, scores, header_lines=()) -> None:
 
 
 def write_selection(path: str, result, header_lines=()) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+    with _artifact(path, header_lines) as fh:
         fh.write(f"# policy: {result.policy.kind}\n")
         cutoff = result.cutoff_used
         fh.write(f"# cutoff: {_num(cutoff) if cutoff is not None else 'none'}\n")
@@ -253,9 +254,7 @@ def write_selection(path: str, result, header_lines=()) -> None:
 
 def write_preview(path: str, result, header_lines=()) -> None:
     """Plot-ready descending curve: rank, statistic, protein id."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+    with _artifact(path, header_lines) as fh:
         writer = csv.writer(fh)
         writer.writerow(["rank", "statistic", "protein_id"])
         for rank, (value, pid) in enumerate(result.sorted_preview, start=1):
@@ -263,9 +262,7 @@ def write_preview(path: str, result, header_lines=()) -> None:
 
 
 def write_table(path: str, rows: list[dict], columns, header_lines=()) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+    with _artifact(path, header_lines) as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:

@@ -17,13 +17,14 @@ import numpy as np
 
 from .errors import NoGapFound
 from .lr import ScoreTable
+from .matrix import LR_MIN_N, regime
 
 DEFAULT_TOP_WINDOW = 100
 # A winning drop must be a >= 50% step down in level; smaller ratios are
 # indistinguishable from the top-rank spacing noise of pure-null curves.
 MIN_GAP_RATIO = 1.5
 PREVIEW_SIZE = 100
-FALLBACK_Q = 0.05
+FALLBACK_Q = regime(LR_MIN_N, LR_MIN_N).default_q  # apply_policy's default level
 
 
 @dataclass(frozen=True)
@@ -151,11 +152,12 @@ def parse_policy(spec: str, n_per_condition: int) -> tuple[SelectionPolicy, floa
     """Parse a policy token into apply_policy's (policy, fallback_q).
 
     Tokens: fixed:<c> | gap | gap:strict | bh | bh:<q>. The default BH
-    level, used by bare `bh` and by the gap rule's fallback, is FALLBACK_Q,
-    loosened to 0.1 for very small designs (n_per_condition < 5).
-    gap:strict has no fallback: apply_policy raises NoGapFound instead.
+    level, used by bare `bh` and by the gap rule's fallback, is the design's
+    matrix.regime level: 0.05, loosened to 0.1 for the small designs that
+    take the ks statistic. gap:strict has no fallback: apply_policy raises
+    NoGapFound instead.
     """
-    default_q = 0.1 if n_per_condition < 5 else FALLBACK_Q
+    default_q = regime(n_per_condition, n_per_condition).default_q
     name, colon, arg = spec.partition(":")
     if spec in ("gap", "gap:strict"):
         return SelectionPolicy(kind="gap_knee"), default_q if spec == "gap" else None

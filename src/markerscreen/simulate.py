@@ -138,17 +138,10 @@ def generate(spec: SimSpec) -> LabeledMatrix:
 
     eps = spec.error_law.draw(e_stream, (p, 2 * n))
     base = spec.mu + f
-    values = np.empty((p, 2 * n))
-    values[:, :n] = (base + c1)[:, None] + eps[:, :n]
-    values[:, n:] = (base + c2)[:, None] + eps[:, n:]
-
-    layout = np.array([1] * n + [2] * n)
-    width = max(4, len(str(p)))
-    ids = tuple(f"P{i + 1:0{width}d}" for i in range(p))
-    return LabeledMatrix(
-        matrix=ExpressionMatrix(values=values, layout=layout, protein_ids=ids),
-        truth=truth,
-    )
+    values = np.repeat(np.column_stack([base + c1, base + c2]), n, axis=1) + eps
+    # ids are ExpressionMatrix's default P0001.. names
+    matrix = ExpressionMatrix(values=values, layout=np.array([1] * n + [2] * n))
+    return LabeledMatrix(matrix=matrix, truth=truth)
 
 
 def presets() -> dict[str, SimSpec]:

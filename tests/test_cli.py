@@ -256,7 +256,7 @@ def test_unset_flags_parse_to_none(command):
     ("simulate --preset water-n10 --seed 8", "60f0bb0ae5ec"),
     ("calibrate", "74184670b614"),
     ("bench", "5c09a0c19b3b"),
-    ("select --input matrix.csv", "775dd41c4d70"),
+    ("select --input matrix.csv", "41753708b436"),
 ])
 def test_config_digest_is_pinned(argv, digest):
     # a valid invocation keeps its digest however the parser is built
@@ -336,6 +336,27 @@ def test_auto_stat_picks_by_design_size(tmp_path):
                    "--out-dir", str(out10), "--deterministic") == 0
     assert "# stat: ks" in (out3 / "scores.csv").read_text()
     assert "# stat: lr" in (out10 / "scores.csv").read_text()
+
+
+@pytest.mark.filterwarnings("ignore:small-sample KS scoring")
+def test_stderr_says_which_statistic_ran_and_why(tmp_path, capsys):
+    for name, seed in (("water-n3", 4), ("water-n10", 8)):
+        run_cli("simulate", "--preset", name, "--seed", str(seed),
+                "--out-dir", str(tmp_path / name), "--deterministic")
+    capsys.readouterr()
+    n3, n10 = (str(tmp_path / name / "matrix.csv") for name in ("water-n3", "water-n10"))
+    cases = [
+        (("score", "--input", n3), "stat: ks (auto: min(n1,n2)=3 < 5 -> ks)"),
+        (("select", "--input", n10), "stat: lr (auto: min(n1,n2)=10 >= 5 -> lr)"),
+        (("select", "--input", n10, "--stat", "ks"), "stat: ks (--stat ks; regime says lr)"),
+        (("score", "--input", n3, "--stat", "lr"), "stat: lr (--stat lr; regime says ks)"),
+    ]
+    for argv, line in cases:
+        rc = run_cli(*argv, "--replicates", "1000", "--out-dir", str(tmp_path / "o"),
+                     "--deterministic")
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == line
+    assert rc == 3 and "error [regime-violation]" in err  # the forced lr run on n = 3
 
 
 def test_layout_sidecar_file(tmp_path):

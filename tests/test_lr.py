@@ -202,9 +202,6 @@ def test_score_matrix_small_design_raises_without_override():
     m = _one_protein_matrix(rng.normal(0, 1, 6), 3)
     with pytest.raises(RegimeViolation):
         ms.score_matrix_lr(m)
-    with pytest.warns(UserWarning):
-        scores = ms.score_matrix_lr(m, override=True)
-    assert len(scores) == 1
 
 
 def test_score_matrix_handles_interleaved_layout():
