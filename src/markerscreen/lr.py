@@ -10,10 +10,10 @@ maximum-likelihood denominator n, not n-1. The deviance
 is asymptotically chi-square with 2 degrees of freedom under the null, so
 p = exp(-dev/2) in closed form.
 
-A fixed-weight two-component Gaussian mixture fitted by EM (weights pinned
-at n1/N and n2/N by the design, never updated) is also provided. It is the
-distributional diagnostic companion of the scorer: it ignores the condition
-labels and asks only whether the pooled sample looks bimodal.
+A fixed-weight two-component Gaussian mixture fitted by EM from a batch of
+starts (weights pinned at n1/N and n2/N, never updated) is also provided. It
+is the distributional diagnostic companion of the scorer: it ignores the
+condition labels and asks only whether the pooled sample looks bimodal.
 """
 
 from __future__ import annotations
@@ -77,7 +77,8 @@ class ProteinScore:
 class ScoreTable:
     """Scores of every protein as columns, in matrix row order.
 
-    ids, value, p_value and degenerate are length-p arrays, held read-only.
+    ids, value, p_value and degenerate are length-p arrays, held read-only; a
+    NaN value or p-value raises ValueError naming the first such protein.
     fits, set only by lr scoring with diagnostics, is a (p, 10) array of
     per-row fits with columns mu1, mu2, sigma21, sigma22, w1, w2, split
     loglik, pooled mu, pooled sigma2, pooled loglik. len(), table[j] and
@@ -99,6 +100,9 @@ class ScoreTable:
                 raise ValueError(f"{name} needs one entry per protein id")
             column.setflags(write=False)
             object.__setattr__(self, name, column)
+        nan = np.isnan(self.value) | np.isnan(self.p_value)
+        if nan.any():
+            raise ValueError(f"protein '{self.ids[nan.argmax()]}' scored NaN (values too large?)")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -140,20 +144,12 @@ def fit_pooled_normal(x) -> PooledFit:
     return PooledFit(mu=mu, sigma2=sigma2, loglik=float(_normal_loglik(x, mu, sigma2)))
 
 
-def _em_candidate_starts(x, n1, pooled):
-    s = float(np.sqrt(pooled.sigma2))
-    # (a) the condition-split fit, (b) pooled mean +/- one sd, (c) range-anchored
-    return [
-        tuple(_fit_columns(x[None, :], n1)[0, :4].tolist()),
-        (pooled.mu - s, pooled.mu + s, pooled.sigma2, pooled.sigma2),
-        (float(np.min(x)), float(np.max(x)), pooled.sigma2, pooled.sigma2),
-    ]
-
-
-def _mixture_loglik(x, w1, w2, mu1, mu2, s21, s22):
-    lp1 = np.log(w1) - 0.5 * np.log(2 * np.pi * s21) - 0.5 * (x - mu1) ** 2 / s21
-    lp2 = np.log(w2) - 0.5 * np.log(2 * np.pi * s22) - 0.5 * (x - mu2) ** 2 / s22
-    return lp1, lp2, float(np.sum(np.logaddexp(lp1, lp2)))
+def _mixture_terms(x, w, mu, s2):
+    """Per-component log densities log(w_l N(x | mu_l, s2_l)), shape (S, 2, N),
+    for (S, 2) parameter rows, and their log-sum over components, (S, N)."""
+    lp = (np.log(w)[:, None] - 0.5 * np.log(2 * np.pi * s2)[..., None]
+          - 0.5 * (x - mu[..., None]) ** 2 / s2[..., None])
+    return lp, np.logaddexp(lp[:, 0], lp[:, 1])
 
 
 def fit_mixture_fixed_weights(
@@ -166,57 +162,59 @@ def fit_mixture_fixed_weights(
 ) -> MixtureFit:
     """EM fixed point of the two-component normal mixture with weights n_l/N.
 
-    Runs the documented multi-start set and returns the best final fit. The
-    pooled single normal is itself a stationary point of the EM map and is
-    always included as a zero-iteration candidate, which guarantees the
-    mixture log-likelihood never falls below the pooled one. Non-convergence
-    is reported through converged=False, never raised.
+    The start set (decisions ledger D14) runs as rows of one array. Row 0 is
+    the pooled single normal, a stationary point of the EM map that never
+    iterates and keeps fit_pooled_normal's loglik. Each other start iterates
+    until |delta loglik| < tol, until a component loses all responsibility
+    (keeping its last fit) or for max_iter steps. The first row with the
+    highest loglik wins, so the fit never falls below the pooled one.
+    Non-convergence is reported through converged=False, never raised.
     """
     x = np.asarray(x, dtype=float).ravel()
     if n1 < 1 or n2 < 1 or n1 + n2 != x.size:
         raise ValueError("n1 and n2 must be positive and sum to len(x)")
     pooled = fit_pooled_normal(x)  # raises DegenerateData on flat rows
-    N = x.size
-    w1, w2 = n1 / N, n2 / N
+    w = np.array([n1, n2]) / x.size
     floor = VARIANCE_FLOOR_REL * pooled.sigma2
+    split = _fit_columns(x[None, :], n1)[0]
+    sd, var = np.sqrt(pooled.sigma2), [pooled.sigma2] * 2
+    # the pooled fit, the condition-split fit, pooled mean +/- one sd, the range
+    mu = np.array([[pooled.mu] * 2, split[:2],
+                   [pooled.mu - sd, pooled.mu + sd], [x.min(), x.max()]])
+    s2 = np.array([var, split[2:4], var, var])
+    iterations = np.zeros(len(mu), dtype=int)
+    converged = np.arange(len(mu)) == 0
+    rows = np.arange(1, len(mu))  # the starts still iterating; lp and lse are theirs
+    lp, lse = _mixture_terms(x, w, mu[rows], s2[rows])
+    ll = np.append(pooled.loglik, lse.sum(axis=1))  # each row's last fit is in mu, s2, ll
+    for it in range(1, max_iter + 1):
+        if rows.size == 0:
+            break
+        iterations[rows] = it
+        # E-step in log space; responsibilities r1 + r2 = 1
+        r = np.exp(lp - lse[:, None])
+        r[:, 1] = 1.0 - r[:, 0]
+        t = r.sum(axis=2)
+        if (t <= 0).any():  # a component lost all responsibility: its row stops
+            kept = ~(t <= 0).any(axis=1)
+            rows, r, t = rows[kept], r[kept], t[kept]
+        # M-step: weighted means and variances, variances floored
+        m = (r * x).sum(axis=2) / t
+        v = np.maximum((r * (x - m[..., None]) ** 2).sum(axis=2) / t, floor)
+        lp, lse = _mixture_terms(x, w, m, v)
+        prev_ll, new_ll = ll[rows], lse.sum(axis=1)
+        if debug_monotone:
+            assert np.all(new_ll >= prev_ll - 1e-9), "EM log-likelihood decreased"
+        mu[rows], s2[rows], ll[rows] = m, v, new_ll
+        done = np.abs(new_ll - prev_ll) < tol
+        if done.any():
+            converged[rows[done]] = True
+            rows, lp, lse = rows[~done], lp[~done], lse[~done]
 
-    best = MixtureFit(
-        mu1=pooled.mu, mu2=pooled.mu,
-        sigma21=pooled.sigma2, sigma22=pooled.sigma2,
-        w1=w1, w2=w2, loglik=pooled.loglik, iterations=0, converged=True,
-    )
-
-    for mu1, mu2, s21, s22 in _em_candidate_starts(x, n1, pooled):
-        prev_ll = -np.inf
-        converged = False
-        it = 0
-        lp1, lp2, ll = _mixture_loglik(x, w1, w2, mu1, mu2, s21, s22)
-        for it in range(1, max_iter + 1):
-            # E-step in log space; responsibilities r1 + r2 = 1
-            denom = np.logaddexp(lp1, lp2)
-            r1 = np.exp(lp1 - denom)
-            r2 = 1.0 - r1
-            # M-step: weighted means and variances, variances floored
-            t1, t2 = np.sum(r1), np.sum(r2)
-            if t1 <= 0 or t2 <= 0:
-                break  # a component lost all responsibility; keep best-so-far
-            mu1 = float(np.sum(r1 * x) / t1)
-            mu2 = float(np.sum(r2 * x) / t2)
-            s21 = max(float(np.sum(r1 * (x - mu1) ** 2) / t1), floor)
-            s22 = max(float(np.sum(r2 * (x - mu2) ** 2) / t2), floor)
-            prev_ll = ll
-            lp1, lp2, ll = _mixture_loglik(x, w1, w2, mu1, mu2, s21, s22)
-            if debug_monotone:
-                assert ll >= prev_ll - 1e-9, "EM log-likelihood decreased"
-            if abs(ll - prev_ll) < tol:
-                converged = True
-                break
-        if ll > best.loglik:
-            best = MixtureFit(
-                mu1=mu1, mu2=mu2, sigma21=s21, sigma22=s22,
-                w1=w1, w2=w2, loglik=ll, iterations=it, converged=converged,
-            )
-    return best
+    best = int(np.argmax(ll))
+    return MixtureFit(*mu[best].tolist(), *s2[best].tolist(), *w.tolist(),
+                      loglik=float(ll[best]), iterations=int(iterations[best]),
+                      converged=bool(converged[best]))
 
 
 def _variances(values: np.ndarray, n1: int):

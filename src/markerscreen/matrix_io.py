@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import math
 import os
 
 import numpy as np
@@ -183,7 +184,7 @@ def _parse_cells(path: str, header: list[str],
                     f"non-numeric cell at protein {pid!r}, sample "
                     f"{sample_names[k]!r}: {cell!r}"
                 ) from None
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ValueError(
                     f"non-finite cell at protein {pid!r}, sample {sample_names[k]!r}"
                 )

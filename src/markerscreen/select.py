@@ -120,8 +120,6 @@ def select_gap(scores: ScoreTable,
 def select_bh(scores: ScoreTable, q: float) -> SelectionResult:
     """Benjamini-Hochberg step-up on the scores' p-values at level q."""
     policy = SelectionPolicy(kind="bh_fdr", q=float(q))  # validates 0 < q < 1
-    if np.isnan(scores.p_value).any():
-        raise ValueError("BH selection needs p-values on every score")
     m = len(scores)
     by_p = np.lexsort((scores.ids, scores.p_value))
     pvals = scores.p_value[by_p]

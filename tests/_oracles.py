@@ -12,6 +12,7 @@ import numpy as np
 from scipy import stats
 
 from markerscreen.errors import ParseError
+from markerscreen.lr import MixtureFit
 
 
 def pooled_normal_oracle(x):
@@ -256,3 +257,63 @@ def ingest_reference(path):
                 )
             values[i, k] = v
     return ids, values, meta
+
+
+def em_multistart_reference(x, n1, n2, tol=1e-8, max_iter=500, debug_monotone=False):
+    """The fixed-weight mixture EM as one scalar loop per start.
+
+    Each start of the pinned set (the condition-split fit, pooled mean +/- one
+    sd, the sample range) runs its own loop; the pooled normal is the
+    zero-iteration candidate, and a start replaces the best fit so far only
+    when its log-likelihood is strictly higher. Variances are floored at 1e-8
+    x the pooled variance, as in the package.
+    """
+    x = np.asarray(x, dtype=float)
+    N = x.size
+    w1, w2 = n1 / N, n2 / N
+    mu = float(np.mean(x))
+    s2 = float(np.mean((x - mu) ** 2))
+    pooled_ll = float(-0.5 * N * np.log(2.0 * np.pi * s2) - 0.5 * np.sum((x - mu) ** 2) / s2)
+    floor = 1e-8 * s2
+    split_floor = 1e-8 * np.var(x)
+    s = float(np.sqrt(s2))
+    starts = [
+        (float(np.mean(x[:n1])), float(np.mean(x[n1:])),
+         float(max(np.var(x[:n1]), split_floor)), float(max(np.var(x[n1:]), split_floor))),
+        (mu - s, mu + s, s2, s2),
+        (float(np.min(x)), float(np.max(x)), s2, s2),
+    ]
+
+    def mixture_loglik(mu1, mu2, s21, s22):
+        lp1 = np.log(w1) - 0.5 * np.log(2 * np.pi * s21) - 0.5 * (x - mu1) ** 2 / s21
+        lp2 = np.log(w2) - 0.5 * np.log(2 * np.pi * s22) - 0.5 * (x - mu2) ** 2 / s22
+        return lp1, lp2, float(np.sum(np.logaddexp(lp1, lp2)))
+
+    best = MixtureFit(mu1=mu, mu2=mu, sigma21=s2, sigma22=s2, w1=w1, w2=w2,
+                      loglik=pooled_ll, iterations=0, converged=True)
+    for mu1, mu2, s21, s22 in starts:
+        converged = False
+        it = 0
+        lp1, lp2, ll = mixture_loglik(mu1, mu2, s21, s22)
+        for it in range(1, max_iter + 1):
+            denom = np.logaddexp(lp1, lp2)
+            r1 = np.exp(lp1 - denom)
+            r2 = 1.0 - r1
+            t1, t2 = np.sum(r1), np.sum(r2)
+            if t1 <= 0 or t2 <= 0:
+                break  # a component lost all responsibility; keep the last fit
+            mu1 = float(np.sum(r1 * x) / t1)
+            mu2 = float(np.sum(r2 * x) / t2)
+            s21 = max(float(np.sum(r1 * (x - mu1) ** 2) / t1), floor)
+            s22 = max(float(np.sum(r2 * (x - mu2) ** 2) / t2), floor)
+            prev_ll = ll
+            lp1, lp2, ll = mixture_loglik(mu1, mu2, s21, s22)
+            if debug_monotone:
+                assert ll >= prev_ll - 1e-9, "EM log-likelihood decreased"
+            if abs(ll - prev_ll) < tol:
+                converged = True
+                break
+        if ll > best.loglik:
+            best = MixtureFit(mu1=mu1, mu2=mu2, sigma21=s21, sigma22=s22, w1=w1, w2=w2,
+                              loglik=ll, iterations=it, converged=converged)
+    return best

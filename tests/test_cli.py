@@ -289,6 +289,25 @@ def test_exit_2_on_oversized_csv_field(tmp_path, capsys):
     assert "error [parse-error]" in capsys.readouterr().err
 
 
+def test_exit_2_on_a_cell_too_large_to_score(tmp_path, capsys):
+    # a finite 1e200 overflows the row variance, so the lr score would be NaN
+    sim = tmp_path / "sim"
+    run_cli("simulate", "--preset", "water-n10", "--seed", "8",
+            "--out-dir", str(sim), "--deterministic")
+    lines = (sim / "matrix.csv").read_text().splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("P0500,"))
+    lines[k] = "P0500,1e200," + lines[k].split(",", 2)[2]
+    huge = tmp_path / "huge.csv"
+    huge.write_text("\n".join(lines) + "\n")
+    for command in ("score", "select"):
+        out = tmp_path / command
+        with pytest.warns(RuntimeWarning):  # numpy overflow and invalid
+            assert run_cli(command, "--input", str(huge), "--out-dir", str(out),
+                           "--deterministic") == 2
+        assert "error [input]: protein 'P0500' scored NaN" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_exit_2_on_too_few_ks_replicates(tmp_path, capsys):
     sim = tmp_path / "sim"
     run_cli("simulate", "--preset", "water-n3", "--seed", "4",

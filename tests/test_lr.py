@@ -10,6 +10,7 @@ from markerscreen.errors import DegenerateData, RegimeViolation
 from markerscreen.lr import _deviance_core
 
 from _oracles import (
+    em_multistart_reference,
     grid_best_mixture_loglik,
     mixture_loglik_oracle,
     pooled_normal_oracle,
@@ -109,6 +110,39 @@ def test_mixture_single_normal_null_tail():
         if dev > cutoff:
             exceed += 1
     assert exceed <= 10
+
+
+def _em_parity_rows():
+    """Seeded rows of every family the batched EM must match the scalar
+    reference on, each with its (n1, n2)."""
+    rng = np.random.default_rng(4242)
+    rows = []
+    for k in range(24):
+        n1, n2 = (int(n) for n in rng.integers(2, 13, size=2))
+        N = n1 + n2
+        outlier = rng.normal(0, 1, N)
+        outlier[rng.integers(N)] = 1e4
+        rows += [
+            (rng.normal(15, 0.7, N), n1, n2),
+            (np.concatenate([rng.normal(0, 1, n1), rng.normal(rng.uniform(2, 8), 1, n2)]), n1, n2),
+            (rng.standard_cauchy(N), n1, n2),
+            (np.round(rng.normal(0, 1.5, N)), n1, n2),
+            (outlier, n1, n2),
+            (rng.normal(0, 1, N), 1, N - 1) if k % 2 else (rng.normal(0, 1, N), N - 1, 1),
+        ]
+    return rows
+
+
+@pytest.mark.parametrize("max_iter, debug_monotone", [
+    (1, False), (2, False), (ms.lr.EM_MAX_ITER, False), (ms.lr.EM_MAX_ITER, True),
+])
+def test_mixture_matches_scalar_multistart_reference(max_iter, debug_monotone):
+    # the starts batched as rows of one array give the scalar loop's fit exactly
+    for x, n1, n2 in _em_parity_rows():
+        fit = ms.fit_mixture_fixed_weights(x, n1, n2, max_iter=max_iter,
+                                           debug_monotone=debug_monotone)
+        assert fit == em_multistart_reference(x, n1, n2, max_iter=max_iter,
+                                              debug_monotone=debug_monotone)
 
 
 # ----------------------------------------------------------------- deviance
