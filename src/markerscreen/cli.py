@@ -153,8 +153,7 @@ def cmd_score(cfg: RunConfig) -> int:
 def cmd_select(cfg: RunConfig) -> int:
     matrix, scores, stat = _score(cfg)
     scaled = _scale_scores(scores, stat, cfg.cutoff_scale)
-    policy, fallback_q = parse_policy(cfg.policy, min(matrix.n1, matrix.n2))
-    result = apply_policy(scaled, policy, fallback_q=fallback_q)
+    result = apply_policy(scaled, parse_policy(cfg.policy, min(matrix.n1, matrix.n2)))
     header = _header_lines(cfg) + [f"stat: {stat}"]
     if stat == "lr":  # the cutoff scale applies only to deviance scores
         header.append(f"scale: {cfg.cutoff_scale}")

@@ -11,9 +11,10 @@ class MarkerScreenError(Exception):
 
 
 class DegenerateData(MarkerScreenError):
-    """Raised when a sample carries no usable variation (e.g. all values
-    identical). Matrix-level scorers catch this per protein and mark the
-    protein unscorable instead of failing the whole matrix."""
+    """A single row carries no usable variation (e.g. all values identical).
+    Raised by fit_pooled_normal (so also fit_mixture_fixed_weights),
+    select_bandwidth and ks_d_statistic. Matrix-level scorers never raise it:
+    they flag such rows degenerate in their ScoreTable."""
 
     category = "degenerate-data"
 
@@ -26,8 +27,8 @@ class RegimeViolation(MarkerScreenError):
 
 
 class NoGapFound(MarkerScreenError):
-    """The sorted-statistic curve has no unambiguous cliff. Callers are
-    expected to fall back to FDR-threshold selection."""
+    """The sorted-statistic curve has no unambiguous cliff. apply_policy
+    falls back to BH at the gap policy's q, or raises this when q is None."""
 
     category = "no-gap-found"
 

@@ -196,8 +196,7 @@ def _run_method(method: str, labeled, ks_replicates: int) -> SelectionResult:
         raise ValueError(f"method {method!r} must look like 'lr+gap' or 'ttest+bh:0.05'")
     m = labeled.matrix
     scores = score_matrix(m, stat, ks_replicates)
-    policy, fallback_q = parse_policy(policy_spec, min(m.n1, m.n2))
-    return apply_policy(scores, policy, fallback_q=fallback_q)
+    return apply_policy(scores, parse_policy(policy_spec, min(m.n1, m.n2)))
 
 
 def benchmark(

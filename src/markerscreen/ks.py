@@ -141,7 +141,9 @@ def score_matrix_ks(m: ExpressionMatrix, replicates: int = DEFAULT_REPLICATES) -
     Intended for designs below the likelihood-ratio regime (matrix.regime);
     larger matrices are allowed but draw a warning since the
     likelihood-ratio statistic is the better tool there. Degenerate rows get
-    d = 0, p = 1. One shared null table serves all proteins (they share N).
+    d = 0, p = 1; a row whose standard deviation overflows gets d = NaN,
+    which ScoreTable rejects. One shared null table serves all proteins
+    (they share N).
     """
     decision = regime(m.n1, m.n2)
     if decision.stat == "lr":
@@ -151,10 +153,12 @@ def score_matrix_ks(m: ExpressionMatrix, replicates: int = DEFAULT_REPLICATES) -
             stacklevel=2,
         )
     rows = m.values
-    degenerate = rows.std(axis=1, ddof=1) == 0.0
-    d = np.zeros(m.p)
-    if np.any(~degenerate):
-        d[~degenerate], _ = _d_rows(rows[~degenerate])
+    sd = rows.std(axis=1, ddof=1)
+    degenerate = sd == 0.0
+    d = np.where(np.isfinite(sd), 0.0, np.nan)
+    scored = ~degenerate & np.isfinite(sd)
+    if np.any(scored):
+        d[scored], _ = _d_rows(rows[scored])
 
     pvals = np.where(degenerate, 1.0, _mc_pvalue(_null_table(m.N, replicates), d))
     return ScoreTable(m.protein_ids, "ks_d", d, pvals, degenerate)

@@ -156,7 +156,6 @@ def fit_mixture_fixed_weights(
     x,
     n1: int,
     n2: int,
-    tol: float = EM_TOL,
     max_iter: int = EM_MAX_ITER,
     debug_monotone: bool = False,
 ) -> MixtureFit:
@@ -165,7 +164,7 @@ def fit_mixture_fixed_weights(
     The start set (decisions ledger D14) runs as rows of one array. Row 0 is
     the pooled single normal, a stationary point of the EM map that never
     iterates and keeps fit_pooled_normal's loglik. Each other start iterates
-    until |delta loglik| < tol, until a component loses all responsibility
+    until |delta loglik| < EM_TOL, until a component loses all responsibility
     (keeping its last fit) or for max_iter steps. The first row with the
     highest loglik wins, so the fit never falls below the pooled one.
     Non-convergence is reported through converged=False, never raised.
@@ -206,7 +205,7 @@ def fit_mixture_fixed_weights(
         if debug_monotone:
             assert np.all(new_ll >= prev_ll - 1e-9), "EM log-likelihood decreased"
         mu[rows], s2[rows], ll[rows] = m, v, new_ll
-        done = np.abs(new_ll - prev_ll) < tol
+        done = np.abs(new_ll - prev_ll) < EM_TOL
         if done.any():
             converged[rows[done]] = True
             rows, lp, lse = rows[~done], lp[~done], lse[~done]
@@ -261,7 +260,7 @@ def _score_rows(values: np.ndarray, n1: int, ids, diagnostics: bool) -> ScoreTab
     return ScoreTable(ids, "deviance_lr", dev, pvals, degen, fits)
 
 
-def deviance_lr(x, n1: int, n2: int, protein_id: str = "P0001") -> ProteinScore:
+def deviance_lr(x, n1: int, n2: int) -> ProteinScore:
     """Score one row: per-condition normal fits against the pooled normal.
 
     x is laid out condition-1-first (first n1 entries, then n2). The value is
@@ -269,7 +268,8 @@ def deviance_lr(x, n1: int, n2: int, protein_id: str = "P0001") -> ProteinScore:
     and the p-value is the chi-square(2 df) survival exp(-value/2). The
     attached MixtureFit diagnostic holds the per-condition parameters with
     the design weights; its loglik is the condition-assigned likelihood, so
-    value == 2*(MixtureFit.loglik - PooledFit.loglik) exactly.
+    value == 2*(MixtureFit.loglik - PooledFit.loglik) exactly. The row is
+    named P0001.
     """
     x = np.asarray(x, dtype=float).ravel()
     if n1 < 2 or n2 < 2:
@@ -278,7 +278,7 @@ def deviance_lr(x, n1: int, n2: int, protein_id: str = "P0001") -> ProteinScore:
         raise ValueError("n1 + n2 must equal len(x)")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite observations")
-    return _score_rows(x[None, :], n1, (protein_id,), diagnostics=True)[0]
+    return _score_rows(x[None, :], n1, ("P0001",), diagnostics=True)[0]
 
 
 def score_matrix_lr(m: ExpressionMatrix, diagnostics: bool = False) -> ScoreTable:

@@ -5,8 +5,9 @@ descending sorted statistic curve, and Benjamini-Hochberg FDR thresholding
 on p-values. Gap detection is deliberately conservative: sorted null order
 statistics have a built-in elbow, so the rule fires only on drops where the
 curve loses at least a third of its level in one step (ratio >= 1.5) and
-raises NoGapFound otherwise. apply_policy implements the documented caller
-behavior of falling back to BH selection when no gap is found.
+raises NoGapFound otherwise. A gap_knee policy carries the level q of its
+explicit fallback path: apply_policy runs BH at q when no gap is found, and
+q=None makes the rule strict.
 """
 
 from __future__ import annotations
@@ -17,30 +18,28 @@ import numpy as np
 
 from .errors import NoGapFound
 from .lr import ScoreTable
-from .matrix import LR_MIN_N, regime
+from .matrix import regime
 
-DEFAULT_TOP_WINDOW = 100
+GAP_WINDOW = 100  # the gap rule reads only the top of the ranked curve
 # A winning drop must be a >= 50% step down in level; smaller ratios are
 # indistinguishable from the top-rank spacing noise of pure-null curves.
 MIN_GAP_RATIO = 1.5
 PREVIEW_SIZE = 100
-FALLBACK_Q = regime(LR_MIN_N, LR_MIN_N).default_q  # apply_policy's default level
 
 
 @dataclass(frozen=True)
 class SelectionPolicy:
     kind: str  # "fixed_cutoff" | "gap_knee" | "bh_fdr"
     c: float | None = None
-    top_window: int = DEFAULT_TOP_WINDOW
-    q: float | None = None
+    q: float | None = None  # bh_fdr: the level; gap_knee: the fallback level, None = strict
 
     def __post_init__(self):
         if self.kind == "fixed_cutoff":
             if self.c is None or self.c <= 0:
                 raise ValueError("fixed_cutoff needs c > 0")
         elif self.kind == "gap_knee":
-            if self.top_window < 2:
-                raise ValueError("gap_knee needs top_window >= 2")
+            if self.q is not None and not 0 < self.q < 1:
+                raise ValueError("gap_knee needs a fallback q in (0, 1) or None")
         elif self.kind == "bh_fdr":
             if self.q is None or not 0 < self.q < 1:
                 raise ValueError("bh_fdr needs q in (0, 1)")
@@ -82,11 +81,10 @@ def select_fixed(scores: ScoreTable, c: float) -> SelectionResult:
     return _result(scores, c, policy)
 
 
-def select_gap(scores: ScoreTable,
-               top_window: int = DEFAULT_TOP_WINDOW) -> SelectionResult:
+def select_gap(scores: ScoreTable) -> SelectionResult:
     """Cut at the largest sudden drop of the descending statistic curve.
 
-    Restricted to the top `top_window` sorted values (window clamped to p
+    Restricted to the top GAP_WINDOW sorted values (window clamped to p
     when the matrix is smaller), the rule takes the index i maximizing the
     step ratio s_i / s_{i+1} among steps clearing the additive guard
     s_i - s_{i+1} >= 0.1 * (s_1 - s_w) / w, ties to the smaller i, and
@@ -94,10 +92,9 @@ def select_gap(scores: ScoreTable,
     a cliff raise NoGapFound; callers fall back to BH selection
     (see apply_policy).
     """
-    policy = SelectionPolicy(kind="gap_knee", top_window=top_window)  # validates the window
     if len(scores) < 2:
         raise ValueError("need at least 2 scores")
-    w = min(top_window, len(scores))
+    w = min(GAP_WINDOW, len(scores))
     top = scores.value[scores.order[:w]]
 
     span = top[0] - top[-1]
@@ -114,7 +111,7 @@ def select_gap(scores: ScoreTable,
             f"no drop with ratio >= {MIN_GAP_RATIO} in the top {w} values"
         )
     cutoff = 0.5 * (top[i] + top[i + 1])  # just below s_i
-    return _result(scores, cutoff, policy)
+    return _result(scores, cutoff, SelectionPolicy(kind="gap_knee"))
 
 
 def select_bh(scores: ScoreTable, q: float) -> SelectionResult:
@@ -128,41 +125,40 @@ def select_bh(scores: ScoreTable, q: float) -> SelectionResult:
     return _result(scores, pvals[k - 1] if k else float("nan"), policy, by_p[:k])
 
 
-def apply_policy(scores: ScoreTable, policy: SelectionPolicy,
-                 fallback_q: float | None = FALLBACK_Q) -> SelectionResult:
-    """Run a policy; for gap_knee, fall back to BH at fallback_q when no gap
-    exists, or raise NoGapFound when fallback_q is None."""
+def apply_policy(scores: ScoreTable, policy: SelectionPolicy) -> SelectionResult:
+    """Run a policy; for gap_knee, fall back to BH at policy.q when no gap
+    exists, or raise NoGapFound when policy.q is None (strict)."""
     if policy.kind == "fixed_cutoff":
         return select_fixed(scores, policy.c)
     if policy.kind == "bh_fdr":
         return select_bh(scores, policy.q)
     try:
-        return select_gap(scores, policy.top_window)
+        return select_gap(scores)
     except NoGapFound:
-        if fallback_q is None:
+        if policy.q is None:
             raise
-        result = select_bh(scores, fallback_q)
+        result = select_bh(scores, policy.q)
         result.fallback_used = True
         return result
 
 
-def parse_policy(spec: str, n_per_condition: int) -> tuple[SelectionPolicy, float | None]:
-    """Parse a policy token into apply_policy's (policy, fallback_q).
+def parse_policy(spec: str, n_per_condition: int) -> SelectionPolicy:
+    """Parse a policy token into the SelectionPolicy apply_policy runs.
 
     Tokens: fixed:<c> | gap | gap:strict | bh | bh:<q>. The default BH
-    level, used by bare `bh` and by the gap rule's fallback, is the design's
-    matrix.regime level: 0.05, loosened to 0.1 for the small designs that
-    take the ks statistic. gap:strict has no fallback: apply_policy raises
-    NoGapFound instead.
+    level, taken by bare `bh` and by the gap rule's fallback, is the
+    design's matrix.regime level: 0.05, loosened to 0.1 for the small
+    designs that take the ks statistic. gap:strict has no fallback level,
+    so apply_policy raises NoGapFound instead.
     """
     default_q = regime(n_per_condition, n_per_condition).default_q
     name, colon, arg = spec.partition(":")
     if spec in ("gap", "gap:strict"):
-        return SelectionPolicy(kind="gap_knee"), default_q if spec == "gap" else None
+        return SelectionPolicy(kind="gap_knee", q=default_q if spec == "gap" else None)
     if name == "bh":
-        return SelectionPolicy(kind="bh_fdr", q=float(arg) if colon else default_q), default_q
+        return SelectionPolicy(kind="bh_fdr", q=float(arg) if colon else default_q)
     if name == "fixed" and colon:
-        return SelectionPolicy(kind="fixed_cutoff", c=float(arg)), default_q
+        return SelectionPolicy(kind="fixed_cutoff", c=float(arg))
     raise ValueError(
         f"unknown policy {spec!r}; expected fixed:<c>, gap, gap:strict or bh:<q>"
     )

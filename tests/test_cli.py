@@ -290,7 +290,7 @@ def test_exit_2_on_oversized_csv_field(tmp_path, capsys):
 
 
 def test_exit_2_on_a_cell_too_large_to_score(tmp_path, capsys):
-    # a finite 1e200 overflows the row variance, so the lr score would be NaN
+    # a finite 1e200 overflows the row variance, so lr and ks both score it NaN
     sim = tmp_path / "sim"
     run_cli("simulate", "--preset", "water-n10", "--seed", "8",
             "--out-dir", str(sim), "--deterministic")
@@ -299,10 +299,11 @@ def test_exit_2_on_a_cell_too_large_to_score(tmp_path, capsys):
     lines[k] = "P0500,1e200," + lines[k].split(",", 2)[2]
     huge = tmp_path / "huge.csv"
     huge.write_text("\n".join(lines) + "\n")
-    for command in ("score", "select"):
-        out = tmp_path / command
+    for command, *flags in (("score",), ("select",),
+                            ("score", "--stat", "ks", "--replicates", "1000")):
+        out = tmp_path / "-".join([command, *flags])
         with pytest.warns(RuntimeWarning):  # numpy overflow and invalid
-            assert run_cli(command, "--input", str(huge), "--out-dir", str(out),
+            assert run_cli(command, *flags, "--input", str(huge), "--out-dir", str(out),
                            "--deterministic") == 2
         assert "error [input]: protein 'P0500' scored NaN" in capsys.readouterr().err
         assert not out.exists()

@@ -184,6 +184,16 @@ def test_benchmark_counting_identity():
         assert 0.0 <= run.empirical_fdr <= 1.0
 
 
+def test_benchmark_strict_gap_flags_exactly_the_runs_that_fall_back():
+    rep = ms.benchmark(["lr+gap", "lr+gap:strict"], ["water-n10"], runs=3, seed=0)
+    plain = {r.seed: r for r in rep.runs if r.method == "lr+gap"}
+    strict = {r.seed: r for r in rep.runs if r.method == "lr+gap:strict"}
+    assert len(plain) == 3 and plain.keys() == strict.keys()
+    for seed, run in plain.items():
+        assert run.error is None
+        assert run.fallback_used == (strict[seed].error == "no-gap-found")
+
+
 def test_benchmark_flags_regime_violations_without_aborting():
     # lr on an n=3 preset violates the statistic's regime: rows are flagged,
     # the other preset still completes

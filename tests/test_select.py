@@ -6,7 +6,7 @@ import pytest
 
 import markerscreen as ms
 from markerscreen.errors import NoGapFound
-from markerscreen.select import FALLBACK_Q, MIN_GAP_RATIO
+from markerscreen.select import MIN_GAP_RATIO
 
 from _oracles import bh_oracle
 
@@ -90,14 +90,16 @@ def test_gap_window_excludes_cliffs_past_the_edge():
     # smooth inside the top 100; the only cliff sits at rank 100 -> 101
     vals = list(np.linspace(200.0, 101.0, 100)) + [1.0] * 50
     with pytest.raises(NoGapFound):
-        ms.select_gap(_scores(vals), top_window=100)
-    res = ms.select_gap(_scores(vals), top_window=101)
-    assert len(res.selected) == 100
+        ms.select_gap(_scores(vals))
+    # one rank up, the cliff at 99 -> 100 is inside the window
+    res = ms.select_gap(_scores(vals[1:]))
+    assert len(res.selected) == 99
 
 
-def test_gap_recovers_planted_markers_on_water_background(water10, water10_scores):
-    res = ms.apply_policy(water10_scores, ms.SelectionPolicy(kind="gap_knee"))
+def test_gap_fallback_recovers_planted_markers_on_water_background(water10, water10_scores):
+    res = ms.apply_policy(water10_scores, ms.parse_policy("gap", 10))
     truth = ms.score_against_truth(res, water10.truth_map())
+    assert res.fallback_used
     assert 28 <= len(res.selected) <= 32
     assert truth.tp >= 25
 
@@ -162,7 +164,7 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         ms.SelectionPolicy(kind="bh_fdr", q=1.5)
     with pytest.raises(ValueError):
-        ms.SelectionPolicy(kind="gap_knee", top_window=1)
+        ms.SelectionPolicy(kind="gap_knee", q=1.5)
     with pytest.raises(ValueError):
         ms.SelectionPolicy(kind="nonsense")
 
@@ -171,27 +173,27 @@ def test_apply_policy_gap_falls_back_to_bh():
     vals = [100.0 * 1.05 ** (-k) for k in range(120)]
     pvals = list(np.linspace(0.2, 0.9, 120))  # nothing BH-significant
     res = ms.apply_policy(_scores(vals, pvals=pvals),
-                          ms.SelectionPolicy(kind="gap_knee"))
+                          ms.SelectionPolicy(kind="gap_knee", q=0.05))
     assert res.fallback_used
     assert res.policy.kind == "bh_fdr"
-    assert res.policy.q == FALLBACK_Q
+    assert res.policy.q == 0.05
     assert res.selected == ()
 
 
-@pytest.mark.parametrize("spec, n, policy, fallback_q", [
-    ("gap", 3, ms.SelectionPolicy(kind="gap_knee"), 0.1),
-    ("gap", 10, ms.SelectionPolicy(kind="gap_knee"), 0.05),
-    ("gap:strict", 3, ms.SelectionPolicy(kind="gap_knee"), None),
-    ("gap:strict", 10, ms.SelectionPolicy(kind="gap_knee"), None),
-    ("bh", 3, ms.SelectionPolicy(kind="bh_fdr", q=0.1), 0.1),
-    ("bh", 10, ms.SelectionPolicy(kind="bh_fdr", q=0.05), 0.05),
-    ("bh:0.2", 3, ms.SelectionPolicy(kind="bh_fdr", q=0.2), 0.1),
-    ("bh:0.2", 10, ms.SelectionPolicy(kind="bh_fdr", q=0.2), 0.05),
-    ("fixed:2", 3, ms.SelectionPolicy(kind="fixed_cutoff", c=2.0), 0.1),
-    ("fixed:2", 10, ms.SelectionPolicy(kind="fixed_cutoff", c=2.0), 0.05),
+@pytest.mark.parametrize("spec, n, policy", [
+    ("gap", 3, ms.SelectionPolicy(kind="gap_knee", q=0.1)),
+    ("gap", 10, ms.SelectionPolicy(kind="gap_knee", q=0.05)),
+    ("gap:strict", 3, ms.SelectionPolicy(kind="gap_knee")),
+    ("gap:strict", 10, ms.SelectionPolicy(kind="gap_knee")),
+    ("bh", 3, ms.SelectionPolicy(kind="bh_fdr", q=0.1)),
+    ("bh", 10, ms.SelectionPolicy(kind="bh_fdr", q=0.05)),
+    ("bh:0.2", 3, ms.SelectionPolicy(kind="bh_fdr", q=0.2)),
+    ("bh:0.2", 10, ms.SelectionPolicy(kind="bh_fdr", q=0.2)),
+    ("fixed:2", 3, ms.SelectionPolicy(kind="fixed_cutoff", c=2.0)),
+    ("fixed:2", 10, ms.SelectionPolicy(kind="fixed_cutoff", c=2.0)),
 ])
-def test_parse_policy_table(spec, n, policy, fallback_q):
-    assert ms.parse_policy(spec, n) == (policy, fallback_q)
+def test_parse_policy_table(spec, n, policy):
+    assert ms.parse_policy(spec, n) == policy
 
 
 @pytest.mark.parametrize("spec", ["", "gap:loose", "fixed", "fixed:-1", "bh:2", "bh:x"])
@@ -202,9 +204,8 @@ def test_parse_policy_rejects_malformed_tokens(spec):
 
 def test_strict_gap_raises_instead_of_falling_back():
     vals = [100.0 * 1.05 ** (-k) for k in range(120)]
-    policy, fallback_q = ms.parse_policy("gap:strict", 10)
     with pytest.raises(NoGapFound):
-        ms.apply_policy(_scores(vals), policy, fallback_q=fallback_q)
+        ms.apply_policy(_scores(vals), ms.parse_policy("gap:strict", 10))
 
 
 def test_apply_policy_passthrough_for_fixed():

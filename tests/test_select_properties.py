@@ -60,18 +60,18 @@ def test_fixed_matches_list_oracle(table, data):
 
 
 @PROPERTY
-@given(tables(), st.integers(2, 120))
-def test_gap_matches_list_oracle(table, window):
+@given(tables())
+def test_gap_matches_list_oracle(table):
     if len(table) < 2:
         with pytest.raises(ValueError):
-            ms.select_gap(table, window)
+            ms.select_gap(table)
         return
-    expected = gap_selection_oracle(_rows(table), window)
+    expected = gap_selection_oracle(_rows(table))
     if expected is None:
         with pytest.raises(NoGapFound):
-            ms.select_gap(table, window)
+            ms.select_gap(table)
     else:
-        _same(ms.select_gap(table, window), expected)
+        _same(ms.select_gap(table), expected)
 
 
 @PROPERTY
@@ -85,9 +85,9 @@ def test_bh_matches_list_oracle(table, q):
 def test_apply_policy_matches_list_oracle(table, spec, n):
     if len(table) < 2 and spec == "gap":
         return
-    policy, fallback_q = ms.parse_policy(spec, n)
+    policy = ms.parse_policy(spec, n)
     rows = _rows(table)
-    result = ms.apply_policy(table, policy, fallback_q=fallback_q)
+    result = ms.apply_policy(table, policy)
     if spec == "fixed:1.5":
         expected, fallback = fixed_selection_oracle(rows, 1.5), False
     elif spec == "bh:0.2":
@@ -96,7 +96,7 @@ def test_apply_policy_matches_list_oracle(table, spec, n):
         expected = gap_selection_oracle(rows)
         fallback = expected is None
         if fallback:
-            expected = bh_selection_oracle(rows, fallback_q)
+            expected = bh_selection_oracle(rows, policy.q)
     _same(result, expected)
     assert result.fallback_used == fallback
 
@@ -110,7 +110,7 @@ def test_selection_invariant_under_row_permutation(table, rnd):
                              table.p_value[perm], table.degenerate[perm])
     for policy in (ms.SelectionPolicy(kind="fixed_cutoff", c=1.5),
                    ms.SelectionPolicy(kind="bh_fdr", q=0.2),
-                   ms.SelectionPolicy(kind="gap_knee", top_window=2 + len(table) // 2)):
+                   ms.SelectionPolicy(kind="gap_knee", q=0.05)):
         if len(table) < 2 and policy.kind == "gap_knee":
             continue
         a = ms.apply_policy(table, policy)
