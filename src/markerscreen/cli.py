@@ -26,6 +26,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -109,7 +110,12 @@ def _score(cfg: RunConfig):
     else:
         stat, why = cfg.stat, f"--stat {cfg.stat}; regime says {decision.stat}"
     print(f"stat: {stat} ({why})", file=sys.stderr)
-    return matrix, score_matrix(matrix, stat, cfg.replicates), stat
+    # The stat: line reports a ks run in the lr regime, and ScoreTable's NaN
+    # check reports a row that overflows; numpy's own warnings would repeat them.
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.filterwarnings("ignore", "small-sample KS scoring", UserWarning)
+        scores = score_matrix(matrix, stat, cfg.replicates)
+    return matrix, scores, stat
 
 
 def _scale_scores(scores, stat: str, scale: str):

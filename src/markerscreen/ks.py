@@ -45,9 +45,8 @@ class KsScore:
     bandwidth_used: float
 
 
-def _bandwidth(rows: np.ndarray) -> np.ndarray:
+def _bandwidth(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Gaussian-reference bandwidth of each (m, N) row; see select_bandwidth."""
-    s = rows.std(axis=1, ddof=1)
     q75, q25 = np.percentile(rows, [75, 25], axis=1)
     iqr = q75 - q25
     scale = np.where(iqr > 0, np.minimum(s, iqr / 1.349), s)
@@ -63,9 +62,10 @@ def select_bandwidth(x) -> float:
     x = np.asarray(x, dtype=float).ravel()
     if x.size < 3:
         raise ValueError("need at least 3 observations")
-    if np.std(x, ddof=1) == 0.0:
+    s = x[None, :].std(axis=1, ddof=1)
+    if s[0] == 0.0:
         raise DegenerateData("zero sample standard deviation")
-    return float(_bandwidth(x[None, :])[0])
+    return float(_bandwidth(x[None, :], s)[0])
 
 
 def kernel_cdf(est: KernelEstimate, t):
@@ -75,13 +75,14 @@ def kernel_cdf(est: KernelEstimate, t):
     return ndtr(z).mean(axis=-1)
 
 
-def _d_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized statistic for (m, N) rows. Caller screens degenerate rows.
+def _d_rows(rows: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized statistic for (m, N) rows with ddof-1 standard deviations s.
+    Caller screens degenerate rows.
 
     Returns (d, h) per row. d compares the kernel CDF against the normal
     fitted with the MLE variance, evaluated at the observed points only.
     """
-    h = _bandwidth(rows)
+    h = _bandwidth(rows, s)
     g = kernel_cdf(KernelEstimate(rows[:, None, :], h[:, None, None]), rows)
     mu = rows.mean(axis=1, keepdims=True)
     sd = rows.std(axis=1, keepdims=True)  # MLE scale for the reference fit
@@ -96,9 +97,10 @@ def ks_d_statistic(x) -> KsScore:
         raise ValueError("need at least 3 observations")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite observations")
-    if np.std(x, ddof=1) == 0.0:
+    s = x[None, :].std(axis=1, ddof=1)
+    if s[0] == 0.0:
         raise DegenerateData("zero sample standard deviation")
-    d, h = _d_rows(x[None, :])
+    d, h = _d_rows(x[None, :], s)
     return KsScore(d=float(d[0]), bandwidth_used=float(h[0]))
 
 
@@ -112,7 +114,7 @@ def _null_table(N: int, replicates: int) -> np.ndarray:
         raise ValueError("at least 1000 replicates")
     rng = substream(0, f"ks-null:{N}:{replicates}")
     draws = rng.standard_normal((replicates, N))
-    d, _ = _d_rows(draws)
+    d, _ = _d_rows(draws, draws.std(axis=1, ddof=1))
     return np.sort(d)
 
 
@@ -158,7 +160,7 @@ def score_matrix_ks(m: ExpressionMatrix, replicates: int = DEFAULT_REPLICATES) -
     d = np.where(np.isfinite(sd), 0.0, np.nan)
     scored = ~degenerate & np.isfinite(sd)
     if np.any(scored):
-        d[scored], _ = _d_rows(rows[scored])
+        d[scored], _ = _d_rows(rows[scored], sd[scored])
 
     pvals = np.where(degenerate, 1.0, _mc_pvalue(_null_table(m.N, replicates), d))
     return ScoreTable(m.protein_ids, "ks_d", d, pvals, degenerate)

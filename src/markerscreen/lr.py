@@ -19,7 +19,7 @@ condition labels and asks only whether the pooled sample looks bimodal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -73,6 +73,14 @@ class ProteinScore:
     fit_diagnostics: tuple[MixtureFit, PooledFit] | None = None
 
 
+@lru_cache(maxsize=8)
+def _id_column(ids: tuple[str, ...]) -> np.ndarray:
+    """Read-only ids array of a tuple, shared by every ScoreTable over it."""
+    column = np.array(ids, dtype=str)
+    column.setflags(write=False)
+    return column
+
+
 @dataclass(frozen=True, eq=False)
 class ScoreTable:
     """Scores of every protein as columns, in matrix row order.
@@ -93,12 +101,19 @@ class ScoreTable:
     fits: np.ndarray | None = None
 
     def __post_init__(self):
+        # Only str tuples share a cached array: equal tuples of other ids, like
+        # (1,) and (1.0,), format apart. Each table holds a view of it, which
+        # cannot be made writeable again.
+        shared = isinstance(self.ids, tuple) and set(map(type, self.ids)) <= {str}
         for name, dtype in (("ids", str), ("value", float), ("p_value", float),
                             ("degenerate", bool)):
-            column = np.array(getattr(self, name), dtype=dtype)
+            if name == "ids" and shared:
+                column = _id_column(self.ids).view()
+            else:
+                column = np.array(getattr(self, name), dtype=dtype)
+                column.setflags(write=False)
             if column.shape != (len(self.ids),):
                 raise ValueError(f"{name} needs one entry per protein id")
-            column.setflags(write=False)
             object.__setattr__(self, name, column)
         nan = np.isnan(self.value) | np.isnan(self.p_value)
         if nan.any():

@@ -4,6 +4,7 @@ picks its statistic."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -26,13 +27,21 @@ def regime(n1: int, n2: int) -> Regime:
     return Regime(stat, f"min(n1,n2)={n} {op} {LR_MIN_N} -> {stat}", q)
 
 
+@lru_cache(maxsize=8)
+def _default_ids(p: int) -> tuple[str, ...]:
+    """P0001.. for p proteins, zero-padded to at least four digits."""
+    width = max(4, len(str(p)))
+    return tuple(f"P{i + 1:0{width}d}" for i in range(p))
+
+
 @dataclass(frozen=True)
 class ExpressionMatrix:
     """Proteins-by-samples intensity table with a two-condition layout.
 
     values: (p, N) float array, one row per protein.
     layout: length-N int array of condition labels, each 1 or 2.
-    protein_ids: optional names; generated as P0001.. when omitted.
+    protein_ids: optional names; P0001.. when omitted, formatted once per p
+        and shared by every matrix of that p as an immutable tuple.
     """
 
     values: np.ndarray
@@ -61,8 +70,7 @@ class ExpressionMatrix:
             if len(set(ids)) != len(ids):
                 raise ValueError("protein_ids must be unique")
         else:
-            width = max(4, len(str(values.shape[0])))
-            ids = tuple(f"P{i + 1:0{width}d}" for i in range(values.shape[0]))
+            ids = _default_ids(values.shape[0])
         object.__setattr__(self, "protein_ids", ids)
 
     @property

@@ -299,14 +299,28 @@ def test_exit_2_on_a_cell_too_large_to_score(tmp_path, capsys):
     lines[k] = "P0500,1e200," + lines[k].split(",", 2)[2]
     huge = tmp_path / "huge.csv"
     huge.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
     for command, *flags in (("score",), ("select",),
                             ("score", "--stat", "ks", "--replicates", "1000")):
         out = tmp_path / "-".join([command, *flags])
-        with pytest.warns(RuntimeWarning):  # numpy overflow and invalid
-            assert run_cli(command, *flags, "--input", str(huge), "--out-dir", str(out),
-                           "--deterministic") == 2
-        assert "error [input]: protein 'P0500' scored NaN" in capsys.readouterr().err
+        assert run_cli(command, *flags, "--input", str(huge), "--out-dir", str(out),
+                       "--deterministic") == 2
+        stat = ("stat: ks (--stat ks; regime says lr)" if flags
+                else "stat: lr (auto: min(n1,n2)=10 >= 5 -> lr)")
+        assert capsys.readouterr().err.splitlines() == [
+            stat, "error [input]: protein 'P0500' scored NaN (values too large?)"]
         assert not out.exists()
+
+
+def test_ks_in_the_lr_regime_is_reported_once(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    run_cli("simulate", "--preset", "water-n10", "--seed", "8",
+            "--out-dir", str(sim), "--deterministic")
+    capsys.readouterr()
+    assert run_cli("score", "--stat", "ks", "--replicates", "1000", "--input",
+                   str(sim / "matrix.csv"), "--out-dir", str(tmp_path / "o"),
+                   "--deterministic") == 0
+    assert capsys.readouterr().err == "stat: ks (--stat ks; regime says lr)\n"
 
 
 def test_exit_2_on_too_few_ks_replicates(tmp_path, capsys):

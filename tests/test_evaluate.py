@@ -7,6 +7,7 @@ from scipy import stats
 import markerscreen as ms
 from markerscreen.errors import DegenerateData, TruthMismatch
 from markerscreen.ks import _null_table
+from markerscreen.matrix import _default_ids
 
 from _oracles import welch_oracle
 
@@ -174,6 +175,12 @@ def test_benchmark_builds_one_ks_null_table_for_all_runs():
     _null_table.cache_clear()
     ms.benchmark(["ks+gap"], ["water-n3"], runs=3, seed=0)
     assert _null_table.cache_info().misses == 1
+
+
+def test_benchmark_formats_default_ids_once_for_all_runs():
+    _default_ids.cache_clear()
+    ms.benchmark(["ks+gap", "ttest+bh:0.1"], ["water-n3", "human-n3"], runs=3, seed=0)
+    assert _default_ids.cache_info().misses == 1
 
 
 def test_benchmark_counting_identity():

@@ -231,6 +231,28 @@ def test_score_matrix_composition_single_protein():
     assert via_matrix[0].p_value == pytest.approx(direct.p_value, abs=1e-15)
 
 
+def test_score_table_ids_are_read_only():
+    m = _one_protein_matrix(np.arange(10.0), 5)  # default ids, shared per p
+    for table in (ms.score_matrix_lr(m), ms.ttest_baseline(m)):
+        with pytest.raises(ValueError):
+            table.ids[0] = "X"
+        with pytest.raises(ValueError):
+            table.ids.setflags(write=True)
+    assert ms.score_matrix_lr(m).ids.tolist() == ["P0001"]
+
+
+def test_score_tables_keep_their_own_explicit_ids():
+    values = np.arange(20.0).reshape(2, 10) ** 2
+    layout = np.array([1] * 5 + [2] * 5)
+    for ids in (("A", "B"), ("C", "D"), ("A", "B")):
+        m = ms.ExpressionMatrix(values=values, layout=layout, protein_ids=ids)
+        assert ms.score_matrix_lr(m).ids.tolist() == list(ids)
+        assert ms.ttest_baseline(m).ids.tolist() == list(ids)
+    for ids in ((1, 2), (1.0, 2.0)):  # equal tuples, different ids
+        table = ms.ScoreTable(ids, "deviance_lr", [0.0, 0.0], [1.0, 1.0], [True, True])
+        assert table.ids.tolist() == [str(i) for i in ids]
+
+
 def test_score_matrix_small_design_raises_without_override():
     rng = np.random.default_rng(2)
     m = _one_protein_matrix(rng.normal(0, 1, 6), 3)

@@ -40,6 +40,17 @@ def test_matrix_validation():
                             protein_ids=("A", "A"))
 
 
+def test_default_ids_are_p_wide_and_at_least_four_digits():
+    def ids(p):
+        return ms.ExpressionMatrix(values=np.arange(2.0 * p).reshape(p, 2),
+                                   layout=np.array([1, 2])).protein_ids
+
+    assert ids(3) == ("P0001", "P0002", "P0003")
+    big = ids(10_000)
+    assert big[0] == "P00001" and big[-1] == "P10000" and len(big) == 10_000
+    assert ids(3) is ids(3)  # formatted once per p, shared
+
+
 def test_ingest_well_formed(tmp_path):
     src = tmp_path / "m.csv"
     src.write_text("protein_id,s1,s2,s3,s4\nP1,1.0,2.0,3.0,4.0\n"
