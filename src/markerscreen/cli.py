@@ -45,7 +45,7 @@ from .matrix_io import (
     write_truth,
 )
 from .select import apply_policy, parse_policy
-from .simulate import generate, preset
+from .simulate import generate, preset, presets
 
 EXIT_CODES = {RegimeViolation: 3, NoGapFound: 4}  # other MarkerScreenErrors exit 2
 
@@ -186,8 +186,18 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 def cmd_bench(cfg: RunConfig) -> int:
     methods = [tok.strip() for tok in cfg.methods.split(",") if tok.strip()]
     preset_names = [tok.strip() for tok in cfg.presets.split(",") if tok.strip()]
-    report = benchmark(methods, preset_names, runs=cfg.runs, seed=cfg.seed,
-                       ks_replicates=cfg.replicates)
+    # One stat: line per statistic and preset outside its regime reports what
+    # the ks warning of every such run would repeat.
+    specs = presets()
+    for name in (p for p in preset_names if p in specs):  # benchmark rejects the rest
+        decision = regime(specs[name].n_per_condition, specs[name].n_per_condition)
+        for stat in dict.fromkeys(m.partition("+")[0] for m in methods):
+            if stat in ("lr", "ks") and stat != decision.stat:
+                print(f"stat: {stat} on {name} (regime says {decision.stat})", file=sys.stderr)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "small-sample KS scoring", UserWarning)
+        report = benchmark(methods, preset_names, runs=cfg.runs, seed=cfg.seed,
+                           ks_replicates=cfg.replicates)
     header = _header_lines(cfg)
     run_rows = [{**asdict(r), "selected": r.selected_count, "fallback_used": int(r.fallback_used),
                  "error": r.error or ""} for r in report.runs]

@@ -3,7 +3,7 @@ baseline, null-calibration tables, and the seeded multi-run benchmark."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import special
@@ -228,7 +228,7 @@ def benchmark(
                 try:
                     result = _run_method(method, labeled, ks_replicates)
                     scored = score_against_truth(result, truth)
-                    report.runs.append(EvalRun(method, preset_name, run_seed, **asdict(scored),
+                    report.runs.append(EvalRun(method, preset_name, run_seed, **vars(scored),
                                                fallback_used=result.fallback_used))
                 except MarkerScreenError as exc:
                     report.runs.append(EvalRun(method, preset_name, run_seed, float("nan"),

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -123,15 +124,15 @@ class ScoreTable:
         return len(self.ids)
 
     def __getitem__(self, j: int) -> ProteinScore:
-        fits = None
-        if self.fits is not None and not self.degenerate[j]:
-            row = self.fits[j].tolist()
-            fits = (MixtureFit(*row[:7], iterations=0, converged=True), PooledFit(*row[7:]))
-        return ProteinScore(str(self.ids[j]), self.kind, float(self.value[j]),
-                            float(self.p_value[j]), fits)
+        return next(self.__iter__([j]))
 
-    def __iter__(self):
-        return (self[j] for j in range(len(self)))
+    def __iter__(self, rows=slice(None)):
+        """Row views of every row, or of the rows an index list or slice picks."""
+        columns = [a[rows].tolist() for a in (self.ids, self.value, self.p_value, self.degenerate)]
+        fits = repeat(None) if self.fits is None else self.fits[rows].tolist()
+        return (ProteinScore(pid, self.kind, value, p, None if fit is None or degenerate else (
+                    MixtureFit(*fit[:7], iterations=0, converged=True), PooledFit(*fit[7:])))
+                for pid, value, p, degenerate, fit in zip(*columns, fits))
 
     @cached_property
     def order(self) -> np.ndarray:
@@ -159,14 +160,6 @@ def fit_pooled_normal(x) -> PooledFit:
     return PooledFit(mu=mu, sigma2=sigma2, loglik=float(_normal_loglik(x, mu, sigma2)))
 
 
-def _mixture_terms(x, w, mu, s2):
-    """Per-component log densities log(w_l N(x | mu_l, s2_l)), shape (S, 2, N),
-    for (S, 2) parameter rows, and their log-sum over components, (S, N)."""
-    lp = (np.log(w)[:, None] - 0.5 * np.log(2 * np.pi * s2)[..., None]
-          - 0.5 * (x - mu[..., None]) ** 2 / s2[..., None])
-    return lp, np.logaddexp(lp[:, 0], lp[:, 1])
-
-
 def fit_mixture_fixed_weights(
     x,
     n1: int,
@@ -176,11 +169,11 @@ def fit_mixture_fixed_weights(
 ) -> MixtureFit:
     """EM fixed point of the two-component normal mixture with weights n_l/N.
 
-    The start set (decisions ledger D14) runs as rows of one array. Row 0 is
-    the pooled single normal, a stationary point of the EM map that never
+    The start set (decisions ledger D14) runs as columns of one array. Start 0
+    is the pooled single normal, a stationary point of the EM map that never
     iterates and keeps fit_pooled_normal's loglik. Each other start iterates
     until |delta loglik| < EM_TOL, until a component loses all responsibility
-    (keeping its last fit) or for max_iter steps. The first row with the
+    (keeping its last fit) or for max_iter steps. The first start with the
     highest loglik wins, so the fit never falls below the pooled one.
     Non-convergence is reported through converged=False, never raised.
     """
@@ -189,46 +182,53 @@ def fit_mixture_fixed_weights(
         raise ValueError("n1 and n2 must be positive and sum to len(x)")
     pooled = fit_pooled_normal(x)  # raises DegenerateData on flat rows
     w = np.array([n1, n2]) / x.size
-    floor = VARIANCE_FLOOR_REL * pooled.sigma2
-    split = _fit_columns(x[None, :], n1)[0]
-    sd, var = np.sqrt(pooled.sigma2), [pooled.sigma2] * 2
-    # the pooled fit, the condition-split fit, pooled mean +/- one sd, the range
-    mu = np.array([[pooled.mu] * 2, split[:2],
-                   [pooled.mu - sd, pooled.mu + sd], [x.min(), x.max()]])
-    s2 = np.array([var, split[2:4], var, var])
-    iterations = np.zeros(len(mu), dtype=int)
-    converged = np.arange(len(mu)) == 0
-    rows = np.arange(1, len(mu))  # the starts still iterating; lp and lse are theirs
-    lp, lse = _mixture_terms(x, w, mu[rows], s2[rows])
-    ll = np.append(pooled.loglik, lse.sum(axis=1))  # each row's last fit is in mu, s2, ll
-    for it in range(1, max_iter + 1):
-        if rows.size == 0:
+    log_w, floor = np.log(w)[:, None, None], VARIANCE_FLOOR_REL * pooled.sigma2
+    x1, x2, sd, var = x[:n1], x[n1:], np.sqrt(pooled.sigma2), [pooled.sigma2] * 2
+    # one column per start: pooled, condition split, pooled mean +/- one sd, range
+    mu = np.array([[pooled.mu] * 2, [x1.mean(), x2.mean()],
+                   [pooled.mu - sd, pooled.mu + sd], [x.min(), x.max()]]).T
+    s2 = np.array([var, np.maximum([x1.var(), x2.var()], floor), var, var]).T
+    ll, iterations, converged = np.full(4, pooled.loglik), np.zeros(4, int), np.arange(4) == 0
+
+    def stop(sel, conv):  # starts rows[sel] leave with their last fit; ~sel go on
+        mu[:, rows[sel]], s2[:, rows[sel]], ll[rows[sel]] = m[:, sel], v[:, sel], fit_ll[sel]
+        iterations[rows[sel]], converged[rows[sel]] = it, conv
+        return ~sel
+
+    # the starts still iterating, their fit (m, v), its loglik and (x - m)^2
+    rows, m, v, fit_ll, it = np.arange(1, 4), mu[:, 1:], s2[:, 1:], None, 0
+    d2 = (x - m[..., None]) ** 2
+    while True:
+        # log(w_l N(x | m_l, v_l)), shape (2, S, N), and its log-sum over l
+        lp = log_w - 0.5 * np.log(2 * np.pi * v)[..., None] - 0.5 * d2 / v[..., None]
+        lse = np.logaddexp(lp[0], lp[1])
+        prev_ll, fit_ll = fit_ll, np.add.reduce(lse, 1)
+        if it:
+            if debug_monotone:
+                assert np.all(fit_ll >= prev_ll - 1e-9), "EM log-likelihood decreased"
+            done = np.abs(fit_ll - prev_ll) < EM_TOL
+            if np.count_nonzero(done):
+                k = stop(done, True)
+                rows, fit_ll, m, v = rows[k], fit_ll[k], m[:, k], v[:, k]
+                lp, lse = lp[:, k], lse[k]
+        if it >= max_iter or not rows.size:
             break
-        iterations[rows] = it
-        # E-step in log space; responsibilities r1 + r2 = 1
-        r = np.exp(lp - lse[:, None])
-        r[:, 1] = 1.0 - r[:, 0]
-        t = r.sum(axis=2)
-        if (t <= 0).any():  # a component lost all responsibility: its row stops
-            kept = ~(t <= 0).any(axis=1)
-            rows, r, t = rows[kept], r[kept], t[kept]
+        it += 1
+        r = np.empty((2, rows.size, x.size))  # E-step in log space; r_1 = 1 - r_0
+        np.subtract(1.0, np.exp(lp[0] - lse, out=r[0]), out=r[1])
+        t = np.add.reduce(r, 2)
+        if np.count_nonzero(t <= 0):  # a component lost all responsibility
+            k = stop(np.logical_or.reduce(t <= 0, 0), False)
+            rows, fit_ll, m, v, r, t = rows[k], fit_ll[k], m[:, k], v[:, k], r[:, k], t[:, k]
         # M-step: weighted means and variances, variances floored
-        m = (r * x).sum(axis=2) / t
-        v = np.maximum((r * (x - m[..., None]) ** 2).sum(axis=2) / t, floor)
-        lp, lse = _mixture_terms(x, w, m, v)
-        prev_ll, new_ll = ll[rows], lse.sum(axis=1)
-        if debug_monotone:
-            assert np.all(new_ll >= prev_ll - 1e-9), "EM log-likelihood decreased"
-        mu[rows], s2[rows], ll[rows] = m, v, new_ll
-        done = np.abs(new_ll - prev_ll) < EM_TOL
-        if done.any():
-            converged[rows[done]] = True
-            rows, lp, lse = rows[~done], lp[~done], lse[~done]
+        m = np.add.reduce(r * x, 2) / t
+        d2 = (x - m[..., None]) ** 2
+        v = np.maximum(np.add.reduce(r * d2, 2) / t, floor)
+    stop(np.full(rows.size, True), False)
 
     best = int(np.argmax(ll))
-    return MixtureFit(*mu[best].tolist(), *s2[best].tolist(), *w.tolist(),
-                      loglik=float(ll[best]), iterations=int(iterations[best]),
-                      converged=bool(converged[best]))
+    return MixtureFit(*mu[:, best].tolist(), *s2[:, best].tolist(), *w.tolist(),
+                      ll[best].item(), iterations[best].item(), converged[best].item())
 
 
 def _variances(values: np.ndarray, n1: int):

@@ -108,8 +108,7 @@ class LabeledMatrix:
     truth: np.ndarray  # bool per protein, True for planted markers
 
     def truth_map(self) -> dict:
-        return {pid: bool(t)
-                for pid, t in zip(self.matrix.protein_ids, self.truth)}
+        return dict(zip(self.matrix.protein_ids, self.truth.astype(bool).tolist()))
 
 
 def generate(spec: SimSpec) -> LabeledMatrix:

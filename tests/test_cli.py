@@ -323,6 +323,12 @@ def test_ks_in_the_lr_regime_is_reported_once(tmp_path, capsys):
     assert capsys.readouterr().err == "stat: ks (--stat ks; regime says lr)\n"
 
 
+def test_bench_reports_ks_in_the_lr_regime_once(tmp_path, capsys):
+    assert run_cli("bench", "--methods", "ks+gap", "--presets", "water-n10", "--runs", "2",
+                   "--replicates", "1000", "--out-dir", str(tmp_path), "--deterministic") == 0
+    assert capsys.readouterr().err == "stat: ks on water-n10 (regime says lr)\n"
+
+
 def test_exit_2_on_too_few_ks_replicates(tmp_path, capsys):
     sim = tmp_path / "sim"
     run_cli("simulate", "--preset", "water-n3", "--seed", "4",

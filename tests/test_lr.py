@@ -130,6 +130,10 @@ def _em_parity_rows():
             (outlier, n1, n2),
             (rng.normal(0, 1, N), 1, N - 1) if k % 2 else (rng.normal(0, 1, N), N - 1, 1),
         ]
+    for _ in range(12):  # the benchmark's diagnose-lr rows: n = 10 + 10, shifted condition 1
+        x = rng.uniform(10, 30) + rng.normal(0, math.sqrt(2.23), 20)
+        x[:10] += math.log2(3)
+        rows.append((x, 10, 10))
     return rows
 
 
@@ -251,6 +255,32 @@ def test_score_tables_keep_their_own_explicit_ids():
     for ids in ((1, 2), (1.0, 2.0)):  # equal tuples, different ids
         table = ms.ScoreTable(ids, "deviance_lr", [0.0, 0.0], [1.0, 1.0], [True, True])
         assert table.ids.tolist() == [str(i) for i in ids]
+
+
+def test_score_table_iteration_matches_indexing():
+    rng = np.random.default_rng(31)
+    values = rng.normal(15.0, 1.0, (6, 10))
+    values[2] = 4.0  # degenerate: no fits
+    m = ms.ExpressionMatrix(values=values, layout=np.array([1] * 5 + [2] * 5))
+    tables = (ms.score_matrix_lr(m, diagnostics=True), ms.score_matrix_lr(m), ms.ttest_baseline(m))
+    assert tables[0].degenerate.tolist() == [False, False, True, False, False, False]
+    for table in tables:
+        rows = list(table)
+        indexed = [table[j] for j in range(len(table))]
+        assert rows == indexed and table[-1] == rows[-1]
+        types = [[type(v) for v in vars(r).values()] for r in rows]
+        assert types == [[type(v) for v in vars(r).values()] for r in indexed]
+        for j, row in enumerate(rows):
+            assert row.protein_id == f"P{j + 1:04d}"
+            assert (row.value, row.p_value) == (table.value[j], table.p_value[j])
+            assert types[j][2:4] == [float, float]
+            if table.fits is None or table.degenerate[j]:
+                assert row.fit_diagnostics is None
+                continue
+            split, pooled = row.fit_diagnostics
+            fields = [*vars(split).values(), *vars(pooled).values()]
+            assert fields == table.fits[j, :7].tolist() + [0, True] + table.fits[j, 7:].tolist()
+            assert [type(v) for v in fields] == [float] * 7 + [int, bool] + [float] * 3
 
 
 def test_score_matrix_small_design_raises_without_override():
