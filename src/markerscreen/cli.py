@@ -27,6 +27,7 @@ import json
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -98,6 +99,15 @@ def _header_lines(cfg: RunConfig) -> list[str]:
     return lines
 
 
+@contextmanager
+def _ks_regime_reported():
+    """Ignore score_matrix_ks's lr-regime UserWarning inside the block; the
+    caller reports that case on a stat: line of its own."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "small-sample KS scoring", UserWarning)
+        yield
+
+
 def _score(cfg: RunConfig):
     """Ingest --input and score it; returns (matrix, scores, stat). Says on
     stderr which statistic runs, and why."""
@@ -112,8 +122,7 @@ def _score(cfg: RunConfig):
     print(f"stat: {stat} ({why})", file=sys.stderr)
     # The stat: line reports a ks run in the lr regime, and ScoreTable's NaN
     # check reports a row that overflows; numpy's own warnings would repeat them.
-    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
-        warnings.filterwarnings("ignore", "small-sample KS scoring", UserWarning)
+    with _ks_regime_reported(), np.errstate(over="ignore", invalid="ignore"):
         scores = score_matrix(matrix, stat, cfg.replicates)
     return matrix, scores, stat
 
@@ -194,8 +203,7 @@ def cmd_bench(cfg: RunConfig) -> int:
         for stat in dict.fromkeys(m.partition("+")[0] for m in methods):
             if stat in ("lr", "ks") and stat != decision.stat:
                 print(f"stat: {stat} on {name} (regime says {decision.stat})", file=sys.stderr)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "small-sample KS scoring", UserWarning)
+    with _ks_regime_reported():
         report = benchmark(methods, preset_names, runs=cfg.runs, seed=cfg.seed,
                            ks_replicates=cfg.replicates)
     header = _header_lines(cfg)

@@ -124,10 +124,13 @@ class ScoreTable:
         return len(self.ids)
 
     def __getitem__(self, j: int) -> ProteinScore:
-        return next(self.__iter__([j]))
+        return next(self._views([j]))
 
-    def __iter__(self, rows=slice(None)):
-        """Row views of every row, or of the rows an index list or slice picks."""
+    def __iter__(self):
+        return self._views(slice(None))
+
+    def _views(self, rows):
+        """Row views of the rows an index list or slice picks."""
         columns = [a[rows].tolist() for a in (self.ids, self.value, self.p_value, self.degenerate)]
         fits = repeat(None) if self.fits is None else self.fits[rows].tolist()
         return (ProteinScore(pid, self.kind, value, p, None if fit is None or degenerate else (
@@ -182,35 +185,48 @@ def fit_mixture_fixed_weights(
         raise ValueError("n1 and n2 must be positive and sum to len(x)")
     pooled = fit_pooled_normal(x)  # raises DegenerateData on flat rows
     w = np.array([n1, n2]) / x.size
-    log_w, floor = np.log(w)[:, None, None], VARIANCE_FLOOR_REL * pooled.sigma2
-    x1, x2, sd, var = x[:n1], x[n1:], np.sqrt(pooled.sigma2), [pooled.sigma2] * 2
+    log_w = np.log(w)[:, None, None]
+    floor = VARIANCE_FLOOR_REL * pooled.sigma2
+    sd = np.sqrt(pooled.sigma2)
+    var = [pooled.sigma2] * 2
     # one column per start: pooled, condition split, pooled mean +/- one sd, range
-    mu = np.array([[pooled.mu] * 2, [x1.mean(), x2.mean()],
+    mu = np.array([[pooled.mu] * 2, [x[:n1].mean(), x[n1:].mean()],
                    [pooled.mu - sd, pooled.mu + sd], [x.min(), x.max()]]).T
-    s2 = np.array([var, np.maximum([x1.var(), x2.var()], floor), var, var]).T
-    ll, iterations, converged = np.full(4, pooled.loglik), np.zeros(4, int), np.arange(4) == 0
+    s2 = np.array([var, np.maximum([x[:n1].var(), x[n1:].var()], floor), var, var]).T
+    ll = np.full(4, pooled.loglik)
+    iterations = np.zeros(4, int)
+    converged = np.arange(4) == 0
 
-    def stop(sel, conv):  # starts rows[sel] leave with their last fit; ~sel go on
-        mu[:, rows[sel]], s2[:, rows[sel]], ll[rows[sel]] = m[:, sel], v[:, sel], fit_ll[sel]
-        iterations[rows[sel]], converged[rows[sel]] = it, conv
-        return ~sel
+    def stop(starts, m, v, fit_ll, it, conv):
+        """Record the last fit of the starts that stop iterating at step it."""
+        mu[:, starts] = m
+        s2[:, starts] = v
+        ll[starts] = fit_ll
+        iterations[starts] = it
+        converged[starts] = conv
 
     # the starts still iterating, their fit (m, v), its loglik and (x - m)^2
-    rows, m, v, fit_ll, it = np.arange(1, 4), mu[:, 1:], s2[:, 1:], None, 0
+    rows = np.arange(1, 4)
+    m = mu[:, 1:]
+    v = s2[:, 1:]
+    fit_ll = None
     d2 = (x - m[..., None]) ** 2
+    it = 0
     while True:
         # log(w_l N(x | m_l, v_l)), shape (2, S, N), and its log-sum over l
         lp = log_w - 0.5 * np.log(2 * np.pi * v)[..., None] - 0.5 * d2 / v[..., None]
         lse = np.logaddexp(lp[0], lp[1])
-        prev_ll, fit_ll = fit_ll, np.add.reduce(lse, 1)
+        prev_ll = fit_ll
+        fit_ll = np.add.reduce(lse, 1)
         if it:
             if debug_monotone:
                 assert np.all(fit_ll >= prev_ll - 1e-9), "EM log-likelihood decreased"
             done = np.abs(fit_ll - prev_ll) < EM_TOL
             if np.count_nonzero(done):
-                k = stop(done, True)
-                rows, fit_ll, m, v = rows[k], fit_ll[k], m[:, k], v[:, k]
-                lp, lse = lp[:, k], lse[k]
+                stop(rows[done], m[:, done], v[:, done], fit_ll[done], it, True)
+                keep = ~done
+                rows, fit_ll, lse = rows[keep], fit_ll[keep], lse[keep]
+                m, v, lp = m[:, keep], v[:, keep], lp[:, keep]
         if it >= max_iter or not rows.size:
             break
         it += 1
@@ -218,13 +234,16 @@ def fit_mixture_fixed_weights(
         np.subtract(1.0, np.exp(lp[0] - lse, out=r[0]), out=r[1])
         t = np.add.reduce(r, 2)
         if np.count_nonzero(t <= 0):  # a component lost all responsibility
-            k = stop(np.logical_or.reduce(t <= 0, 0), False)
-            rows, fit_ll, m, v, r, t = rows[k], fit_ll[k], m[:, k], v[:, k], r[:, k], t[:, k]
+            lost = np.logical_or.reduce(t <= 0, 0)
+            stop(rows[lost], m[:, lost], v[:, lost], fit_ll[lost], it, False)
+            keep = ~lost
+            rows, fit_ll = rows[keep], fit_ll[keep]
+            r, t = r[:, keep], t[:, keep]
         # M-step: weighted means and variances, variances floored
         m = np.add.reduce(r * x, 2) / t
         d2 = (x - m[..., None]) ** 2
         v = np.maximum(np.add.reduce(r * d2, 2) / t, floor)
-    stop(np.full(rows.size, True), False)
+    stop(rows, m, v, fit_ll, it, False)
 
     best = int(np.argmax(ll))
     return MixtureFit(*mu[:, best].tolist(), *s2[:, best].tolist(), *w.tolist(),

@@ -323,10 +323,15 @@ def test_ks_in_the_lr_regime_is_reported_once(tmp_path, capsys):
     assert capsys.readouterr().err == "stat: ks (--stat ks; regime says lr)\n"
 
 
-def test_bench_reports_ks_in_the_lr_regime_once(tmp_path, capsys):
-    assert run_cli("bench", "--methods", "ks+gap", "--presets", "water-n10", "--runs", "2",
+@pytest.mark.parametrize("methods, preset, line", [
+    ("ks+gap", "water-n10", "stat: ks on water-n10 (regime says lr)"),
+    ("lr+gap,lr+bh", "water-n3", "stat: lr on water-n3 (regime says ks)"),
+])
+def test_bench_reports_a_statistic_outside_its_regime_once(methods, preset, line, tmp_path,
+                                                           capsys):
+    assert run_cli("bench", "--methods", methods, "--presets", preset, "--runs", "2",
                    "--replicates", "1000", "--out-dir", str(tmp_path), "--deterministic") == 0
-    assert capsys.readouterr().err == "stat: ks on water-n10 (regime says lr)\n"
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_exit_2_on_too_few_ks_replicates(tmp_path, capsys):

@@ -134,6 +134,10 @@ def _em_parity_rows():
         x = rng.uniform(10, 30) + rng.normal(0, math.sqrt(2.23), 20)
         x[:10] += math.log2(3)
         rows.append((x, 10, 10))
+    # near 1e153 a variance so large that 2 pi v overflows gives its component
+    # density 0, so a start stops at its first or a later step on a lost component
+    for cells, n1 in (([3, 7, 11, -2], 2), ([6, -8, 3, 0], 3), ([-6, -3, -7, -3, 3, 7], 2)):
+        rows.append((np.array(cells) * 1e153, n1, len(cells) - n1))
     return rows
 
 
@@ -141,12 +145,14 @@ def _em_parity_rows():
     (1, False), (2, False), (ms.lr.EM_MAX_ITER, False), (ms.lr.EM_MAX_ITER, True),
 ])
 def test_mixture_matches_scalar_multistart_reference(max_iter, debug_monotone):
-    # the starts batched as rows of one array give the scalar loop's fit exactly
+    # the starts batched as columns of one array give the scalar loop's fit
+    # exactly; the rows near 1e153 overflow on purpose
     for x, n1, n2 in _em_parity_rows():
-        fit = ms.fit_mixture_fixed_weights(x, n1, n2, max_iter=max_iter,
-                                           debug_monotone=debug_monotone)
-        assert fit == em_multistart_reference(x, n1, n2, max_iter=max_iter,
-                                              debug_monotone=debug_monotone)
+        with np.errstate(over="ignore"):
+            fit = ms.fit_mixture_fixed_weights(x, n1, n2, max_iter=max_iter,
+                                               debug_monotone=debug_monotone)
+            assert fit == em_multistart_reference(x, n1, n2, max_iter=max_iter,
+                                                  debug_monotone=debug_monotone)
 
 
 # ----------------------------------------------------------------- deviance
