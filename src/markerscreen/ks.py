@@ -25,7 +25,7 @@ from scipy.special import ndtr
 from ._rng import substream
 from .errors import DegenerateData
 from .lr import ScoreTable
-from .matrix import ExpressionMatrix, regime
+from .matrix import ExpressionMatrix, regime, rows_per_block
 
 DEFAULT_REPLICATES = 10000
 
@@ -90,6 +90,28 @@ def _d_rows(rows: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(g - f).max(axis=1), h
 
 
+def _d_blocks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, degenerate) for each (p, N) row, in blocks of rows_per_block(N^2)
+    rows so that _d_rows' (rows, N, N) temporaries stay bounded. A row with
+    zero standard deviation is degenerate with d = 0; one whose standard
+    deviation overflows gets d = NaN. Every step is per row, so the blocks
+    give the bits of one call."""
+    p, N = rows.shape
+    d, degenerate = np.empty(p), np.empty(p, dtype=bool)
+    step = rows_per_block(N * N)
+    for i in range(0, p, step):
+        block = rows[i:i + step]
+        sd = block.std(axis=1, ddof=1)
+        finite = np.isfinite(sd)
+        degenerate[i:i + step] = sd == 0.0
+        scored = finite & (sd != 0.0)
+        d_block = np.where(finite, 0.0, np.nan)
+        if np.any(scored):
+            d_block[scored], _ = _d_rows(block[scored], sd[scored])
+        d[i:i + step] = d_block
+    return d, degenerate
+
+
 def ks_d_statistic(x) -> KsScore:
     """The statistic d for one pooled sample, with the bandwidth it used."""
     x = np.asarray(x, dtype=float).ravel()
@@ -113,8 +135,7 @@ def _null_table(N: int, replicates: int) -> np.ndarray:
     if replicates < 1000:
         raise ValueError("at least 1000 replicates")
     rng = substream(0, f"ks-null:{N}:{replicates}")
-    draws = rng.standard_normal((replicates, N))
-    d, _ = _d_rows(draws, draws.std(axis=1, ddof=1))
+    d, _ = _d_blocks(rng.standard_normal((replicates, N)))
     return np.sort(d)
 
 
@@ -154,13 +175,6 @@ def score_matrix_ks(m: ExpressionMatrix, replicates: int = DEFAULT_REPLICATES) -
             f"({decision.reason}); the likelihood-ratio statistic is preferred",
             stacklevel=2,
         )
-    rows = m.values
-    sd = rows.std(axis=1, ddof=1)
-    degenerate = sd == 0.0
-    d = np.where(np.isfinite(sd), 0.0, np.nan)
-    scored = ~degenerate & np.isfinite(sd)
-    if np.any(scored):
-        d[scored], _ = _d_rows(rows[scored], sd[scored])
-
+    d, degenerate = _d_blocks(m.values)
     pvals = np.where(degenerate, 1.0, _mc_pvalue(_null_table(m.N, replicates), d))
     return ScoreTable(m.protein_ids, "ks_d", d, pvals, degenerate)

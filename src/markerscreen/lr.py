@@ -25,7 +25,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DegenerateData, RegimeViolation
-from .matrix import ExpressionMatrix, regime
+from .matrix import ExpressionMatrix, regime, rows_per_block
 
 # Variances below 1e-8 x (pooled variance) are clamped. A row is degenerate
 # (carries no information) only when its pooled variance is exactly zero.
@@ -143,10 +143,10 @@ class ScoreTable:
         return np.lexsort((self.ids, -self.value))
 
 
-def _normal_loglik(x: np.ndarray, mu, sigma2):
-    """Normal log-likelihood of each row of x (last axis) under its mu, sigma2."""
-    return (-0.5 * x.shape[-1] * np.log(2.0 * np.pi * sigma2)
-            - 0.5 * np.sum((x - np.expand_dims(mu, -1)) ** 2, axis=-1) / sigma2)
+def _normal_loglik(n: int, ss, sigma2):
+    """Normal log-likelihood of n points whose squared deviations from the
+    mean sum to ss, under variance sigma2."""
+    return -0.5 * n * np.log(2.0 * np.pi * sigma2) - 0.5 * ss / sigma2
 
 
 def fit_pooled_normal(x) -> PooledFit:
@@ -157,10 +157,11 @@ def fit_pooled_normal(x) -> PooledFit:
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite observations")
     mu = float(np.mean(x))
-    sigma2 = float(np.mean((x - mu) ** 2))
+    ss = np.sum((x - mu) ** 2)
+    sigma2 = float(ss / x.size)
     if sigma2 <= 0.0:
         raise DegenerateData("all observations identical, zero pooled variance")
-    return PooledFit(mu=mu, sigma2=sigma2, loglik=float(_normal_loglik(x, mu, sigma2)))
+    return PooledFit(mu=mu, sigma2=sigma2, loglik=float(_normal_loglik(x.size, ss, sigma2)))
 
 
 def fit_mixture_fixed_weights(
@@ -177,7 +178,8 @@ def fit_mixture_fixed_weights(
     iterates and keeps fit_pooled_normal's loglik. Each other start iterates
     until |delta loglik| < EM_TOL, until a component loses all responsibility
     (keeping its last fit) or for max_iter steps. The first start with the
-    highest loglik wins, so the fit never falls below the pooled one.
+    highest loglik wins, a NaN loglik counting as -inf, so the fit never
+    falls below the pooled one.
     Non-convergence is reported through converged=False, never raised.
     """
     x = np.asarray(x, dtype=float).ravel()
@@ -245,18 +247,34 @@ def fit_mixture_fixed_weights(
         v = np.maximum(np.add.reduce(r * d2, 2) / t, floor)
     stop(rows, m, v, fit_ll, it, False)
 
-    best = int(np.argmax(ll))
+    best = int(np.argmax(np.where(np.isnan(ll), -np.inf, ll)))
     return MixtureFit(*mu[:, best].tolist(), *s2[:, best].tolist(), *w.tolist(),
                       ll[best].item(), iterations[best].item(), converged[best].item())
 
 
-def _variances(values: np.ndarray, n1: int):
-    """Per-row MLE variances (pooled, condition 1, condition 2), each floored
-    at VARIANCE_FLOOR_REL x pooled, and the zero-pooled-variance mask."""
-    vpool = values.var(axis=1)
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Row sums of a 2-D x, added column by column onto 0.0 as numpy reduces
+    a column-major matrix. A row's sum then has the same bits whatever the
+    layout, block or row count; numpy sums a lone contiguous row pairwise."""
+    total = x[:, 0] + 0.0
+    for k in range(1, x.shape[1]):
+        total += x[:, k]
+    return total
+
+
+def _moments(values: np.ndarray, n1: int):
+    """(mean, sum of squared deviations, MLE variance) per row of the pooled
+    row and of each condition, for rows laid out condition-1-first, with the
+    variances floored at VARIANCE_FLOOR_REL x pooled; and the
+    zero-pooled-variance mask."""
+    parts = []
+    for x in (values, values[:, :n1], values[:, n1:]):
+        mean = _row_sums(x) / x.shape[1]
+        ss = _row_sums((x - mean[:, None]) ** 2)
+        parts.append((mean, ss, ss / x.shape[1]))
+    vpool = parts[0][2]
     floor = VARIANCE_FLOOR_REL * np.where(vpool > 0, vpool, 1.0)
-    return (np.maximum(vpool, floor), np.maximum(values[:, :n1].var(axis=1), floor),
-            np.maximum(values[:, n1:].var(axis=1), floor), vpool == 0.0)
+    return [(mean, ss, np.maximum(v, floor)) for mean, ss, v in parts], vpool == 0.0
 
 
 def _deviance_core(values: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -266,7 +284,7 @@ def _deviance_core(values: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray]
     flagged degenerate and get deviance 0.
     """
     N = values.shape[1]
-    vpool, v1, v2, degenerate = _variances(values, n1)
+    ((_, _, vpool), (_, _, v1), (_, _, v2)), degenerate = _moments(values, n1)
     dev = N * np.log(vpool) - n1 * np.log(v1) - (N - n1) * np.log(v2)
     dev = np.maximum(dev, 0.0)
     dev[degenerate] = 0.0
@@ -278,19 +296,27 @@ def _fit_columns(values: np.ndarray, n1: int) -> np.ndarray:
     fit with design weights, whose loglik is the condition-assigned
     likelihood, and the pooled fit. Degenerate rows carry placeholders."""
     p, N = values.shape
-    vpool, v1, v2, _ = _variances(values, n1)
-    x1, x2 = values[:, :n1], values[:, n1:]
-    m1, m2, mu = x1.mean(axis=1), x2.mean(axis=1), values.mean(axis=1)
-    split_ll = _normal_loglik(x1, m1, v1) + _normal_loglik(x2, m2, v2)
+    ((mu, ss, vpool), (m1, ss1, v1), (m2, ss2, v2)), _ = _moments(values, n1)
+    split_ll = _normal_loglik(n1, ss1, v1) + _normal_loglik(N - n1, ss2, v2)
     return np.column_stack([m1, m2, v1, v2, np.full(p, n1 / N), np.full(p, (N - n1) / N),
-                            split_ll, mu, vpool, _normal_loglik(values, mu, vpool)])
+                            split_ll, mu, vpool, _normal_loglik(N, ss, vpool)])
 
 
-def _score_rows(values: np.ndarray, n1: int, ids, diagnostics: bool) -> ScoreTable:
-    dev, degen = _deviance_core(values, n1)
+def _score_rows(values: np.ndarray, cols: np.ndarray, n1: int, ids,
+                diagnostics: bool) -> ScoreTable:
+    """Scores of the rows of values with their columns taken in the order
+    cols, which puts condition 1 first; reordered and scored in row blocks."""
+    p = values.shape[0]
+    dev, degen = np.empty(p), np.empty(p, dtype=bool)
+    fits = np.empty((p, 10)) if diagnostics else None
+    step = rows_per_block(len(cols))
+    for i in range(0, p, step):
+        block = values[i:i + step][:, cols]
+        dev[i:i + step], degen[i:i + step] = _deviance_core(block, n1)
+        if diagnostics:
+            fits[i:i + step] = _fit_columns(block, n1)
     pvals = np.exp(-dev / 2.0)
     pvals[degen] = 1.0
-    fits = _fit_columns(values, n1) if diagnostics else None
     return ScoreTable(ids, "deviance_lr", dev, pvals, degen, fits)
 
 
@@ -312,7 +338,7 @@ def deviance_lr(x, n1: int, n2: int) -> ProteinScore:
         raise ValueError("n1 + n2 must equal len(x)")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite observations")
-    return _score_rows(x[None, :], n1, ("P0001",), diagnostics=True)[0]
+    return _score_rows(x[None, :], np.arange(x.size), n1, ("P0001",), diagnostics=True)[0]
 
 
 def score_matrix_lr(m: ExpressionMatrix, diagnostics: bool = False) -> ScoreTable:
@@ -328,6 +354,5 @@ def score_matrix_lr(m: ExpressionMatrix, diagnostics: bool = False) -> ScoreTabl
             f"likelihood-ratio scoring is outside its regime "
             f"(n1={m.n1}, n2={m.n2}: {decision.reason}); use ks"
         )
-    mask1, mask2 = m.condition_masks()
-    ordered = np.concatenate([m.values[:, mask1], m.values[:, mask2]], axis=1)
-    return _score_rows(ordered, m.n1, m.protein_ids, diagnostics)
+    cols = np.argsort(m.layout, kind="stable")  # condition 1 first, each in matrix order
+    return _score_rows(m.values, cols, m.n1, m.protein_ids, diagnostics)

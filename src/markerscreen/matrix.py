@@ -13,6 +13,16 @@ import numpy as np
 # is badly anticonservative, and the kernel-CDF statistic takes over.
 LR_MIN_N = 5
 
+# Ingest, lr and ks scoring and artifact writing work through the rows in
+# blocks whose temporaries hold about this many elements (2 MiB of float64),
+# so their memory does not grow with p.
+BLOCK_ELEMENTS = 2**18
+
+
+def rows_per_block(width: int) -> int:
+    """Rows in one block of rows that hold `width` elements each."""
+    return max(1, BLOCK_ELEMENTS // width)
+
 
 class Regime(NamedTuple):
     stat: str  # "lr" or "ks"

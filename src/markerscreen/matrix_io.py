@@ -13,28 +13,18 @@ import contextlib
 import csv
 import math
 import os
+from itertools import islice, repeat
 
 import numpy as np
 
 from .errors import LayoutError, ParseError
-from .matrix import ExpressionMatrix
+from .matrix import ExpressionMatrix, rows_per_block
 
 _QUOTED_CHARS = frozenset(',"\r\n')  # csv.writer quotes a cell holding any of these
 
 
 def _read_rows(path: str) -> tuple[list[str], list[list[str]], dict[str, str]]:
-    """Returns (header, data rows, comment metadata)."""
-    try:
-        with open(path, newline="") as fh:
-            return _scan(csv.reader(fh), path)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except csv.Error as exc:  # e.g. a field over csv's size limit
-        raise ParseError(f"{path}: {exc}") from exc
-
-
-def _scan(records, path: str) -> tuple[list[str], list[list[str]], dict[str, str]]:
-    """Sorts CSV records into (header, data rows, comment metadata).
+    """Returns (header, data rows, comment metadata) of a CSV file.
 
     Blank records are skipped; a record whose first cell starts with `#` is
     a comment, read as `key: value` metadata when it has a colon.
@@ -42,19 +32,19 @@ def _scan(records, path: str) -> tuple[list[str], list[list[str]], dict[str, str
     meta: dict[str, str] = {}
     header: list[str] | None = None
     rows: list[list[str]] = []
-    for raw in records:
-        if not raw:
-            continue
-        if raw[0].startswith("#"):
-            text = ",".join(raw).lstrip("#").strip()
-            if ":" in text:
-                key, _, val = text.partition(":")
-                meta[key.strip()] = val.strip()
-            continue
-        if header is None:
-            header = [c.strip() for c in raw]
-        else:
-            rows.append(raw)
+    try:
+        with open(path, newline="") as fh:
+            for raw in csv.reader(fh):
+                if not raw or _comment(",".join(raw), meta):
+                    continue
+                if header is None:
+                    header = [c.strip() for c in raw]
+                else:
+                    rows.append(raw)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise ParseError(f"{path}: {exc}") from exc
     if header is None:
         raise ParseError(f"{path}: no header row")
     return header, rows, meta
@@ -102,74 +92,125 @@ def ingest_matrix(path: str, layout_spec: str | None = None) -> ExpressionMatrix
     Raises ParseError for structural problems, LayoutError for condition
     mapping problems, and ValueError naming (protein, sample) for any
     non-numeric or non-finite cell. A cell is numeric when Python's float()
-    accepts it.
+    accepts it. A file without `"` is read in blocks of rows; a quoted cell
+    may hold a comma or a newline, so a file with one goes through csv.
     """
     try:
         with open(path) as fh:  # universal newlines split lines as csv.reader does
-            text = fh.read()
+            read = _read_unquoted(fh, path)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    quoted = '"' in text
-    if quoted:  # a quoted cell may hold a comma or a newline: only csv splits it
+    if read is None:
         header, rows, meta = _read_rows(path)
+        _check_header(header, path)
+        if not rows:
+            raise ParseError(f"{path}: no protein rows")
+        ids, values = _parse_cells(path, header, rows)
     else:
-        # Without quotes a CSV record is line.split(","); keep each data line
-        # as [id, rest] so the numbers are split and parsed in one numpy call.
-        header, rows, meta = _scan(
-            (line.split(",", 1) for line in text.split("\n") if line), path)
-        header = [c.strip() for c in ",".join(header).split(",")]  # split it in full
-    del text  # the rows hold their own copies of the lines
+        header, ids, values, meta = read
+    layout = _parse_layout_spec(layout_spec, header[1:], meta.get("layout"))
+    return ExpressionMatrix(values=values, layout=layout, protein_ids=tuple(ids))
+
+
+def _check_header(header: list[str], path: str) -> None:
     if len(header) < 3 or header[0] != "protein_id":
         raise ParseError(
             f"{path}: header must be protein_id,<at least two sample columns>"
         )
-    sample_names = header[1:]
-    if not rows:
+
+
+def _comment(line: str, meta: dict[str, str]) -> bool:
+    """Whether line is a comment, recording it in meta when it is `key: value`."""
+    if not line.startswith("#"):
+        return False
+    text = line.lstrip("#").strip()
+    if ":" in text:
+        key, _, val = text.partition(":")
+        meta[key.strip()] = val.strip()
+    return True
+
+
+def _read_unquoted(fh, path: str):
+    """(header, ids, values, comment metadata) of an open matrix file, or None
+    at its first `"`.
+
+    Without quotes a CSV record is a line split at every comma. Data lines are
+    parsed in blocks of rows_per_block(samples) lines, each by one loadtxt
+    call; a block that call rejects goes to `_parse_cells`.
+    """
+    meta: dict[str, str] = {}
+    header = None
+    for line in fh:  # comments and blank lines up to the header
+        if '"' in line:
+            return None
+        if line != "\n" and not _comment(line, meta):
+            header = [c.strip() for c in line.rstrip("\n").split(",")]
+            break
+    if header is None:
+        raise ParseError(f"{path}: no header row")
+    _check_header(header, path)
+    n = len(header) - 1
+    ids: list[str] = []
+    blocks = []
+    seen: set[str] = set()
+    while lines := list(islice(fh, rows_per_block(n))):
+        if any('"' in line for line in lines):
+            return None
+        rows = [line for line in lines if line != "\n" and not line.startswith("#")]
+        if len(rows) < len(lines):
+            for line in lines:
+                _comment(line, meta)
+        if not rows:
+            continue
+        block_ids = [line.partition(",")[0].strip() for line in rows]
+        values = _parse_block(rows, n)
+        new = set(block_ids)
+        if values is None or len(new) < len(rows) or not seen.isdisjoint(new):
+            block_ids, values = _parse_cells(
+                path, header, [line.rstrip("\n").split(",") for line in rows], len(ids), seen)
+        else:
+            seen |= new
+        ids += block_ids
+        blocks.append(values)
+    if not ids:
         raise ParseError(f"{path}: no protein rows")
-
-    if quoted:
-        ids, values = _parse_cells(path, header, rows)
-    else:
-        ids = [row[0].strip() for row in rows]
-        values = _parse_block(rows, len(sample_names))
-        if values is None or len(set(ids)) != len(ids):
-            ids, values = _parse_cells(path, header,
-                                       [",".join(row).split(",") for row in rows])
-
-    layout = _parse_layout_spec(layout_spec, sample_names, meta.get("layout"))
-    return ExpressionMatrix(values=values, layout=layout, protein_ids=tuple(ids))
+    return header, ids, blocks[0] if len(blocks) == 1 else np.concatenate(blocks), meta
 
 
-def _parse_block(rows: list[list[str]], n_samples: int) -> np.ndarray | None:
-    """All-finite (p, n_samples) values of [id, rest] rows, or None.
+def _parse_block(lines: list[str], n_samples: int) -> np.ndarray | None:
+    """All-finite (rows, n_samples) values of data lines, or None.
 
-    None sends the rows to `_parse_cells`, which accepts what float() accepts
+    None sends the lines to `_parse_cells`, which accepts what float() accepts
     (`1_0`, non-ASCII digits) and otherwise names the first bad row or cell.
     comments=None matters: by default loadtxt reads the cell `1#2` as 1.0.
     """
-    if any(len(row) != 2 or row[1].count(",") != n_samples - 1 for row in rows):
-        return None
     try:
-        values = np.loadtxt([row[1] for row in rows], delimiter=",", ndmin=2,
-                            comments=None)
+        values = np.loadtxt(lines, delimiter=",", usecols=range(1, n_samples + 1),
+                            ndmin=2, comments=None)
     except ValueError:
         return None
-    if values.shape != (len(rows), n_samples) or not np.isfinite(values).all():
+    # usecols needs at least n_samples commas on every line, so this many
+    # commas in all means exactly n_samples on each
+    if (values.shape != (len(lines), n_samples)
+            or sum(map(str.count, lines, repeat(","))) != len(lines) * n_samples
+            or not np.isfinite(values).all()):
         return None
     return values
 
 
-def _parse_cells(path: str, header: list[str],
-                 rows: list[list[str]]) -> tuple[list[str], np.ndarray]:
-    """Cell-by-cell parse of full rows; raises on the first bad row or cell."""
+def _parse_cells(path: str, header: list[str], rows: list[list[str]], first: int = 0,
+                 seen: set[str] | None = None) -> tuple[list[str], np.ndarray]:
+    """Cell-by-cell parse of full rows, the first of them data row `first` of
+    the file, with the ids of the rows before them in seen (which gains
+    theirs); raises on the first bad row or cell."""
     sample_names = header[1:]
     ids = []
     values = np.empty((len(rows), len(sample_names)))
-    seen = set()
+    seen = set() if seen is None else seen
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise ParseError(
-                f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}"
+                f"{path}: row {first + i + 2} has {len(row)} cells, expected {len(header)}"
             )
         pid = row[0].strip()
         if pid in seen:
@@ -204,10 +245,13 @@ def write_matrix(path: str, matrix: ExpressionMatrix, header_lines=()) -> None:
     with _artifact(path, header_lines) as fh:
         fh.write("# layout: " + ",".join(str(c) for c in matrix.layout) + "\n")
         csv.writer(fh).writerow(["protein_id"] + [f"s{i + 1:02d}" for i in range(matrix.N)])
-        fh.write("".join([
-            f"{_field(pid)},{','.join(map(repr, row))}\r\n"
-            for pid, row in zip(matrix.protein_ids, matrix.values.tolist())
-        ]))
+        step = rows_per_block(matrix.N + 1)
+        for i in range(0, matrix.p, step):
+            fh.write("".join([
+                f"{_field(pid)},{','.join(map(repr, row))}\r\n"
+                for pid, row in zip(matrix.protein_ids[i:i + step],
+                                    matrix.values[i:i + step].tolist())
+            ]))
 
 
 def write_truth(path: str, protein_ids, truth, header_lines=()) -> None:
@@ -226,15 +270,19 @@ def read_truth(path: str) -> dict:
 
 
 def write_scores(path: str, scores, header_lines=()) -> None:
-    """One CSV row per protein of a ScoreTable, in table order."""
+    """One CSV row per protein of a ScoreTable, in table order, written in
+    blocks of rows."""
     with _artifact(path, header_lines) as fh:
         csv.writer(fh).writerow(["protein_id", "statistic_kind", "value", "p_value"])
         kind = _field(scores.kind)
-        fh.write("".join([
-            f"{_field(pid)},{kind},{value!r},{p_value!r}\r\n"
-            for pid, value, p_value in zip(scores.ids.tolist(), scores.value.tolist(),
-                                           scores.p_value.tolist())
-        ]))
+        step = rows_per_block(4)
+        for i in range(0, len(scores), step):
+            fh.write("".join([
+                f"{_field(pid)},{kind},{value!r},{p_value!r}\r\n"
+                for pid, value, p_value in zip(scores.ids[i:i + step].tolist(),
+                                               scores.value[i:i + step].tolist(),
+                                               scores.p_value[i:i + step].tolist())
+            ]))
 
 
 def write_selection(path: str, result, header_lines=()) -> None:

@@ -259,6 +259,22 @@ def ingest_reference(path):
     return ids, values, meta
 
 
+def deviance_column_major_reference(values, n1):
+    """The deviance of each row laid out condition-1-first, from numpy's
+    variances over one column-major copy of all p >= 2 rows, which numpy
+    sums column by column; variances floored at 1e-8 x pooled."""
+    x = np.asfortranarray(values)
+    N = x.shape[1]
+    vpool = x.var(axis=1)
+    floor = 1e-8 * np.where(vpool > 0, vpool, 1.0)
+    v1 = np.maximum(x[:, :n1].var(axis=1), floor)
+    v2 = np.maximum(x[:, n1:].var(axis=1), floor)
+    dev = N * np.log(np.maximum(vpool, floor)) - n1 * np.log(v1) - (N - n1) * np.log(v2)
+    dev = np.maximum(dev, 0.0)
+    dev[vpool == 0] = 0.0
+    return dev
+
+
 def em_multistart_reference(x, n1, n2, tol=1e-8, max_iter=500, debug_monotone=False):
     """The fixed-weight mixture EM as one scalar loop per start.
 

@@ -6,7 +6,7 @@ from scipy.stats import norm
 
 import markerscreen as ms
 from markerscreen.errors import DegenerateData
-from markerscreen.ks import _null_table
+from markerscreen.ks import _d_rows, _null_table
 
 from _oracles import bandwidth_oracle, kernel_cdf_oracle, ks_d_oracle
 
@@ -184,6 +184,18 @@ def test_score_matrix_ks_degenerate_row():
     assert got[0].value == 0.0
     assert got[0].p_value == 1.0
     assert got[1].value > 0.0
+
+
+def test_score_matrix_ks_blocks_match_one_d_rows_call():
+    # two full row blocks and a one-row tail, with a flat row opening the second
+    block = ms.matrix.rows_per_block(6 * 6)
+    values = np.random.default_rng(71).normal(0, 1, (2 * block + 1, 6))
+    values[block] = 3.0
+    got = ms.score_matrix_ks(_matrix(values, 3), replicates=1000)
+    scored = np.arange(len(values)) != block
+    d, _ = _d_rows(values[scored], values[scored].std(axis=1, ddof=1))
+    assert got.value[scored].tobytes() == d.tobytes()
+    assert got.value[block] == 0.0 and np.flatnonzero(got.degenerate).tolist() == [block]
 
 
 def test_score_matrix_ks_warns_in_lr_regime():

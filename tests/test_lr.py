@@ -10,6 +10,7 @@ from markerscreen.errors import DegenerateData, RegimeViolation
 from markerscreen.lr import _deviance_core
 
 from _oracles import (
+    deviance_column_major_reference,
     em_multistart_reference,
     grid_best_mixture_loglik,
     mixture_loglik_oracle,
@@ -138,7 +139,16 @@ def _em_parity_rows():
     # density 0, so a start stops at its first or a later step on a lost component
     for cells, n1 in (([3, 7, 11, -2], 2), ([6, -8, 3, 0], 3), ([-6, -3, -7, -3, 3, 7], 2)):
         rows.append((np.array(cells) * 1e153, n1, len(cells) - n1))
+    # here every start's loglik turns NaN by step 3 and the pooled fit must win
+    rows.append((np.array([0, -7, -6, -14, -13, -15]) * 1e153, 4, 2))
     return rows
+
+
+def _fit_or_error(fit, *args, **kwargs):
+    try:
+        return fit(*args, **kwargs)
+    except AssertionError as exc:  # debug_monotone on a loglik that turns NaN
+        return repr(exc)
 
 
 @pytest.mark.parametrize("max_iter, debug_monotone", [
@@ -146,13 +156,13 @@ def _em_parity_rows():
 ])
 def test_mixture_matches_scalar_multistart_reference(max_iter, debug_monotone):
     # the starts batched as columns of one array give the scalar loop's fit
-    # exactly; the rows near 1e153 overflow on purpose
+    # exactly; the rows near 1e153 overflow, and one turns NaN, on purpose
     for x, n1, n2 in _em_parity_rows():
-        with np.errstate(over="ignore"):
-            fit = ms.fit_mixture_fixed_weights(x, n1, n2, max_iter=max_iter,
-                                               debug_monotone=debug_monotone)
-            assert fit == em_multistart_reference(x, n1, n2, max_iter=max_iter,
-                                                  debug_monotone=debug_monotone)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fit = _fit_or_error(ms.fit_mixture_fixed_weights, x, n1, n2, max_iter=max_iter,
+                                debug_monotone=debug_monotone)
+            assert fit == _fit_or_error(em_multistart_reference, x, n1, n2, max_iter=max_iter,
+                                        debug_monotone=debug_monotone)
 
 
 # ----------------------------------------------------------------- deviance
@@ -239,6 +249,33 @@ def test_score_matrix_composition_single_protein():
     assert len(via_matrix) == 1
     assert via_matrix[0].value == pytest.approx(direct.value, abs=1e-12)
     assert via_matrix[0].p_value == pytest.approx(direct.p_value, abs=1e-15)
+
+
+def test_row_scored_alone_matches_its_matrix_score():
+    # bit for bit, fits included: a row's sums do not depend on its neighbours
+    rng = np.random.default_rng(17)
+    values = rng.uniform(10, 30, (40, 1)) + rng.normal(0, 1.5, (40, 20))
+    m = ms.ExpressionMatrix(values=values, layout=np.array([1, 2] * 10))
+    table = ms.score_matrix_lr(m, diagnostics=True)
+    for j, row in enumerate(table):
+        alone = ms.deviance_lr(m.row_condition_first(j), m.n1, m.n2)
+        assert (alone.value, alone.p_value) == (row.value, row.p_value)
+        assert alone.fit_diagnostics == row.fit_diagnostics
+
+
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+def test_score_matrix_blocks_match_one_column_major_pass(blocks, extra):
+    # p = k B - 1, k B and k B + 1 rows for blocks of B; k B + 1 ends in a
+    # one-row block, which numpy alone would sum pairwise
+    p = blocks * ms.matrix.rows_per_block(20) + extra
+    rng = np.random.default_rng(p)
+    values = rng.uniform(10, 30, (p, 1)) + rng.normal(0, 1.5, (p, 20))
+    values[-2] = 7.0  # degenerate
+    layout = np.array([2, 1] * 10)
+    table = ms.score_matrix_lr(ms.ExpressionMatrix(values=values, layout=layout))
+    dev = deviance_column_major_reference(values[:, layout.argsort(kind="stable")], 10)
+    assert table.value.tobytes() == dev.tobytes()
+    assert table.degenerate.tolist() == [False] * (p - 2) + [True, False]
 
 
 def test_score_table_ids_are_read_only():

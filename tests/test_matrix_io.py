@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,10 +167,9 @@ INGEST_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(INGEST_CASES))
-def test_ingest_matches_per_cell_reference(tmp_path, case):
-    path = tmp_path / "m.csv"
-    path.write_bytes(INGEST_CASES[case].encode("utf-8"))
+def _assert_ingest_matches_reference(path):
+    """ingest_matrix gives the reference's ids, value bits and layout, or
+    raises its error with its message."""
     try:
         ids, values, meta = ingest_reference(str(path))
     except (ParseError, ValueError) as exc:
@@ -183,6 +183,80 @@ def test_ingest_matches_per_cell_reference(tmp_path, case):
     assert m.values.tobytes() == values.tobytes()  # bit exact, -0.0 included
     if "layout" in meta:
         assert m.layout.tolist() == [int(t) for t in meta["layout"].split(",")]
+
+
+@pytest.mark.parametrize("case", sorted(INGEST_CASES))
+def test_ingest_matches_per_cell_reference(tmp_path, case):
+    path = tmp_path / "m.csv"
+    path.write_bytes(INGEST_CASES[case].encode("utf-8"))
+    _assert_ingest_matches_reference(path)
+
+
+@pytest.mark.parametrize("case", sorted(INGEST_CASES))
+def test_ingest_matches_per_cell_reference_in_two_row_blocks(tmp_path, monkeypatch, case):
+    monkeypatch.setattr(ms.matrix, "BLOCK_ELEMENTS", 8)  # 2 lines of 4 samples a block
+    path = tmp_path / "m.csv"
+    path.write_bytes(INGEST_CASES[case].encode("utf-8"))
+    _assert_ingest_matches_reference(path)
+
+
+def _block_lines(change=None):
+    """The lines after the header of a 4-sample matrix: 30 data rows with a
+    blank line, a comment and the layout comment among them. change maps a
+    line index to the line that replaces it."""
+    lines = [f"P{i:02d},{i},{i / 3!r},{-i},{i * 1e-300!r}" for i in range(30)]
+    lines[7:7] = [""]
+    lines[11:11] = ["# a comment, with a comma"]
+    lines[18:18] = ["# layout: 1,2,1,2"]
+    for i, line in (change or {}).items():
+        lines[i] = line
+    return lines
+
+
+@pytest.mark.parametrize("case, change", [
+    ("clean", None),
+    ("underscore cell", {16: "P14,1_4,2,3,4"}),
+    ("duplicate across a block boundary", {10: "P08,1,2,3,4"}),
+    ("duplicate in a later block", {27: "P03,1,2,3,4"}),
+    ("bad cell before a later duplicate", {14: "P12,1,x,3,4", 27: "P03,1,2,3,4"}),
+    ("short row in the last block", {32: "P29,1,2,3"}),
+])
+def test_ingest_matches_per_cell_reference_across_row_blocks(tmp_path, monkeypatch,
+                                                             case, change):
+    # blocks of 5 lines: line 10 opens the third block, so giving it line 9's
+    # id puts a duplicate across a boundary; the fourth holds the layout
+    monkeypatch.setattr(ms.matrix, "BLOCK_ELEMENTS", 20)
+    per_cell = []
+    parse_cells = ms.matrix_io._parse_cells
+    monkeypatch.setattr(ms.matrix_io, "_parse_cells",
+                        lambda path, header, rows, *rest: per_cell.append(len(rows))
+                        or parse_cells(path, header, rows, *rest))
+    path = tmp_path / "m.csv"
+    path.write_text("\n".join([HEAD.strip()] + _block_lines(change)) + "\n")
+    assert [_block_lines()[i][:4] for i in (9, 14, 16, 27)] == ["P08,", "P12,", "P14,", "P24,"]
+    _assert_ingest_matches_reference(path)
+    if case == "clean":
+        assert per_cell == []
+    elif case == "underscore cell":  # only the block holding the cell goes cell by cell
+        assert per_cell == [4]
+
+
+def test_ingest_memory_stays_near_two_values_arrays(tmp_path):
+    # 40,000 x 20 is four row blocks; the whole-file parse peaked at 8.6x
+    values = np.random.default_rng(11).normal(20.0, 1.5, (40_000, 20))
+    path = tmp_path / "m.csv"
+    with open(path, "w") as fh:
+        fh.write("protein_id," + ",".join(f"s{k}" for k in range(20)) + "\n")
+        fh.writelines(f"P{i}," + ",".join(map(repr, row)) + "\n"
+                      for i, row in enumerate(values.tolist()))
+    tracemalloc.start()
+    try:
+        m = ingest_matrix(str(path), ",".join(["1"] * 10 + ["2"] * 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.values.tobytes() == values.tobytes()
+    assert peak < 4 * m.values.nbytes
 
 
 AWKWARD = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 2.2250738585072014e-308,
