@@ -207,7 +207,7 @@ def cmd_bench(cfg: RunConfig) -> int:
         report = benchmark(methods, preset_names, runs=cfg.runs, seed=cfg.seed,
                            ks_replicates=cfg.replicates)
     header = _header_lines(cfg)
-    run_rows = [{**asdict(r), "selected": r.selected_count, "fallback_used": int(r.fallback_used),
+    run_rows = [{**vars(r), "selected": r.selected_count, "fallback_used": int(r.fallback_used),
                  "error": r.error or ""} for r in report.runs]
     write_table(_out(cfg, "bench_runs.csv"), run_rows,
                 ["method", "preset", "seed", "sensitivity", "empirical_fdr",

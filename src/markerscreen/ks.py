@@ -4,7 +4,10 @@ For designs too small for the likelihood-ratio statistic (matrix.regime)
 each pooled row is tested for departure from normality: a Gaussian-kernel
 CDF estimate of the N pooled observations is compared against the normal
 CDF fitted to the same observations, and the statistic d is the largest
-absolute difference over the observed points.
+absolute difference over the observed points. Each row is sorted once;
+its moments, IQR and fitted-normal term come from the sorted row, and the
+kernel evaluates Phi once per sample pair i < k and mirrors the rest, so d
+does not depend on sample order or memory layout (DECISIONS.md D15).
 Because the reference normal's parameters are estimated from the sample,
 the p-value comes from Monte-Carlo recalibration: standard-normal samples
 of the same size are pushed through the identical pipeline (bandwidth
@@ -32,11 +35,10 @@ DEFAULT_REPLICATES = 10000
 
 @dataclass
 class KernelEstimate:
-    """Gaussian kernel located at the observed points with one bandwidth, or
-    with an array of bandwidths that broadcasts against centers (_d_rows)."""
+    """Gaussian kernel located at the observed points with one bandwidth."""
 
     centers: np.ndarray
-    bandwidth: float | np.ndarray
+    bandwidth: float
 
 
 @dataclass
@@ -45,12 +47,36 @@ class KsScore:
     bandwidth_used: float
 
 
-def _bandwidth(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Gaussian-reference bandwidth of each (m, N) row; see select_bandwidth."""
-    q75, q25 = np.percentile(rows, [75, 25], axis=1)
-    iqr = q75 - q25
+def _sorted_quantile(xs: np.ndarray, q: float) -> np.ndarray:
+    """Quantile q of each sorted (m, N) row by the linear (type-7) rule, with
+    the interpolation arithmetic of np.percentile's default method."""
+    pos = (xs.shape[1] - 1) * q
+    lo = int(pos)
+    t = pos - lo
+    a, b = xs[:, lo], xs[:, lo + 1]
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
+def _bandwidth(xs: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Gaussian-reference bandwidth of each sorted (m, N) row; see select_bandwidth."""
+    iqr = _sorted_quantile(xs, 0.75) - _sorted_quantile(xs, 0.25)
     scale = np.where(iqr > 0, np.minimum(s, iqr / 1.349), s)
-    return 1.06 * scale * rows.shape[1] ** (-1.0 / 5.0)
+    return 1.06 * scale * xs.shape[1] ** (-1.0 / 5.0)
+
+
+def _one_row(x) -> tuple[float, float]:
+    """(d, h) of one pooled sample of at least 3 observations."""
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size < 3:
+        raise ValueError("need at least 3 observations")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite observations")
+    d, h, s = _d_rows(x[None, :])
+    if s[0] == 0.0:
+        raise DegenerateData("zero sample standard deviation")
+    if not np.isfinite(s[0]):
+        raise ValueError("sample standard deviation overflows")
+    return float(d[0]), float(h[0])
 
 
 def select_bandwidth(x) -> float:
@@ -59,13 +85,7 @@ def select_bandwidth(x) -> float:
     h = 1.06 * min(s, IQR/1.349) * N^(-1/5), with s the ddof-1 standard
     deviation. When the IQR collapses to 0 but s > 0, s alone is used.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size < 3:
-        raise ValueError("need at least 3 observations")
-    s = x[None, :].std(axis=1, ddof=1)
-    if s[0] == 0.0:
-        raise DegenerateData("zero sample standard deviation")
-    return float(_bandwidth(x[None, :], s)[0])
+    return _one_row(x)[1]
 
 
 def kernel_cdf(est: KernelEstimate, t):
@@ -75,55 +95,67 @@ def kernel_cdf(est: KernelEstimate, t):
     return ndtr(z).mean(axis=-1)
 
 
-def _d_rows(rows: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized statistic for (m, N) rows with ddof-1 standard deviations s.
-    Caller screens degenerate rows.
-
-    Returns (d, h) per row. d compares the kernel CDF against the normal
+def _d_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized statistic for (m, N) rows: (d, h, s) per row, with s the
+    ddof-1 standard deviation. d compares the kernel CDF against the normal
     fitted with the MLE variance, evaluated at the observed points only.
+
+    Everything comes from one sorted C-ordered copy of the rows: the moments
+    (one pass gives the mean, s and the MLE scale), the IQR, the
+    fitted-normal term and the kernel. The kernel evaluates Phi once per
+    sample pair i < k, where the sorted row gives z <= 0, Phi's accurate
+    lower tail; the mirrored entry is 1 - Phi(z), since z_ki = -z_ik
+    exactly, and the diagonal is Phi(0) = 0.5. Each kernel row is then
+    summed in numpy's own order, so d does not depend on sample order or
+    memory layout (D15). A row with s = 0 gets d = h = 0; one whose s
+    overflows gets d = h = NaN.
     """
-    h = _bandwidth(rows, s)
-    g = kernel_cdf(KernelEstimate(rows[:, None, :], h[:, None, None]), rows)
-    mu = rows.mean(axis=1, keepdims=True)
-    sd = rows.std(axis=1, keepdims=True)  # MLE scale for the reference fit
-    f = ndtr((rows - mu) / sd)
-    return np.abs(g - f).max(axis=1), h
+    N = rows.shape[1]
+    xs = np.array(rows, order="C")  # np.sort would keep an F-ordered layout
+    xs.sort(axis=1)
+    dev = xs - xs.sum(axis=1, keepdims=True) / N
+    ss = np.square(dev).sum(axis=1)
+    s = np.sqrt(ss / (N - 1))
+    d = np.where(np.isfinite(s), 0.0, np.nan)
+    h = d.copy()
+    scored = np.isfinite(s) & (s != 0.0)
+    if not scored.all():
+        xs, dev, ss = xs[scored], dev[scored], ss[scored]
+    h[scored] = h_scored = _bandwidth(xs, s[scored])
+    i, k = np.triu_indices(N, 1)
+    z = xs[:, i]
+    z -= xs[:, k]
+    z /= h_scored[:, None]
+    ndtr(z, out=z)
+    kernel = np.empty((len(xs), N * N))
+    kernel[:, i * N + k] = z
+    kernel[:, k * N + i] = np.subtract(1.0, z, out=z)
+    kernel[:, ::N + 1] = 0.5
+    g = kernel.reshape(-1, N, N).mean(axis=2)
+    f = ndtr(dev / np.sqrt(ss / N)[:, None])  # MLE scale for the reference fit
+    d[scored] = np.abs(g - f).max(axis=1)
+    return d, h, s
 
 
 def _d_blocks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d, degenerate) for each (p, N) row, in blocks of rows_per_block(N^2)
-    rows so that _d_rows' (rows, N, N) temporaries stay bounded. A row with
-    zero standard deviation is degenerate with d = 0; one whose standard
+    rows so that _d_rows' (rows, N^2) kernel stays bounded. A row with zero
+    standard deviation is degenerate with d = 0; one whose standard
     deviation overflows gets d = NaN. Every step is per row, so the blocks
     give the bits of one call."""
     p, N = rows.shape
     d, degenerate = np.empty(p), np.empty(p, dtype=bool)
     step = rows_per_block(N * N)
     for i in range(0, p, step):
-        block = rows[i:i + step]
-        sd = block.std(axis=1, ddof=1)
-        finite = np.isfinite(sd)
-        degenerate[i:i + step] = sd == 0.0
-        scored = finite & (sd != 0.0)
-        d_block = np.where(finite, 0.0, np.nan)
-        if np.any(scored):
-            d_block[scored], _ = _d_rows(block[scored], sd[scored])
-        d[i:i + step] = d_block
+        d[i:i + step], _, s = _d_rows(rows[i:i + step])
+        degenerate[i:i + step] = s == 0.0
     return d, degenerate
 
 
 def ks_d_statistic(x) -> KsScore:
     """The statistic d for one pooled sample, with the bandwidth it used."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size < 3:
-        raise ValueError("need at least 3 observations")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite observations")
-    s = x[None, :].std(axis=1, ddof=1)
-    if s[0] == 0.0:
-        raise DegenerateData("zero sample standard deviation")
-    d, h = _d_rows(x[None, :], s)
-    return KsScore(d=float(d[0]), bandwidth_used=float(h[0]))
+    d, h = _one_row(x)
+    return KsScore(d=d, bandwidth_used=h)
 
 
 @lru_cache(maxsize=32)

@@ -6,7 +6,7 @@ from scipy.stats import norm
 
 import markerscreen as ms
 from markerscreen.errors import DegenerateData
-from markerscreen.ks import _d_rows, _null_table
+from markerscreen.ks import _d_rows, _null_table, _sorted_quantile
 
 from _oracles import bandwidth_oracle, kernel_cdf_oracle, ks_d_oracle
 
@@ -31,6 +31,25 @@ def test_bandwidth_scale_equivariance():
 def test_bandwidth_constant_sample_raises():
     with pytest.raises(DegenerateData):
         ms.select_bandwidth([1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("N", range(3, 31))
+def test_sorted_row_quantiles_match_percentile(N):
+    rng = np.random.default_rng(100 + N)
+    rows = np.vstack([rng.normal(0, 3, (40, N)), np.round(rng.normal(0, 1, (40, N)))])
+    q75, q25 = np.percentile(rows, [75, 25], axis=1)
+    xs = np.sort(rows, axis=1)
+    np.testing.assert_allclose(_sorted_quantile(xs, 0.75), q75, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(_sorted_quantile(xs, 0.25), q25, rtol=1e-12, atol=0)
+
+
+def test_single_sample_rejects_non_finite_or_overflowing_spread():
+    for fn in (ms.select_bandwidth, ms.ks_d_statistic):
+        for x in ([1.0, 2.0, np.nan], [1.0, 2.0, 4.0, np.inf]):
+            with pytest.raises(ValueError, match="non-finite"):
+                fn(x)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+            fn([1e200, 0.0, 1.0, 2.0])
 
 
 def test_bandwidth_zero_iqr_falls_back_to_sd():
@@ -87,6 +106,26 @@ def test_ks_d_matches_loop_oracle():
     got = ms.ks_d_statistic(x)
     assert abs(got.d - ref) < 1e-12
     assert got.bandwidth_used == pytest.approx(bandwidth_oracle(x))
+
+
+@pytest.mark.parametrize("N", [3, 4, 6, 8, 20])
+def test_ks_d_rows_match_loop_oracle_across_families(N):
+    rng = np.random.default_rng(200 + N)
+    repeated = rng.normal(0, 1, (65, N))
+    repeated[:, 1] = repeated[:, 0]
+    rows = np.vstack([
+        rng.normal(5, 2, (65, N)),
+        rng.standard_cauchy((65, N)),
+        np.round(rng.normal(0, 2, (65, N))),  # ties
+        rng.chisquare(3, (65, N)),
+        repeated,
+    ])
+    rows = rows[np.ptp(rows, axis=1) > 0]
+    assert len(rows) >= 300
+    d, h, _ = _d_rows(rows)
+    for x, got_d, got_h in zip(rows, d, h):
+        assert abs(got_d - ks_d_oracle(x)) < 1e-12
+        assert got_h == pytest.approx(bandwidth_oracle(x), rel=1e-12)
 
 
 def test_ks_d_near_normal_quantiles_is_small():
@@ -193,9 +232,27 @@ def test_score_matrix_ks_blocks_match_one_d_rows_call():
     values[block] = 3.0
     got = ms.score_matrix_ks(_matrix(values, 3), replicates=1000)
     scored = np.arange(len(values)) != block
-    d, _ = _d_rows(values[scored], values[scored].std(axis=1, ddof=1))
+    d, _, _ = _d_rows(values[scored])
     assert got.value[scored].tobytes() == d.tobytes()
     assert got.value[block] == 0.0 and np.flatnonzero(got.degenerate).tolist() == [block]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_score_matrix_ks_bytes_independent_of_layout_and_sample_order(n):
+    # DECISIONS.md D15: each row is sorted once into a C-ordered copy, so
+    # neither the memory layout nor the column order changes a bit of d or p
+    values = np.random.default_rng(3).normal(0, 1, (200, 2 * n))
+    m = _matrix(values, n)
+    order = np.random.default_rng(4).permutation(2 * n)
+    copies = [
+        _matrix(np.asfortranarray(values), n),
+        ms.ExpressionMatrix(values=values[:, order], layout=m.layout[order]),
+    ]
+    ref = ms.score_matrix_ks(m, replicates=1000)
+    for copy in copies:
+        got = ms.score_matrix_ks(copy, replicates=1000)
+        assert got.value.tobytes() == ref.value.tobytes()
+        assert got.p_value.tobytes() == ref.p_value.tobytes()
 
 
 def test_score_matrix_ks_warns_in_lr_regime():
