@@ -9,26 +9,9 @@ simulator plus evaluation harness for sensitivity/FDR benchmarking.
 
 __version__ = "0.1.0"
 
+from importlib import import_module
+
 from . import errors
-from .evaluate import (
-    EvalReport,
-    EvalRun,
-    TruthScore,
-    benchmark,
-    convergence_table,
-    convergence_text,
-    score_against_truth,
-    ttest_baseline,
-)
-from .ks import (
-    KernelEstimate,
-    KsScore,
-    kernel_cdf,
-    ks_d_statistic,
-    lilliefors_pvalue,
-    score_matrix_ks,
-    select_bandwidth,
-)
 from .lr import (
     MixtureFit,
     PooledFit,
@@ -52,6 +35,29 @@ from .select import (
 )
 from .simulate import ErrorLaw, LabeledMatrix, SimSpec, generate, preset, presets
 
+# ks and evaluate import scipy, which takes longer than the rest of the package,
+# so they and their names load on first use; cli.py imports them eagerly
+_LAZY = {name: module for module, names in [
+    ("ks", "ks KernelEstimate KsScore select_bandwidth kernel_cdf ks_d_statistic "
+           "lilliefors_pvalue score_matrix_ks"),
+    ("evaluate", "evaluate TruthScore EvalRun EvalReport score_against_truth ttest_baseline "
+                 "convergence_table convergence_text benchmark"),
+] for name in names.split()}
+
+
+def __getattr__(name):  # PEP 562: called only for a name the module lacks
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_LAZY[name]}", __name__)  # also binds the submodule's name
+    if name != _LAZY[name]:
+        globals()[name] = getattr(module, name)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
 __all__ = [
     "__version__",
     "errors",
@@ -64,13 +70,6 @@ __all__ = [
     "fit_mixture_fixed_weights",
     "deviance_lr",
     "score_matrix_lr",
-    "KernelEstimate",
-    "KsScore",
-    "select_bandwidth",
-    "kernel_cdf",
-    "ks_d_statistic",
-    "lilliefors_pvalue",
-    "score_matrix_ks",
     "SelectionPolicy",
     "SelectionResult",
     "select_fixed",
@@ -84,16 +83,9 @@ __all__ = [
     "generate",
     "preset",
     "presets",
-    "TruthScore",
-    "EvalRun",
-    "EvalReport",
-    "score_against_truth",
-    "ttest_baseline",
-    "convergence_table",
-    "convergence_text",
-    "benchmark",
     "ingest_matrix",
     "write_matrix",
     "write_scores",
     "write_truth",
+    *(name for name, module in _LAZY.items() if name != module),
 ]

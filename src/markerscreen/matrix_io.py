@@ -136,7 +136,9 @@ def _read_unquoted(fh, path: str):
 
     Without quotes a CSV record is a line split at every comma. Data lines are
     parsed in blocks of rows_per_block(samples) lines, each by one loadtxt
-    call; a block that call rejects goes to `_parse_cells`.
+    call; a block that call rejects goes to `_parse_cells`. Blocks go into one
+    values array, sized when a block does not fit for the rows the bytes left
+    hold at the characters per row so far, and trimmed at the end.
     """
     meta: dict[str, str] = {}
     header = None
@@ -151,9 +153,11 @@ def _read_unquoted(fh, path: str):
     _check_header(header, path)
     n = len(header) - 1
     ids: list[str] = []
-    blocks = []
+    values = np.empty((0, n))
     seen: set[str] = set()
+    size, chars = os.fstat(fh.fileno()).st_size, 0  # file bytes, characters read
     while lines := list(islice(fh, rows_per_block(n))):
+        chars += sum(map(len, lines))
         if any('"' in line for line in lines):
             return None
         rows = [line for line in lines if line != "\n" and not line.startswith("#")]
@@ -163,18 +167,22 @@ def _read_unquoted(fh, path: str):
         if not rows:
             continue
         block_ids = [line.partition(",")[0].strip() for line in rows]
-        values = _parse_block(rows, n)
+        block = _parse_block(rows, n)
         new = set(block_ids)
-        if values is None or len(new) < len(rows) or not seen.isdisjoint(new):
-            block_ids, values = _parse_cells(
+        if block is None or len(new) < len(rows) or not seen.isdisjoint(new):
+            block_ids, block = _parse_cells(
                 path, header, [line.rstrip("\n").split(",") for line in rows], len(ids), seen)
-        else:
-            seen |= new
+        end = len(ids) + len(rows)
+        if end > len(values):  # no view of values exists, so resize may move it
+            values.resize((end + max(0, size - chars) * end // chars, n), refcheck=False)
+        values[len(ids):end] = block
         ids += block_ids
-        blocks.append(values)
+        del lines, rows, block  # not held while seen grows or the next block is read
+        seen |= new  # a no-op after _parse_cells, which adds the ids itself
     if not ids:
         raise ParseError(f"{path}: no protein rows")
-    return header, ids, blocks[0] if len(blocks) == 1 else np.concatenate(blocks), meta
+    values.resize((len(ids), n), refcheck=False)
+    return header, ids, values, meta
 
 
 def _parse_block(lines: list[str], n_samples: int) -> np.ndarray | None:

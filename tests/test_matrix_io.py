@@ -241,22 +241,49 @@ def test_ingest_matches_per_cell_reference_across_row_blocks(tmp_path, monkeypat
         assert per_cell == [4]
 
 
-def test_ingest_memory_stays_near_two_values_arrays(tmp_path):
-    # 40,000 x 20 is four row blocks; the whole-file parse peaked at 8.6x
-    values = np.random.default_rng(11).normal(20.0, 1.5, (40_000, 20))
+@pytest.mark.parametrize("grows", [True, False])
+def test_ingest_grows_or_trims_the_values_array_sized_from_the_first_block(
+        tmp_path, monkeypatch, grows):
+    # blocks of 2 lines: rows far shorter than the first block's leave its
+    # size estimate short, so the array grows several times; far longer ones
+    # leave it several times too large, so it is trimmed
+    monkeypatch.setattr(ms.matrix, "BLOCK_ELEMENTS", 8)
+    short = [f"S{i},1,2,3,4" for i in range(40)]
+    long = [f"L{i},{i / 3!r},{i / 7!r},{-i / 9!r},{i * 1e-300!r}" for i in range(40)]
     path = tmp_path / "m.csv"
+    path.write_text(HEAD + "\n".join(long[:2] + short if grows else short[:2] + long) + "\n")
+    _assert_ingest_matches_reference(path)
+
+
+def _ingest_peak_ratio(path, rows, repeats=1):
+    """Traced peak of ingesting `rows` written `repeats` times as repr cells
+    under distinct ids, over the size of the values array read back."""
+    text = [",".join(map(repr, row)) for row in rows.tolist()]
     with open(path, "w") as fh:
-        fh.write("protein_id," + ",".join(f"s{k}" for k in range(20)) + "\n")
-        fh.writelines(f"P{i}," + ",".join(map(repr, row)) + "\n"
-                      for i, row in enumerate(values.tolist()))
+        fh.write("protein_id," + ",".join(f"s{k}" for k in range(rows.shape[1])) + "\n")
+        fh.writelines(f"P{i},{text[i % len(text)]}\n" for i in range(len(text) * repeats))
     tracemalloc.start()
     try:
         m = ingest_matrix(str(path), ",".join(["1"] * 10 + ["2"] * 10))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert m.values.tobytes() == values.tobytes()
-    assert peak < 4 * m.values.nbytes
+    assert m.values.tobytes() == np.tile(rows, (repeats, 1)).tobytes()
+    return peak / m.values.nbytes
+
+
+def test_ingest_memory_stays_near_two_values_arrays(tmp_path):
+    # 40,000 x 20 is four row blocks; the whole-file parse peaked at 8.6x
+    values = np.random.default_rng(11).normal(20.0, 1.5, (40_000, 20))
+    assert _ingest_peak_ratio(tmp_path / "m.csv", values) < 4
+
+
+def test_ingest_memory_at_stress_size_stays_near_one_values_array(tmp_path):
+    # 100,000 x 20: blocks are copied into one array as they are parsed, so the
+    # peak is that array, one block's text and the ids (2.06x); keeping every
+    # block and concatenating them at the end peaked at 2.92x
+    rows = np.random.default_rng(12).normal(20.0, 1.5, (10_000, 20))
+    assert _ingest_peak_ratio(tmp_path / "m.csv", rows, repeats=10) < 2.2
 
 
 AWKWARD = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 2.2250738585072014e-308,
