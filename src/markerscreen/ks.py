@@ -4,10 +4,10 @@ For designs too small for the likelihood-ratio statistic (matrix.regime)
 each pooled row is tested for departure from normality: a Gaussian-kernel
 CDF estimate of the N pooled observations is compared against the normal
 CDF fitted to the same observations, and the statistic d is the largest
-absolute difference over the observed points. Each row is sorted once;
-its moments, IQR and fitted-normal term come from the sorted row, and the
-kernel evaluates Phi once per sample pair i < k and mirrors the rest, so d
-does not depend on sample order or memory layout (DECISIONS.md D15).
+absolute difference over the observed points. Each row is sorted once and
+everything comes from the sorted row; Phi is evaluated once per sample pair
+and the kernel CDF summed from pair segments in one explicit order, so d
+does not depend on sample order, layout or block size (DECISIONS.md D15).
 Because the reference normal's parameters are estimated from the sample,
 the p-value comes from Monte-Carlo recalibration: standard-normal samples
 of the same size are pushed through the identical pipeline (bandwidth
@@ -27,7 +27,7 @@ from scipy.special import ndtr
 
 from ._rng import substream
 from .errors import DegenerateData
-from .lr import ScoreTable
+from .lr import ScoreTable, _row_sums
 from .matrix import ExpressionMatrix, regime, rows_per_block
 
 DEFAULT_REPLICATES = 10000
@@ -67,8 +67,6 @@ def _bandwidth(xs: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _one_row(x) -> tuple[float, float]:
     """(d, h) of one pooled sample of at least 3 observations."""
     x = np.asarray(x, dtype=float).ravel()
-    if x.size < 3:
-        raise ValueError("need at least 3 observations")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite observations")
     d, h, s = _d_rows(x[None, :])
@@ -90,6 +88,8 @@ def select_bandwidth(x) -> float:
 
 def kernel_cdf(est: KernelEstimate, t):
     """CDF of the kernel estimate: mean of Phi((t - x_k)/h) over centers."""
+    if not (np.isfinite(est.bandwidth) and est.bandwidth > 0 and np.all(np.isfinite(est.centers))):
+        raise ValueError("bandwidth must be positive and finite, and centers finite")
     t = np.asarray(t, dtype=float)
     z = (t[..., None] - est.centers) / est.bandwidth
     return ndtr(z).mean(axis=-1)
@@ -100,49 +100,47 @@ def _d_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ddof-1 standard deviation. d compares the kernel CDF against the normal
     fitted with the MLE variance, evaluated at the observed points only.
 
-    Everything comes from one sorted C-ordered copy of the rows: the moments
-    (one pass gives the mean, s and the MLE scale), the IQR, the
-    fitted-normal term and the kernel. The kernel evaluates Phi once per
-    sample pair i < k, where the sorted row gives z <= 0, Phi's accurate
-    lower tail; the mirrored entry is 1 - Phi(z), since z_ki = -z_ik
-    exactly, and the diagonal is Phi(0) = 0.5. Each kernel row is then
-    summed in numpy's own order, so d does not depend on sample order or
-    memory layout (D15). A row with s = 0 gets d = h = 0; one whose s
-    overflows gets d = h = NaN.
+    Everything comes from one sorted copy of the rows, held as N contiguous
+    columns x_0 <= ... <= x_{N-1}: the moments (lr._row_sums), the IQR, the
+    fitted-normal term and the kernel. Phi is evaluated once per sample pair
+    i < k, on z_ik = (x_i - x_k)/h <= 0 (its accurate lower tail), one
+    segment of pairs k - i = t at a time. As Phi(-z) = 1 - Phi(z), the
+    kernel CDF at x_j is g_j = (j + 1/2 + sum_{k>j} Phi(z_jk) - sum_{i<j}
+    Phi(z_ij)) / N, summed from j + 1/2 segment by segment: no (rows, N^2)
+    kernel, and d does not depend on sample order, layout or block (D15).
+    A row with s = 0 gets d = h = 0; one whose s overflows gets d = h = NaN.
     """
     N = rows.shape[1]
-    xs = np.array(rows, order="C")  # np.sort would keep an F-ordered layout
-    xs.sort(axis=1)
-    dev = xs - xs.sum(axis=1, keepdims=True) / N
-    ss = np.square(dev).sum(axis=1)
+    if N < 3:
+        raise ValueError("need at least 3 observations")
+    x = np.sort(rows, axis=1).T.copy()  # C-ordered (N, m), whatever the layout of rows
+    dev = x - _row_sums(x.T) / N
+    ss = _row_sums(np.square(dev).T)
     s = np.sqrt(ss / (N - 1))
     d = np.where(np.isfinite(s), 0.0, np.nan)
     h = d.copy()
     scored = np.isfinite(s) & (s != 0.0)
     if not scored.all():
-        xs, dev, ss = xs[scored], dev[scored], ss[scored]
-    h[scored] = h_scored = _bandwidth(xs, s[scored])
-    i, k = np.triu_indices(N, 1)
-    z = xs[:, i]
-    z -= xs[:, k]
-    z /= h_scored[:, None]
-    ndtr(z, out=z)
-    kernel = np.empty((len(xs), N * N))
-    kernel[:, i * N + k] = z
-    kernel[:, k * N + i] = np.subtract(1.0, z, out=z)
-    kernel[:, ::N + 1] = 0.5
-    g = kernel.reshape(-1, N, N).mean(axis=2)
-    f = ndtr(dev / np.sqrt(ss / N)[:, None])  # MLE scale for the reference fit
-    d[scored] = np.abs(g - f).max(axis=1)
+        x, dev, ss = x[:, scored], dev[:, scored], ss[scored]
+    h[scored] = h_scored = _bandwidth(x.T, s[scored])
+    g = np.repeat(np.arange(N) + 0.5, len(ss)).reshape(N, -1)
+    for t in range(1, N):  # the pairs (i, i + t)
+        phi = x[:N - t] - x[t:]
+        phi /= h_scored
+        ndtr(phi, out=phi)
+        g[:N - t] += phi
+        g[t:] -= phi
+    # the reference normal is fitted with the MLE scale
+    d[scored] = np.abs(g / N - ndtr(dev / np.sqrt(ss / N))).max(axis=0)
     return d, h, s
 
 
 def _d_blocks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d, degenerate) for each (p, N) row, in blocks of rows_per_block(N^2)
-    rows so that _d_rows' (rows, N^2) kernel stays bounded. A row with zero
-    standard deviation is degenerate with d = 0; one whose standard
-    deviation overflows gets d = NaN. Every step is per row, so the blocks
-    give the bits of one call."""
+    rows, so that the N(N-1)/2 pair terms a block evaluates stay bounded. A
+    row with zero standard deviation is degenerate with d = 0; one whose
+    standard deviation overflows gets d = NaN. Every step is per row, so the
+    blocks give the bits of one call."""
     p, N = rows.shape
     d, degenerate = np.empty(p), np.empty(p, dtype=bool)
     step = rows_per_block(N * N)
@@ -171,23 +169,25 @@ def _null_table(N: int, replicates: int) -> np.ndarray:
     return np.sort(d)
 
 
-def _mc_pvalue(table: np.ndarray, d):
-    """(1 + #{D* >= d}) / (B + 1) against a sorted null table of B draws."""
-    n_ge = table.size - np.searchsorted(table, d, side="left")
+def _mc_pvalue(table: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(1 + #{D* >= d}) / (B + 1) against a sorted null table of B draws, d looked up sorted."""
+    order = np.argsort(d)
+    n_ge = np.empty(len(d))
+    n_ge[order] = table.size - np.searchsorted(table, d[order], side="left")
     return (1.0 + n_ge) / (table.size + 1.0)
 
 
 def lilliefors_pvalue(d: float, N: int, replicates: int = DEFAULT_REPLICATES) -> float:
     """Monte-Carlo p-value of d under the fitted-normal null.
 
-    Simulates `replicates` standard-normal samples of size N through the
+    Simulates `replicates` standard-normal samples of size N >= 3 through the
     full pipeline and returns (1 + #{D* >= d}) / (replicates + 1).
     The null table depends only on (N, replicates) and is cached, so every
     matrix and run of the same N shares one table.
     """
     if not 0.0 <= d <= 1.0:
         raise ValueError("d must lie in [0, 1]")
-    return float(_mc_pvalue(_null_table(N, replicates), d))
+    return float(_mc_pvalue(_null_table(N, replicates), np.array([d]))[0])
 
 
 def score_matrix_ks(m: ExpressionMatrix, replicates: int = DEFAULT_REPLICATES) -> ScoreTable:

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 from scipy import stats
+from scipy.special import ndtr
 
 from markerscreen.errors import ParseError
 from markerscreen.lr import MixtureFit
@@ -131,6 +132,39 @@ def ks_d_oracle(x):
         fval = normal_cdf((float(t) - mu) / sd)
         best = max(best, abs(g - fval))
     return best
+
+
+def ks_kernel_mean_reference(rows):
+    """(d, h, s) of each (m, N) row through the full (rows, N^2) kernel.
+
+    Each row is sorted; Phi is evaluated once per pair i < k, mirrored as
+    1 - Phi and set to 0.5 on the diagonal, and each kernel row is averaged
+    by numpy. The moments are numpy's row sums and the IQR is np.percentile's.
+    Flat rows get d = h = 0; rows whose s overflows get d = h = NaN.
+    """
+    xs = np.sort(np.asarray(rows, dtype=float), axis=1)
+    N = xs.shape[1]
+    dev = xs - xs.sum(axis=1, keepdims=True) / N
+    ss = np.square(dev).sum(axis=1)
+    s = np.sqrt(ss / (N - 1))
+    d = np.where(np.isfinite(s), 0.0, np.nan)
+    h = d.copy()
+    scored = np.isfinite(s) & (s != 0.0)
+    xs, dev, ss = xs[scored], dev[scored], ss[scored]
+    q75, q25 = np.percentile(xs, [75, 25], axis=1)
+    iqr = q75 - q25
+    scale = np.where(iqr > 0, np.minimum(s[scored], iqr / 1.349), s[scored])
+    h[scored] = h_scored = 1.06 * scale * N ** (-1.0 / 5.0)
+    i, k = np.triu_indices(N, 1)
+    z = ndtr((xs[:, i] - xs[:, k]) / h_scored[:, None])
+    kernel = np.empty((len(xs), N * N))
+    kernel[:, i * N + k] = z
+    kernel[:, k * N + i] = 1.0 - z
+    kernel[:, ::N + 1] = 0.5
+    g = kernel.reshape(-1, N, N).mean(axis=2)
+    f = ndtr(dev / np.sqrt(ss / N)[:, None])
+    d[scored] = np.abs(g - f).max(axis=1)
+    return d, h, s
 
 
 def bh_oracle(pvals, q):

@@ -343,6 +343,16 @@ def test_exit_2_on_too_few_ks_replicates(tmp_path, capsys):
     assert "error [input]: at least 1000 replicates" in capsys.readouterr().err
 
 
+def test_exit_2_on_a_ks_design_below_three_samples(tmp_path, capsys):
+    # n1 = n2 = 1 falls to ks by the regime rule, which needs three observations
+    two = tmp_path / "two.csv"
+    two.write_text("protein_id,a,b\nP1,1.0,2.0\nP2,0.5,3.0\nP3,2.0,1.5\n")
+    assert run_cli("score", "--input", str(two), "--layout", "1,2",
+                   "--out-dir", str(tmp_path / "x")) == 2
+    assert "error [input]: need at least 3 observations" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "scores.csv").exists()
+
+
 def test_exit_2_on_unknown_preset(tmp_path):
     assert run_cli("simulate", "--preset", "nope",
                    "--out-dir", str(tmp_path)) == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from scipy.stats import norm
 
 import markerscreen as ms
 from markerscreen.errors import DegenerateData
-from markerscreen.ks import _d_rows, _null_table, _sorted_quantile
+from markerscreen.ks import _d_blocks, _d_rows, _mc_pvalue, _null_table, _sorted_quantile
 
-from _oracles import bandwidth_oracle, kernel_cdf_oracle, ks_d_oracle
+from _oracles import bandwidth_oracle, kernel_cdf_oracle, ks_d_oracle, ks_kernel_mean_reference
 
 
 # ---------------------------------------------------------------- bandwidth
@@ -89,6 +90,15 @@ def test_kernel_cdf_matches_loop_oracle():
         assert abs(float(ms.kernel_cdf(est, t)) - ref) < 1e-12
 
 
+def test_kernel_cdf_rejects_a_bad_bandwidth_or_center():
+    centers = np.array([0.0, 1.0, 2.0])
+    for h in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            ms.kernel_cdf(ms.KernelEstimate(centers=centers, bandwidth=h), 0.5)
+    with pytest.raises(ValueError, match="centers finite"):
+        ms.kernel_cdf(ms.KernelEstimate(centers=np.array([0.0, np.nan, 2.0]), bandwidth=1.0), 0.5)
+
+
 def test_kernel_cdf_monotone_on_grid():
     rng = np.random.default_rng(31)
     est = ms.KernelEstimate(centers=rng.normal(0, 1, 7), bandwidth=0.5)
@@ -126,6 +136,50 @@ def test_ks_d_rows_match_loop_oracle_across_families(N):
     for x, got_d, got_h in zip(rows, d, h):
         assert abs(got_d - ks_d_oracle(x)) < 1e-12
         assert got_h == pytest.approx(bandwidth_oracle(x), rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [3, 4, 6, 8, 20, 30, 50])
+def test_d_rows_match_the_full_kernel_reference(N):
+    # pair-segment sums against the (rows, N^2) kernel averaged by numpy
+    rng = np.random.default_rng(300 + N)
+    rows = np.vstack([
+        rng.normal(5, 2, (100, N)),
+        rng.standard_cauchy((100, N)),
+        np.round(rng.normal(0, 2, (100, N))),  # ties
+        rng.chisquare(3, (100, N)),
+        np.full((2, N), 4.0),  # flat
+        np.full((2, N), 1e200) * np.arange(N),  # s overflows
+    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        d, h, _ = _d_rows(rows)
+        d_ref, h_ref, _ = ks_kernel_mean_reference(rows)
+    np.testing.assert_allclose(d, d_ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(h, h_ref, rtol=1e-14, atol=0)
+    assert np.all(d[-4:-2] == 0.0) and np.all(h[-4:-2] == 0.0)
+    assert np.isnan(d[-2:]).all() and np.isnan(h[-2:]).all()
+
+
+def test_d_blocks_memory_stays_below_one_full_kernel():
+    # 20,000 x 20 is 31 blocks of 655 rows. Summing pair segments peaks at
+    # 0.82 MiB; building each block's (655, 400) kernel (2 MiB) peaked at 3.76 MiB.
+    rows = np.random.default_rng(81).normal(0, 1, (20_000, 20))
+    tracemalloc.start()
+    try:
+        d, _ = _d_blocks(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(d).all()
+    assert peak < 2 * 2**20
+
+
+def test_ks_needs_three_observations():
+    values = np.random.default_rng(61).normal(0, 1, (5, 2))
+    with pytest.raises(ValueError, match="need at least 3 observations"):
+        ms.score_matrix_ks(_matrix(values, 1), replicates=1000)
+    for N in (1, 2):
+        with pytest.raises(ValueError, match="need at least 3 observations"):
+            ms.lilliefors_pvalue(0.5, N, replicates=1000)
 
 
 def test_ks_d_near_normal_quantiles_is_small():
@@ -168,6 +222,21 @@ def test_lilliefors_rejects_bad_inputs():
         ms.lilliefors_pvalue(1.5, 6, replicates=1000)
     with pytest.raises(ValueError):
         ms.lilliefors_pvalue(0.5, 6, replicates=10)
+
+
+def test_mc_pvalue_matches_brute_force_count():
+    rng = np.random.default_rng(67)
+    table = np.sort(rng.choice(np.linspace(0.01, 0.5, 40), 1000))  # tied entries
+    d = np.concatenate([
+        table[[0, 7, 500, 999]],  # equal to entries
+        table[[500, 500, 7]],  # repeated
+        [0.0, table[0] - 1e-12],  # below the minimum
+        [0.9, table[-1] + 1e-12],  # above the maximum
+        rng.uniform(0.0, 0.6, 50),
+    ])
+    d = d[rng.permutation(len(d))]
+    brute = np.array([(1 + np.sum(table >= v)) / (table.size + 1) for v in d])
+    assert _mc_pvalue(table, d).tobytes() == brute.tobytes()
 
 
 def test_lilliefors_median_self_consistency():

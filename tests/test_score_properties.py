@@ -33,6 +33,7 @@ ALL_DEGENERATE = (3, 0, 0, 1, 1.0, 2)
 def _matrix(design, stat) -> ms.ExpressionMatrix:
     p, k1, k2, seed, degenerate_share, half = design
     n1, n2 = MIN_N[stat] + k1, MIN_N[stat] + k2
+    n2 = max(n2, 3 - n1)  # ks needs three observations in all
     rng = np.random.default_rng(seed)
     values = rng.integers(-half, half + 1, (p, n1 + n2)).astype(float)
     flat = rng.random(p) < degenerate_share
