@@ -154,10 +154,10 @@ def fit_pooled_normal(x) -> PooledFit:
     x = np.asarray(x, dtype=float).ravel()
     if x.size < 2:
         raise ValueError("need at least 2 observations")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("non-finite observations")
-    mu = float(np.mean(x))
-    ss = np.sum((x - mu) ** 2)
+    mu = float(np.add.reduce(x) / x.size)
+    ss = np.add.reduce(np.square(x - mu))
     sigma2 = float(ss / x.size)
     if sigma2 <= 0.0:
         raise DegenerateData("all observations identical, zero pooled variance")
@@ -173,83 +173,83 @@ def fit_mixture_fixed_weights(
 ) -> MixtureFit:
     """EM fixed point of the two-component normal mixture with weights n_l/N.
 
-    The start set (decisions ledger D14) runs as columns of one array. Start 0
-    is the pooled single normal, a stationary point of the EM map that never
-    iterates and keeps fit_pooled_normal's loglik. Each other start iterates
-    until |delta loglik| < EM_TOL, until a component loses all responsibility
-    (keeping its last fit) or for max_iter steps. The first start with the
-    highest loglik wins, a NaN loglik counting as -inf, so the fit never
-    falls below the pooled one.
+    Start 0 of the start set (decisions ledger D14) is the pooled normal, a
+    stationary point of the EM map that keeps fit_pooled_normal's loglik.
+    Each other start iterates until |delta loglik| < EM_TOL, until a
+    component loses all responsibility (keeping its last fit) or for
+    max_iter steps. The first start with the highest loglik wins, a NaN
+    loglik counting as -inf, so the fit never falls below the pooled one.
+    The S starts still iterating are the columns of (2, S, 1) arrays. At no
+    more than 2 x 3 x N numbers, numpy's price per call outweighs the
+    arithmetic: constants are 0-d arrays, and the stop tests and the
+    write-back run on Python lists.
     Non-convergence is reported through converged=False, never raised.
     """
     x = np.asarray(x, dtype=float).ravel()
     if n1 < 1 or n2 < 1 or n1 + n2 != x.size:
         raise ValueError("n1 and n2 must be positive and sum to len(x)")
     pooled = fit_pooled_normal(x)  # raises DegenerateData on flat rows
-    w = np.array([n1, n2]) / x.size
-    log_w = np.log(w)[:, None, None]
-    floor = VARIANCE_FLOOR_REL * pooled.sigma2
-    sd = np.sqrt(pooled.sigma2)
-    var = [pooled.sigma2] * 2
-    # one column per start: pooled, condition split, pooled mean +/- one sd, range
-    mu = np.array([[pooled.mu] * 2, [x[:n1].mean(), x[n1:].mean()],
-                   [pooled.mu - sd, pooled.mu + sd], [x.min(), x.max()]]).T
-    s2 = np.array([var, np.maximum([x[:n1].var(), x[n1:].var()], floor), var, var]).T
-    ll = np.full(4, pooled.loglik)
-    iterations = np.zeros(4, int)
-    converged = np.arange(4) == 0
+    mu, var = pooled.mu, pooled.sigma2
+    w = [n1 / x.size, n2 / x.size]
+    half, one, two_pi, floor = map(np.array, (0.5, 1.0, 2 * np.pi, VARIANCE_FLOOR_REL * var))
+    x1, x2 = x[:n1], x[n1:]
+    m1, m2 = np.add.reduce(x1) / n1, np.add.reduce(x2) / n2
+    v1, v2 = np.add.reduce(np.square(x1 - m1)) / n1, np.add.reduce(np.square(x2 - m2)) / n2
+    sd = np.sqrt(var)
+    # one column per start: condition split, pooled mean -/+ one sd, range;
+    # the floor leaves the pooled variance as it is
+    m = np.array([[m1, mu - sd, x.min()], [m2, mu + sd, x.max()]]).reshape(2, 3, 1)
+    v = np.maximum([[v1, var, var], [v2, var, var]], floor).reshape(2, 3, 1)
+    fits = {0: (mu, mu, var, var, pooled.loglik, 0, True)}
 
-    def stop(starts, m, v, fit_ll, it, conv):
-        """Record the last fit of the starts that stop iterating at step it."""
-        mu[:, starts] = m
-        s2[:, starts] = v
-        ll[starts] = fit_ll
-        iterations[starts] = it
-        converged[starts] = conv
+    def stop(live, stops, m, v, ll, it, converged):
+        """Record the fits of the starts flagged in stops; return the others."""
+        rows = zip(live, *m[..., 0].tolist(), *v[..., 0].tolist(), ll, stops)
+        fits.update((start, (*fit, it, converged)) for start, *fit, s in rows if s)
+        keep = [k for k, s in enumerate(stops) if not s]
+        return keep, [live[k] for k in keep], [ll[k] for k in keep]
 
-    # the starts still iterating, their fit (m, v), its loglik and (x - m)^2
-    rows = np.arange(1, 4)
-    m = mu[:, 1:]
-    v = s2[:, 1:]
-    fit_ll = None
-    d2 = (x - m[..., None]) ** 2
+    # the live starts, log w and x per start, the fit (m, v), its loglik, (x - m)^2
+    live = [1, 2, 3]
+    lw = np.log(w).repeat(3).reshape(2, 3, 1)
+    xs = x[None].repeat(6, 0).reshape(2, 3, x.size)
+    ll = None
+    d2 = np.square(x - m)
     it = 0
     while True:
         # log(w_l N(x | m_l, v_l)), shape (2, S, N), and its log-sum over l
-        lp = log_w - 0.5 * np.log(2 * np.pi * v)[..., None] - 0.5 * d2 / v[..., None]
+        lp = lw - half * np.log(two_pi * v) - half * d2 / v
         lse = np.logaddexp(lp[0], lp[1])
-        prev_ll = fit_ll
-        fit_ll = np.add.reduce(lse, 1)
+        prev, ll = ll, np.add.reduce(lse, 1).tolist()
         if it:
             if debug_monotone:
-                assert np.all(fit_ll >= prev_ll - 1e-9), "EM log-likelihood decreased"
-            done = np.abs(fit_ll - prev_ll) < EM_TOL
-            if np.count_nonzero(done):
-                stop(rows[done], m[:, done], v[:, done], fit_ll[done], it, True)
-                keep = ~done
-                rows, fit_ll, lse = rows[keep], fit_ll[keep], lse[keep]
-                m, v, lp = m[:, keep], v[:, keep], lp[:, keep]
-        if it >= max_iter or not rows.size:
+                assert all(a >= b - 1e-9 for a, b in zip(ll, prev)), "EM log-likelihood decreased"
+            done = [abs(a - b) < EM_TOL for a, b in zip(ll, prev)]
+            if any(done):
+                keep, live, ll = stop(live, done, m, v, ll, it, True)
+                lw, xs, m, v, lp = (a[:, keep] for a in (lw, xs, m, v, lp))
+                lse = lse[keep]
+        if it >= max_iter or not live:
             break
         it += 1
-        r = np.empty((2, rows.size, x.size))  # E-step in log space; r_1 = 1 - r_0
-        np.subtract(1.0, np.exp(lp[0] - lse, out=r[0]), out=r[1])
-        t = np.add.reduce(r, 2)
-        if np.count_nonzero(t <= 0):  # a component lost all responsibility
-            lost = np.logical_or.reduce(t <= 0, 0)
-            stop(rows[lost], m[:, lost], v[:, lost], fit_ll[lost], it, False)
-            keep = ~lost
-            rows, fit_ll = rows[keep], fit_ll[keep]
-            r, t = r[:, keep], t[:, keep]
+        # E-step in log space, r_1 = 1 - r_0; r and r x are summed in one call
+        rx = np.empty((2, 2, len(live), x.size))
+        r = rx[0]
+        np.subtract(one, np.exp(lp[0] - lse, out=r[0]), out=r[1])
+        np.multiply(r, xs, out=rx[1])
+        sums = np.add.reduce(rx, 3, keepdims=True)
+        t, sx = sums[0], sums[1]
+        lost = [t0 <= 0 or t1 <= 0 for t0, t1 in zip(*t[..., 0].tolist())]
+        if any(lost):  # a component lost all responsibility
+            keep, live, ll = stop(live, lost, m, v, ll, it, False)
+            lw, xs, r, t, sx = (a[:, keep] for a in (lw, xs, r, t, sx))
         # M-step: weighted means and variances, variances floored
-        m = np.add.reduce(r * x, 2) / t
-        d2 = (x - m[..., None]) ** 2
-        v = np.maximum(np.add.reduce(r * d2, 2) / t, floor)
-    stop(rows, m, v, fit_ll, it, False)
-
-    best = int(np.argmax(np.where(np.isnan(ll), -np.inf, ll)))
-    return MixtureFit(*mu[:, best].tolist(), *s2[:, best].tolist(), *w.tolist(),
-                      ll[best].item(), iterations[best].item(), converged[best].item())
+        m = sx / t
+        d2 = np.square(x - m)
+        v = np.maximum(np.add.reduce(r * d2, 2, keepdims=True) / t, floor)
+    stop(live, [True] * len(live), m, v, ll, it, False)
+    best = max(map(fits.get, range(4)), key=lambda fit: fit[4] if fit[4] == fit[4] else -np.inf)
+    return MixtureFit(*best[:4], *w, *best[4:])
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -328,8 +328,8 @@ def deviance_lr(x, n1: int, n2: int) -> ProteinScore:
     and the p-value is the chi-square(2 df) survival exp(-value/2). The
     attached MixtureFit diagnostic holds the per-condition parameters with
     the design weights; its loglik is the condition-assigned likelihood, so
-    value == 2*(MixtureFit.loglik - PooledFit.loglik) exactly. The row is
-    named P0001.
+    value equals 2*(MixtureFit.loglik - PooledFit.loglik) up to rounding.
+    The row is named P0001.
     """
     x = np.asarray(x, dtype=float).ravel()
     if n1 < 2 or n2 < 2:

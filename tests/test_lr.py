@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -152,17 +153,22 @@ def _fit_or_error(fit, *args, **kwargs):
 
 
 @pytest.mark.parametrize("max_iter, debug_monotone", [
-    (1, False), (2, False), (ms.lr.EM_MAX_ITER, False), (ms.lr.EM_MAX_ITER, True),
+    (0, False), (1, False), (2, False), (3, False), (ms.lr.EM_MAX_ITER, False),
+    (ms.lr.EM_MAX_ITER, True),
 ])
 def test_mixture_matches_scalar_multistart_reference(max_iter, debug_monotone):
     # the starts batched as columns of one array give the scalar loop's fit
-    # exactly; the rows near 1e153 overflow, and one turns NaN, on purpose
+    # exactly, in builtin types; only the rows near 1e153 overflow, and one
+    # turns NaN, on purpose: every other row raises on a floating-point fault
     for x, n1, n2 in _em_parity_rows():
-        with np.errstate(over="ignore", invalid="ignore"):
+        faults = "ignore" if np.abs(x).max() > 1e150 else "raise"
+        with np.errstate(over=faults, invalid=faults, divide="raise"):
             fit = _fit_or_error(ms.fit_mixture_fixed_weights, x, n1, n2, max_iter=max_iter,
                                 debug_monotone=debug_monotone)
             assert fit == _fit_or_error(em_multistart_reference, x, n1, n2, max_iter=max_iter,
                                         debug_monotone=debug_monotone)
+        if not isinstance(fit, str):
+            assert [type(v) for v in astuple(fit)] == [float] * 7 + [int, bool]
 
 
 # ----------------------------------------------------------------- deviance
