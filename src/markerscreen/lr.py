@@ -18,8 +18,9 @@ condition labels and asks only whether the pooled sample looks bimodal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -75,8 +76,12 @@ class ProteinScore:
 
 
 @lru_cache(maxsize=8)
-def _id_column(ids: tuple[str, ...]) -> np.ndarray:
-    """Read-only ids array of a tuple, shared by every ScoreTable over it."""
+def _id_column(ids: tuple) -> np.ndarray | None:
+    """Read-only ids array of a tuple of str, shared by every ScoreTable over
+    it, or None for a tuple holding anything else: equal tuples of other ids,
+    like (1,) and (1.0,), format apart. The check runs once per tuple."""
+    if not set(map(type, ids)) <= {str}:
+        return None
     column = np.array(ids, dtype=str)
     column.setflags(write=False)
     return column
@@ -88,6 +93,9 @@ class ScoreTable:
 
     ids, value, p_value and degenerate are length-p arrays, held read-only; a
     NaN value or p-value raises ValueError naming the first such protein.
+    Tables over one tuple of str ids share one ids array, converted and
+    checked once per tuple. A table holds no ranking: select.py ranks the
+    rows a selection can return or show (DECISIONS.md D17).
     fits, set only by lr scoring with diagnostics, is a (p, 10) array of
     per-row fits with columns mu1, mu2, sigma21, sigma22, w1, w2, split
     loglik, pooled mu, pooled sigma2, pooled loglik. len(), table[j] and
@@ -102,14 +110,17 @@ class ScoreTable:
     fits: np.ndarray | None = None
 
     def __post_init__(self):
-        # Only str tuples share a cached array: equal tuples of other ids, like
-        # (1,) and (1.0,), format apart. Each table holds a view of it, which
-        # cannot be made writeable again.
-        shared = isinstance(self.ids, tuple) and set(map(type, self.ids)) <= {str}
+        # Each table holds a view of a shared ids array, which cannot be made
+        # writeable again. A tuple with an unhashable id goes the other way,
+        # to fail its shape check.
+        try:
+            shared = _id_column(self.ids) if isinstance(self.ids, tuple) else None
+        except TypeError:
+            shared = None
         for name, dtype in (("ids", str), ("value", float), ("p_value", float),
                             ("degenerate", bool)):
-            if name == "ids" and shared:
-                column = _id_column(self.ids).view()
+            if name == "ids" and shared is not None:
+                column = shared.view()
             else:
                 column = np.array(getattr(self, name), dtype=dtype)
                 column.setflags(write=False)
@@ -137,11 +148,6 @@ class ScoreTable:
                     MixtureFit(*fit[:7], iterations=0, converged=True), PooledFit(*fit[7:])))
                 for pid, value, p, degenerate, fit in zip(*columns, fits))
 
-    @cached_property
-    def order(self) -> np.ndarray:
-        """Row indices by descending value, ties broken by ascending id."""
-        return np.lexsort((self.ids, -self.value))
-
 
 def _normal_loglik(n: int, ss, sigma2):
     """Normal log-likelihood of n points whose squared deviations from the
@@ -150,7 +156,12 @@ def _normal_loglik(n: int, ss, sigma2):
 
 
 def fit_pooled_normal(x) -> PooledFit:
-    """Closed-form pooled-normal MLE over all N observations."""
+    """Closed-form pooled-normal MLE over all N observations.
+
+    Raises ValueError on non-finite observations and on finite ones whose
+    sum of squared deviations overflows (or whose sum does), as the scorers
+    do, and DegenerateData when all observations are equal.
+    """
     x = np.asarray(x, dtype=float).ravel()
     if x.size < 2:
         raise ValueError("need at least 2 observations")
@@ -161,6 +172,8 @@ def fit_pooled_normal(x) -> PooledFit:
     sigma2 = float(ss / x.size)
     if sigma2 <= 0.0:
         raise DegenerateData("all observations identical, zero pooled variance")
+    if not math.isfinite(sigma2):
+        raise ValueError("pooled variance overflows")
     return PooledFit(mu=mu, sigma2=sigma2, loglik=float(_normal_loglik(x.size, ss, sigma2)))
 
 

@@ -44,6 +44,12 @@ def _default_ids(p: int) -> tuple[str, ...]:
     return tuple(f"P{i + 1:0{width}d}" for i in range(p))
 
 
+class _UniqueIds(tuple):
+    """Protein ids already checked to be unique strs, one per row, as
+    ingest_matrix checks them while it reads: ExpressionMatrix keeps them
+    without a second pass."""
+
+
 @dataclass(frozen=True)
 class ExpressionMatrix:
     """Proteins-by-samples intensity table with a two-condition layout.
@@ -73,7 +79,9 @@ class ExpressionMatrix:
             raise ValueError("both conditions need at least one sample")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "layout", layout)
-        if self.protein_ids:
+        if isinstance(self.protein_ids, _UniqueIds):
+            ids = self.protein_ids
+        elif self.protein_ids:
             ids = tuple(str(i) for i in self.protein_ids)
             if len(ids) != values.shape[0]:
                 raise ValueError("protein_ids length must equal protein count")

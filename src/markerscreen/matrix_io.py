@@ -18,7 +18,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from .errors import LayoutError, ParseError
-from .matrix import ExpressionMatrix, rows_per_block
+from .matrix import ExpressionMatrix, _UniqueIds, rows_per_block
 
 _QUOTED_CHARS = frozenset(',"\r\n')  # csv.writer quotes a cell holding any of these
 
@@ -109,7 +109,7 @@ def ingest_matrix(path: str, layout_spec: str | None = None) -> ExpressionMatrix
     else:
         header, ids, values, meta = read
     layout = _parse_layout_spec(layout_spec, header[1:], meta.get("layout"))
-    return ExpressionMatrix(values=values, layout=layout, protein_ids=tuple(ids))
+    return ExpressionMatrix(values=values, layout=layout, protein_ids=_UniqueIds(ids))
 
 
 def _check_header(header: list[str], path: str) -> None:

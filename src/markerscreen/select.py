@@ -24,7 +24,7 @@ GAP_WINDOW = 100  # the gap rule reads only the top of the ranked curve
 # A winning drop must be a >= 50% step down in level; smaller ratios are
 # indistinguishable from the top-rank spacing noise of pure-null curves.
 MIN_GAP_RATIO = 1.5
-PREVIEW_SIZE = 100
+PREVIEW_SIZE = GAP_WINDOW  # the preview shows the curve the gap rule reads
 
 
 @dataclass(frozen=True)
@@ -60,13 +60,37 @@ class SelectionResult:
         return frozenset(self.selected)
 
 
+def _rank(scores: ScoreTable, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The ascending row indices `rows` by ascending keys (one per row), ties
+    broken by ascending id: the one tie rule of every selection and preview.
+    Ranking a subset keeps the order the rows have in the whole table."""
+    return rows[np.lexsort((scores.ids[rows], keys))]
+
+
+def _by_value(scores: ScoreTable, floor: float) -> np.ndarray:
+    """The rows whose value is >= floor, by descending value."""
+    rows = np.flatnonzero(scores.value >= floor)
+    return _rank(scores, rows, -scores.value[rows])
+
+
+def _window(scores: ScoreTable) -> np.ndarray:
+    """The rows at or above the GAP_WINDOW-th largest value (every row of a
+    smaller table), by descending value. Its first GAP_WINDOW rows are the
+    top of the whole ranked curve, and its value ties are all in it."""
+    k = len(scores) - GAP_WINDOW
+    return _by_value(scores, np.partition(scores.value, k)[k] if k > 0 else -np.inf)
+
+
 def _result(scores: ScoreTable, cutoff: float, policy: SelectionPolicy,
-            chosen: np.ndarray | None = None) -> SelectionResult:
+            window: np.ndarray, chosen: np.ndarray | None = None) -> SelectionResult:
     """A selection of the row indices `chosen`, by default the ranked rows
-    whose value is >= cutoff, previewing the top of the ranked curve."""
+    whose value is >= cutoff, previewing the top of the ranked window."""
     if chosen is None:
-        chosen = scores.order[scores.value[scores.order] >= cutoff]
-    top = scores.order[:PREVIEW_SIZE]
+        ranked = window
+        if len(window) < len(scores) and cutoff < scores.value[window[-1]]:
+            ranked = _by_value(scores, cutoff)  # the cutoff reaches below the window
+        chosen = ranked[scores.value[ranked] >= cutoff]
+    top = window[:PREVIEW_SIZE]
     return SelectionResult(
         selected=tuple(scores.ids[chosen].tolist()),
         cutoff_used=float(cutoff),
@@ -78,7 +102,7 @@ def _result(scores: ScoreTable, cutoff: float, policy: SelectionPolicy,
 def select_fixed(scores: ScoreTable, c: float) -> SelectionResult:
     """Select every protein whose statistic is >= c (ties at c included)."""
     policy = SelectionPolicy(kind="fixed_cutoff", c=float(c))  # validates c > 0
-    return _result(scores, c, policy)
+    return _result(scores, c, policy, _window(scores))
 
 
 def select_gap(scores: ScoreTable) -> SelectionResult:
@@ -90,12 +114,17 @@ def select_gap(scores: ScoreTable) -> SelectionResult:
     s_i - s_{i+1} >= 0.1 * (s_1 - s_w) / w, ties to the smaller i, and
     requires the winning ratio to reach MIN_GAP_RATIO. Curves without such
     a cliff raise NoGapFound; callers fall back to BH selection
-    (see apply_policy).
+    (see apply_policy). Only the rows at or above the GAP_WINDOW-th largest
+    value are ranked, by descending value and then ascending id.
     """
+    return _gap(scores, _window(scores))
+
+
+def _gap(scores: ScoreTable, window: np.ndarray) -> SelectionResult:
     if len(scores) < 2:
         raise ValueError("need at least 2 scores")
     w = min(GAP_WINDOW, len(scores))
-    top = scores.value[scores.order[:w]]
+    top = scores.value[window[:w]]
 
     span = top[0] - top[-1]
     if span <= 0:
@@ -111,18 +140,30 @@ def select_gap(scores: ScoreTable) -> SelectionResult:
             f"no drop with ratio >= {MIN_GAP_RATIO} in the top {w} values"
         )
     cutoff = 0.5 * (top[i] + top[i + 1])  # just below s_i
-    return _result(scores, cutoff, SelectionPolicy(kind="gap_knee"))
+    return _result(scores, cutoff, SelectionPolicy(kind="gap_knee"), window)
 
 
 def select_bh(scores: ScoreTable, q: float) -> SelectionResult:
-    """Benjamini-Hochberg step-up on the scores' p-values at level q."""
+    """Benjamini-Hochberg step-up on the scores' p-values at level q.
+
+    Rows are ranked by ascending p-value, ties by ascending id, and the k
+    smallest are selected for the largest rank k with p_(k) <= k*q/m. Only
+    the rows with p <= m*q/m, the largest of those thresholds in the same
+    floating-point operations, can pass at any rank; they are the ones
+    ranked. An empty table selects nothing, with a NaN cutoff.
+    """
+    return _bh(scores, q, _window(scores))
+
+
+def _bh(scores: ScoreTable, q: float, window: np.ndarray) -> SelectionResult:
     policy = SelectionPolicy(kind="bh_fdr", q=float(q))  # validates 0 < q < 1
-    m = len(scores)
-    by_p = np.lexsort((scores.ids, scores.p_value))
+    q, m = policy.q, len(scores)
+    rows = np.flatnonzero(scores.p_value <= m * q / max(m, 1))
+    by_p = _rank(scores, rows, scores.p_value[rows])
     pvals = scores.p_value[by_p]
-    passing = np.flatnonzero(pvals <= (np.arange(1, m + 1) * q / m))
+    passing = np.flatnonzero(pvals <= (np.arange(1, len(by_p) + 1) * q / m))
     k = int(passing[-1]) + 1 if passing.size else 0
-    return _result(scores, pvals[k - 1] if k else float("nan"), policy, by_p[:k])
+    return _result(scores, pvals[k - 1] if k else float("nan"), policy, window, by_p[:k])
 
 
 def apply_policy(scores: ScoreTable, policy: SelectionPolicy) -> SelectionResult:
@@ -130,14 +171,15 @@ def apply_policy(scores: ScoreTable, policy: SelectionPolicy) -> SelectionResult
     exists, or raise NoGapFound when policy.q is None (strict)."""
     if policy.kind == "fixed_cutoff":
         return select_fixed(scores, policy.c)
+    window = _window(scores)  # ranked once for the gap rule, its fallback and the preview
     if policy.kind == "bh_fdr":
-        return select_bh(scores, policy.q)
+        return _bh(scores, policy.q, window)
     try:
-        return select_gap(scores)
+        return _gap(scores, window)
     except NoGapFound:
         if policy.q is None:
             raise
-        result = select_bh(scores, policy.q)
+        result = _bh(scores, policy.q, window)
         result.fallback_used = True
         return result
 

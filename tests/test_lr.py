@@ -32,6 +32,18 @@ def test_pooled_fit_zero_variance_raises():
         ms.fit_pooled_normal([5.0, 5.0, 5.0, 5.0])
 
 
+@pytest.mark.parametrize("x", [
+    [1e200, -1e200, 0.0, 5.0],  # the squares overflow
+    [1e308, 1e308, -1e308, -1e308],  # the sum overflows
+])
+def test_pooled_and_mixture_fits_reject_an_overflowing_variance(x):
+    # finite samples, as deviance_lr rejects them: no inf variance, no NaN loglik
+    for fit in (ms.fit_pooled_normal, lambda x: ms.fit_mixture_fixed_weights(x, 2, 2)):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="pooled variance overflows"):
+            fit(x)
+
+
 def test_pooled_fit_matches_direct_formula_oracle():
     rng = np.random.default_rng(314)
     x = rng.normal(15.0, math.sqrt(2.23), size=20)
@@ -304,6 +316,8 @@ def test_score_tables_keep_their_own_explicit_ids():
     for ids in ((1, 2), (1.0, 2.0)):  # equal tuples, different ids
         table = ms.ScoreTable(ids, "deviance_lr", [0.0, 0.0], [1.0, 1.0], [True, True])
         assert table.ids.tolist() == [str(i) for i in ids]
+    with pytest.raises(ValueError, match="one entry per protein id"):  # unhashable ids
+        ms.ScoreTable((["A"], ["B"]), "deviance_lr", [0.0, 0.0], [1.0, 1.0], [True, True])
 
 
 def test_score_table_iteration_matches_indexing():

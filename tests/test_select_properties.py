@@ -1,8 +1,9 @@
 """Property tests: columnar selection against the list-sorting oracles.
 
-Random tables of 1..200 rows with heavily tied values, tied p-values,
-degenerate rows (value 0, p 1) and ids whose string order differs from
-their row order.
+Random tables of 1..1,000 rows with heavily tied values, tied p-values,
+degenerate rows (value 0, p 1), ties straddling the 100th-largest value
+(the edge of the ranked window the gap rule and the preview read) and ids
+whose string order differs from their row order.
 """
 
 import math
@@ -24,15 +25,19 @@ PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=
 def tables(draw):
     """Hypothesis picks the shape and the tie and degenerate shares; numpy
     fills the rows from a drawn seed."""
-    p = draw(st.integers(1, 200))
+    p = draw(st.one_of(st.integers(1, 200), st.integers(201, 1000)))
     tie_share = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
     degenerate_share = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    straddle = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = rng.uniform(-5.0, 60.0, draw(st.integers(1, 5)))
     plevels = rng.choice([0.0, 1e-4, 0.01, 0.05, 0.3, 1.0], draw(st.integers(1, 4)))
     tied = rng.random(p) < tie_share
     value = np.where(tied, rng.choice(levels, p), rng.uniform(-5.0, 60.0, p))
     pval = np.where(tied, rng.choice(plevels, p), rng.uniform(0.0, 1.0, p))
+    if straddle and p > 100:  # one value from about rank 80 to about rank 130
+        ranked = np.argsort(-value, kind="stable")
+        value[ranked[rng.integers(80, 100):rng.integers(101, min(p, 130) + 1)]] = value[ranked[99]]
     degenerate = rng.random(p) < degenerate_share
     ids = [f"P{k}" for k in rng.permutation(p)]  # "P10" sorts before "P9"
     return ms.ScoreTable(ids, "deviance_lr", np.where(degenerate, 0.0, value),
@@ -78,6 +83,33 @@ def test_gap_matches_list_oracle(table):
 @given(tables(), st.floats(0.01, 0.5))
 def test_bh_matches_list_oracle(table, q):
     _same(ms.select_bh(table, q), bh_selection_oracle(_rows(table), q))
+
+
+# m*q/m, the largest BH threshold, rounds above q at m = 3 and 12 and below
+# it at m = 29 and 43; a row at either value may pass only at rank m.
+@pytest.mark.parametrize("m,q", [(3, 0.1), (10, 0.1), (12, 0.05), (29, 0.01), (43, 0.1)])
+@pytest.mark.parametrize("at", ["q", "m*q/m"])
+@pytest.mark.parametrize("below", [0, 1, 2])
+def test_bh_at_the_largest_threshold_matches_list_oracle(m, q, at, below):
+    level = q if at == "q" else m * q / m
+    rng = np.random.default_rng(m)
+    pval = np.full(m, level)
+    pval[:below * m // 3] = rng.uniform(0.0, level, below * m // 3)
+    ids = [f"P{k}" for k in rng.permutation(m)]
+    table = ms.ScoreTable(ids, "deviance_lr", rng.uniform(0.0, 60.0, m), pval, [False] * m)
+    result = ms.select_bh(table, q)
+    _same(result, bh_selection_oracle(_rows(table), q))
+    if below == 0:  # every row at the level: all pass exactly when it is <= m*q/m
+        assert len(result.selected) == (m if level <= m * q / m else 0)
+
+
+def test_bh_on_an_empty_table_selects_nothing():
+    empty = ms.ScoreTable((), "deviance_lr", [], [], [])
+    for result in (ms.select_bh(empty, 0.1),
+                   ms.apply_policy(empty, ms.SelectionPolicy(kind="bh_fdr", q=0.1))):
+        assert result.selected == ()
+        assert math.isnan(result.cutoff_used)
+        assert result.sorted_preview == ()
 
 
 @PROPERTY
