@@ -11,7 +11,7 @@ from scipy import special
 from ._rng import derive_seed, substream
 from .errors import MarkerScreenError, TruthMismatch
 from .ks import score_matrix_ks
-from .lr import ScoreTable, _deviance_core, score_matrix_lr
+from .lr import ScoreTable, _deviance_core, _sorted_moments, score_matrix_lr
 from .matrix import ExpressionMatrix
 from .select import SelectionResult, apply_policy, parse_policy
 from .simulate import generate, presets
@@ -99,22 +99,20 @@ def score_against_truth(result: SelectionResult, truth: dict) -> TruthScore:
 
 
 def ttest_baseline(m: ExpressionMatrix) -> ScoreTable:
-    """Per-protein Welch two-sample t-test (two-sided).
+    """Per-protein Welch two-sample t-test (two-sided), moments as in D18.
 
     Unequal variances, Welch-Satterthwaite degrees of freedom. Rows where
     both sample variances vanish are unscorable and get t = 0, p = 1.
     """
-    mask1, mask2 = m.condition_masks()
-    x1, x2 = m.values[:, mask1], m.values[:, mask2]
-    n1, n2 = x1.shape[1], x2.shape[1]
+    (x1, m1, ss1), (x2, m2, ss2) = (_sorted_moments(m.values[:, c]) for c in m.condition_masks())
+    n1, n2 = len(x1), len(x2)
     if n1 < 2 or n2 < 2:
         raise ValueError("Welch test needs at least 2 samples per condition")
-    v1 = x1.var(axis=1, ddof=1)
-    v2 = x2.var(axis=1, ddof=1)
+    v1, v2 = ss1 / (n1 - 1), ss2 / (n2 - 1)
     se2 = v1 / n1 + v2 / n2
     degenerate = se2 == 0.0
     safe = np.where(degenerate, 1.0, se2)
-    t = (x1.mean(axis=1) - x2.mean(axis=1)) / np.sqrt(safe)
+    t = (m1 - m2) / np.sqrt(safe)
     df_num = safe**2
     df_den = (v1 / n1) ** 2 / (n1 - 1) + (v2 / n2) ** 2 / (n2 - 1)
     df = df_num / np.where(df_den == 0.0, 1.0, df_den)

@@ -27,7 +27,7 @@ from scipy.special import ndtr
 
 from ._rng import substream
 from .errors import DegenerateData
-from .lr import ScoreTable, _row_sums
+from .lr import ScoreTable, _sorted_moments
 from .matrix import ExpressionMatrix, regime, rows_per_block
 
 DEFAULT_REPLICATES = 10000
@@ -101,8 +101,8 @@ def _d_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     fitted with the MLE variance, evaluated at the observed points only.
 
     Everything comes from one sorted copy of the rows, held as N contiguous
-    columns x_0 <= ... <= x_{N-1}: the moments (lr._row_sums), the IQR, the
-    fitted-normal term and the kernel. Phi is evaluated once per sample pair
+    columns x_0 <= ... <= x_{N-1} (lr._sorted_moments): the moments, the IQR,
+    the fitted-normal term and the kernel. Phi is evaluated once per sample pair
     i < k, on z_ik = (x_i - x_k)/h <= 0 (its accurate lower tail), one
     segment of pairs k - i = t at a time. As Phi(-z) = 1 - Phi(z), the
     kernel CDF at x_j is g_j = (j + 1/2 + sum_{k>j} Phi(z_jk) - sum_{i<j}
@@ -113,9 +113,8 @@ def _d_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     N = rows.shape[1]
     if N < 3:
         raise ValueError("need at least 3 observations")
-    x = np.sort(rows, axis=1).T.copy()  # C-ordered (N, m), whatever the layout of rows
-    dev = x - _row_sums(x.T) / N
-    ss = _row_sums(np.square(dev).T)
+    x, mean, ss = _sorted_moments(rows)  # x is C-ordered (N, m), whatever the layout of rows
+    dev = x - mean
     s = np.sqrt(ss / (N - 1))
     d = np.where(np.isfinite(s), 0.0, np.nan)
     h = d.copy()

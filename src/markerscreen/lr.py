@@ -5,10 +5,11 @@ Each protein row is scored by the deviance of a per-condition normal model
 likelihood) against a single pooled normal. Variance estimates use the
 maximum-likelihood denominator n, not n-1. The deviance
 
-    dev = max(0, N ln v_pool - n1 ln v_1 - n2 ln v_2)
+    dev = max(0, N ln v_pool - (n1 ln v_1 + n2 ln v_2))
 
 is asymptotically chi-square with 2 degrees of freedom under the null, so
-p = exp(-dev/2) in closed form.
+p = exp(-dev/2) in closed form. Moments are summed over sorted samples and the
+condition terms added first, so scores ignore sample order and labels (DECISIONS.md D18).
 
 A fixed-weight two-component Gaussian mixture fitted by EM from a batch of
 starts (weights pinned at n1/N and n2/N, never updated) is also provided. It
@@ -170,7 +171,7 @@ def fit_pooled_normal(x) -> PooledFit:
     mu = float(np.add.reduce(x) / x.size)
     ss = np.add.reduce(np.square(x - mu))
     sigma2 = float(ss / x.size)
-    if sigma2 <= 0.0:
+    if sigma2 <= 0.0 or x.min() == x.max():
         raise DegenerateData("all observations identical, zero pooled variance")
     if not math.isfinite(sigma2):
         raise ValueError("pooled variance overflows")
@@ -266,53 +267,53 @@ def fit_mixture_fixed_weights(
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
-    """Row sums of a 2-D x, added column by column onto 0.0 as numpy reduces
-    a column-major matrix. A row's sum then has the same bits whatever the
-    layout, block or row count; numpy sums a lone contiguous row pairwise."""
+    """Row sums of a 2-D x, added column by column onto 0.0, so a row's sum has
+    the same bits whatever the layout, block or row count."""
     total = x[:, 0] + 0.0
     for k in range(1, x.shape[1]):
         total += x[:, k]
     return total
 
 
-def _moments(values: np.ndarray, n1: int):
-    """(mean, sum of squared deviations, MLE variance) per row of the pooled
-    row and of each condition, for rows laid out condition-1-first, with the
-    variances floored at VARIANCE_FLOOR_REL x pooled; and the
-    zero-pooled-variance mask."""
-    parts = []
-    for x in (values, values[:, :n1], values[:, n1:]):
-        mean = _row_sums(x) / x.shape[1]
-        ss = _row_sums((x - mean[:, None]) ** 2)
-        parts.append((mean, ss, ss / x.shape[1]))
-    vpool = parts[0][2]
-    floor = VARIANCE_FLOOR_REL * np.where(vpool > 0, vpool, 1.0)
-    return [(mean, ss, np.maximum(v, floor)) for mean, ss, v in parts], vpool == 0.0
+def _sorted_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(xs, mean, ss) of each row of a 2-D x: xs, the rows sorted, as the
+    columns x_0 <= ... <= x_{N-1} of a C-ordered (N, rows) array; the mean and
+    the sum of squared deviations, each summed over xs column by column
+    (DECISIONS.md D18). ss is exactly 0 on a row whose x_0 equals x_{N-1}."""
+    xs = x.T.copy()
+    if len(xs) > 4:
+        xs.sort(axis=0)
+    else:  # odd-even transposition: cheaper than numpy's sort call per row at N <= 4
+        for i in (i for k in range(len(xs)) for i in range(k % 2, len(xs) - 1, 2)):
+            xs[i], xs[i + 1] = np.minimum(xs[i], xs[i + 1]), np.maximum(xs[i], xs[i + 1])
+    mean = _row_sums(xs.T) / len(xs)
+    dev = xs - mean
+    ss = _row_sums(np.square(dev, out=dev).T)
+    ss[xs[0] == xs[-1]] = 0.0
+    return xs, mean, ss
 
 
-def _deviance_core(values: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized deviance over rows laid out condition-1-first.
-
-    Returns (deviance, degenerate_mask). Rows with zero pooled variance are
-    flagged degenerate and get deviance 0.
-    """
+def _deviance_core(values: np.ndarray, n1: int, fits=None) -> tuple[np.ndarray, np.ndarray]:
+    """(deviance, degenerate mask) of rows laid out condition-1-first; a row
+    with zero pooled variance is degenerate, with deviance 0. A (rows, 10)
+    fits array is filled with the ScoreTable.fits columns from the same
+    moments: the split fit, whose loglik is the condition-assigned
+    likelihood, and the pooled fit."""
     N = values.shape[1]
-    ((_, _, vpool), (_, _, v1), (_, _, v2)), degenerate = _moments(values, n1)
-    dev = N * np.log(vpool) - n1 * np.log(v1) - (N - n1) * np.log(v2)
-    dev = np.maximum(dev, 0.0)
+    (mu, ss), (m1, ss1), (m2, ss2) = (
+        _sorted_moments(x)[1:] for x in (values, values[:, :n1], values[:, n1:]))
+    vpool = ss / N
+    degenerate = vpool == 0.0
+    floor = VARIANCE_FLOOR_REL * np.where(degenerate, 1.0, vpool)
+    vpool, v1, v2 = (np.maximum(v, floor) for v in (vpool, ss1 / n1, ss2 / (N - n1)))
+    dev = np.maximum(N * np.log(vpool) - (n1 * np.log(v1) + (N - n1) * np.log(v2)), 0.0)
     dev[degenerate] = 0.0
+    if fits is not None:
+        split_ll = _normal_loglik(n1, ss1, v1) + _normal_loglik(N - n1, ss2, v2)
+        fits[:] = np.column_stack([m1, m2, v1, v2, np.full(len(dev), n1 / N),
+                                   np.full(len(dev), (N - n1) / N), split_ll, mu, vpool,
+                                   _normal_loglik(N, ss, vpool)])
     return dev, degenerate
-
-
-def _fit_columns(values: np.ndarray, n1: int) -> np.ndarray:
-    """ScoreTable.fits for rows laid out condition-1-first: the condition-split
-    fit with design weights, whose loglik is the condition-assigned
-    likelihood, and the pooled fit. Degenerate rows carry placeholders."""
-    p, N = values.shape
-    ((mu, ss, vpool), (m1, ss1, v1), (m2, ss2, v2)), _ = _moments(values, n1)
-    split_ll = _normal_loglik(n1, ss1, v1) + _normal_loglik(N - n1, ss2, v2)
-    return np.column_stack([m1, m2, v1, v2, np.full(p, n1 / N), np.full(p, (N - n1) / N),
-                            split_ll, mu, vpool, _normal_loglik(N, ss, vpool)])
 
 
 def _score_rows(values: np.ndarray, cols: np.ndarray, n1: int, ids,
@@ -325,9 +326,8 @@ def _score_rows(values: np.ndarray, cols: np.ndarray, n1: int, ids,
     step = rows_per_block(len(cols))
     for i in range(0, p, step):
         block = values[i:i + step][:, cols]
-        dev[i:i + step], degen[i:i + step] = _deviance_core(block, n1)
-        if diagnostics:
-            fits[i:i + step] = _fit_columns(block, n1)
+        dev[i:i + step], degen[i:i + step] = _deviance_core(
+            block, n1, None if fits is None else fits[i:i + step])
     pvals = np.exp(-dev / 2.0)
     pvals[degen] = 1.0
     return ScoreTable(ids, "deviance_lr", dev, pvals, degen, fits)

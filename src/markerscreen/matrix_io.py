@@ -256,8 +256,8 @@ def write_matrix(path: str, matrix: ExpressionMatrix, header_lines=()) -> None:
         step = rows_per_block(matrix.N + 1)
         for i in range(0, matrix.p, step):
             fh.write("".join([
-                f"{_field(pid)},{','.join(map(repr, row))}\r\n"
-                for pid, row in zip(matrix.protein_ids[i:i + step],
+                f"{pid},{','.join(map(repr, row))}\r\n"
+                for pid, row in zip(_fields(matrix.protein_ids[i:i + step]),
                                     matrix.values[i:i + step].tolist())
             ]))
 
@@ -282,12 +282,12 @@ def write_scores(path: str, scores, header_lines=()) -> None:
     blocks of rows."""
     with _artifact(path, header_lines) as fh:
         csv.writer(fh).writerow(["protein_id", "statistic_kind", "value", "p_value"])
-        kind = _field(scores.kind)
+        kind, = _fields([scores.kind])
         step = rows_per_block(4)
         for i in range(0, len(scores), step):
             fh.write("".join([
-                f"{_field(pid)},{kind},{value!r},{p_value!r}\r\n"
-                for pid, value, p_value in zip(scores.ids[i:i + step].tolist(),
+                f"{pid},{kind},{value!r},{p_value!r}\r\n"
+                for pid, value, p_value in zip(_fields(scores.ids[i:i + step].tolist()),
                                                scores.value[i:i + step].tolist(),
                                                scores.p_value[i:i + step].tolist())
             ]))
@@ -326,11 +326,13 @@ def write_table(path: str, rows: list[dict], columns, header_lines=()) -> None:
             writer.writerow([_format_cell(row[c]) for c in columns])
 
 
-def _field(cell: str) -> str:
-    """`cell` as csv.writer writes it in a row of several cells."""
-    if _QUOTED_CHARS.isdisjoint(cell):
-        return cell
-    return '"' + cell.replace('"', '""') + '"'
+def _fields(cells):
+    """Cells as csv.writer writes each in a row of several cells. The block
+    is searched once; only one holding a character to quote goes cell by cell."""
+    joined = "".join(cells)
+    if not any(c in joined for c in _QUOTED_CHARS):
+        return cells
+    return [c if _QUOTED_CHARS.isdisjoint(c) else '"' + c.replace('"', '""') + '"' for c in cells]
 
 
 def _num(v) -> str:

@@ -295,15 +295,15 @@ def ingest_reference(path):
 
 def deviance_column_major_reference(values, n1):
     """The deviance of each row laid out condition-1-first, from numpy's
-    variances over one column-major copy of all p >= 2 rows, which numpy
-    sums column by column; variances floored at 1e-8 x pooled."""
-    x = np.asfortranarray(values)
-    N = x.shape[1]
-    vpool = x.var(axis=1)
+    variances over column-major copies of all p >= 2 rows, with the pooled
+    row and each condition sorted; numpy sums them column by column.
+    Variances floored at 1e-8 x pooled; the condition terms added first."""
+    N = values.shape[1]
+    vpool, v1, v2 = (np.asfortranarray(np.sort(x, axis=1)).var(axis=1)
+                     for x in (values, values[:, :n1], values[:, n1:]))
     floor = 1e-8 * np.where(vpool > 0, vpool, 1.0)
-    v1 = np.maximum(x[:, :n1].var(axis=1), floor)
-    v2 = np.maximum(x[:, n1:].var(axis=1), floor)
-    dev = N * np.log(np.maximum(vpool, floor)) - n1 * np.log(v1) - (N - n1) * np.log(v2)
+    v1, v2 = np.maximum(v1, floor), np.maximum(v2, floor)
+    dev = N * np.log(np.maximum(vpool, floor)) - (n1 * np.log(v1) + (N - n1) * np.log(v2))
     dev = np.maximum(dev, 0.0)
     dev[vpool == 0] = 0.0
     return dev

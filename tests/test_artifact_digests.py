@@ -3,8 +3,9 @@
 The commands run in process from a temporary directory with relative paths,
 so the config digests in the artifact headers do not depend on where the
 test runs. The digests hold for the numpy and scipy versions named below;
-another version may move the last bits of a score, and then the failure
-message prints the table to pin after checking that the change is expected.
+another version may move the last bits of a score. The failure message names
+the artifacts whose digest moved, then prints the table to pin after
+checking that the change is expected.
 """
 
 import hashlib
@@ -28,11 +29,11 @@ DIGESTS = {
     'bench/bench_runs.csv': '1fa88239ca3ede2040601b9009ef2c6451971d4bb520707226f9c6335604d965',
     'bench/bench_summary.csv': '8e2c261e295787e93c58c388cfa887350e4d7cabf28bd9b4bf3bd5509b7a4835',
     'cal/calibration.csv': '8aa1f3cf4f3598184d82c434ff2e22244b454e1e8af6a5daca8cdf89bfb030f6',
-    'sel10-bh/preview.csv': '44f7cc92c35764ce6cb33e503112e6f43ac2eee2723e2da0fe5659eb7093394b',
-    'sel10-bh/scores.csv': 'b17a0269cc2fc59ccde917d28f32f3860c037254107bee27a89d7271a3774171',
-    'sel10-bh/selection.csv': '68579120f3e4b04be32a0f6263c1b3e08804a6f47f3222a3e4b840e30c885872',
-    'sel10-gap/preview.csv': '318497e3f3ce4c91d5735b956a196a6baa547b0da9b783304bed47764b1c10cf',
-    'sel10-gap/scores.csv': '0ce7304af51ef44cb614a1e4f8b539c2aa0afd80dc4ad0ce04a0200a74ed3032',
+    'sel10-bh/preview.csv': '943a77d05237432fd66c0250de9d8aacd620a3cea51f65c1f478f0b7abf2fa29',
+    'sel10-bh/scores.csv': '1a8dfb518053f8fcb0af5f8f08b60888d6b5fb1890eab89b07ac8c174b282d16',
+    'sel10-bh/selection.csv': '79c78974225c064cf8665387a4d9ebb3103a38cf97f450117c70c705e3711a7d',
+    'sel10-gap/preview.csv': '686074be4edeff73e93835167ea6a9716326df45fac52693c06e66a174659cf8',
+    'sel10-gap/scores.csv': '280aaaa7201ac5231ad0a569c3a8ce088511dfc4bfc285f9739730e7f60a5e2b',
     'sel10-gap/selection.csv': 'b4a474dd45b2b948b6e0f5432d4a492a307a30a507f124cb86034a3e759d8032',
     'sel3-gap/preview.csv': '4ff1d2be1a0ed4226b02e8328a23982f4603f2bb2cfa084ed88932d558e9b41d',
     'sel3-gap/scores.csv': 'ef67ecaaa14ac0476fc42e6d7d1552182274edd8565db1f359d33063e66d7f56',
@@ -51,8 +52,10 @@ def test_deterministic_artifacts_keep_their_bytes(tmp_path, monkeypatch, capsys)
     capsys.readouterr()
     found = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
              for path in sorted(tmp_path.rglob("*.csv"))}
+    moved = sorted(name for name in found.keys() | DIGESTS.keys()
+                   if found.get(name) != DIGESTS.get(name))
     table = "".join(f"    {name!r}: {digest!r},\n" for name, digest in found.items())
-    assert found == DIGESTS, (
-        f"artifact bytes differ from the table pinned with {PINNED_WITH}; "
-        f"if the change is expected, pin:\nDIGESTS = {{\n{table}}}"
+    assert not moved, (
+        f"artifact bytes differ from the table pinned with {PINNED_WITH} in: "
+        f"{', '.join(moved)}; if the change is expected, pin:\nDIGESTS = {{\n{table}}}"
     )

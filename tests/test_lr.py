@@ -8,7 +8,7 @@ from scipy.stats import chi2
 import markerscreen as ms
 from markerscreen._rng import substream
 from markerscreen.errors import DegenerateData, RegimeViolation
-from markerscreen.lr import _deviance_core
+from markerscreen.lr import _deviance_core, _sorted_moments
 
 from _oracles import (
     deviance_column_major_reference,
@@ -233,13 +233,10 @@ def test_label_swap_symmetry():
     x = np.concatenate([rng.normal(0, 1, 6), rng.normal(4, 2, 9)])
     fwd = ms.deviance_lr(x, 6, 9)
     swapped = ms.deviance_lr(np.concatenate([x[6:], x[:6]]), 9, 6)
-    assert abs(fwd.value - swapped.value) < 1e-9
-    m1, _ = fwd.fit_diagnostics
-    m2, _ = swapped.fit_diagnostics
-    assert m1.mu1 == pytest.approx(m2.mu2, abs=1e-9)
-    assert m1.mu2 == pytest.approx(m2.mu1, abs=1e-9)
-    assert m1.sigma21 == pytest.approx(m2.sigma22, abs=1e-9)
-    assert m1.sigma22 == pytest.approx(m2.sigma21, abs=1e-9)
+    assert (fwd.value, fwd.p_value) == (swapped.value, swapped.p_value)
+    (m1, p1), (m2, p2) = fwd.fit_diagnostics, swapped.fit_diagnostics
+    assert (m1.mu1, m1.mu2, m1.sigma21, m1.sigma22) == (m2.mu2, m2.mu1, m2.sigma22, m2.sigma21)
+    assert (m1.loglik, p1) == (m2.loglik, p2)
 
 
 def test_affine_equivariance_of_deviance():
@@ -294,6 +291,17 @@ def test_score_matrix_blocks_match_one_column_major_pass(blocks, extra):
     dev = deviance_column_major_reference(values[:, layout.argsort(kind="stable")], 10)
     assert table.value.tobytes() == dev.tobytes()
     assert table.degenerate.tolist() == [False] * (p - 2) + [True, False]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 9])
+def test_sorted_moments_sort_every_width(N):
+    # rows of 4 or fewer go through a min/max network, wider ones through numpy
+    x = np.random.default_rng(N).integers(-3, 4, (500, N)) / 3
+    x[:50] = x[:50, :1]  # constant rows
+    xs, mean, ss = _sorted_moments(x)
+    assert xs.flags.c_contiguous and np.array_equal(xs, np.sort(x, axis=1).T)
+    assert np.array_equal(ss == 0.0, (x == x[:, :1]).all(axis=1))
+    np.testing.assert_allclose(mean, x.mean(axis=1), rtol=1e-15, atol=1e-15)
 
 
 def test_score_table_ids_are_read_only():

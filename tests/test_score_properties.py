@@ -1,5 +1,5 @@
 """Property tests: invariances of the three scorers, run through the one
-scorer table (evaluate.score_matrix).
+scorer table (evaluate.score_matrix), and their rule for constant rows.
 
 Matrices hold values from a small-integer grid, so ties are common, some
 rows are constant (degenerate), and a map a*x + b with a a power of two and
@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import markerscreen as ms
+from markerscreen.errors import DegenerateData
 from markerscreen.evaluate import score_matrix
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -28,6 +29,7 @@ designs = st.tuples(st.integers(1, 25), st.integers(0, 5), st.integers(0, 5),
                     st.sampled_from([1, 2, 8]))
 SMALLEST = (1, 0, 1, 0, 0.0, 2)  # p = 1 at each scorer's smallest design (ks: N = 3)
 ALL_DEGENERATE = (3, 0, 0, 1, 1.0, 2)
+WIDE = (25, 6, 7, 3, 0.2, 8)  # 8 or more per condition, which numpy sums pairwise
 
 
 def _matrix(design, stat) -> ms.ExpressionMatrix:
@@ -44,6 +46,12 @@ def _matrix(design, stat) -> ms.ExpressionMatrix:
 
 def _score(m, stat):
     return score_matrix(m, stat, REPLICATES)
+
+
+def _thirds(m) -> ms.ExpressionMatrix:
+    """m divided by 3: values off the binary grid, so their sums round, with
+    constant rows and ties kept."""
+    return ms.ExpressionMatrix(values=m.values / 3, layout=m.layout)
 
 
 @pytest.mark.parametrize("stat", STATS)
@@ -63,17 +71,67 @@ def test_row_permutation_is_bit_exact(stat, design, perm_seed):
     assert np.array_equal(moved.degenerate, base.degenerate[perm])
 
 
+@pytest.mark.parametrize("stat", STATS)
+@PROPERTY
+@given(design=designs, perm_seed=st.integers(0, 2**32 - 1))
+@example(design=SMALLEST, perm_seed=0)
+@example(design=ALL_DEGENERATE, perm_seed=0)
+@example(design=WIDE, perm_seed=0)
+def test_sample_order_within_a_condition_is_bit_exact(stat, design, perm_seed):
+    # the columns move with their labels, then each row's samples are
+    # shuffled among the columns of their own condition
+    m = _thirds(_matrix(design, stat))
+    rng = np.random.default_rng(perm_seed)
+    cols = rng.permutation(m.N)
+    values, layout = m.values[:, cols], m.layout[cols]
+    for label in (1, 2):
+        values[:, layout == label] = rng.permuted(values[:, layout == label], axis=1)
+    base, moved = _score(m, stat), _score(ms.ExpressionMatrix(values=values, layout=layout), stat)
+    assert np.array_equal(moved.value, base.value)
+    assert np.array_equal(moved.p_value, base.p_value)
+    assert np.array_equal(moved.degenerate, base.degenerate)
+
+
+@pytest.mark.parametrize("stat", STATS)
 @PROPERTY
 @given(design=designs)
 @example(design=SMALLEST)
 @example(design=ALL_DEGENERATE)
+@example(design=WIDE)
+def test_lone_row_equals_its_matrix_row(stat, design):
+    m = _thirds(_matrix(design, stat))
+    table = _score(m, stat)
+    for j in range(m.p):
+        lone = _score(ms.ExpressionMatrix(values=m.values[j:j + 1], layout=m.layout), stat)
+        assert (lone.value[0], lone.p_value[0]) == (table.value[j], table.p_value[j])
+        assert lone.degenerate[0] == table.degenerate[j]
+
+
+@PROPERTY
+@given(design=designs)
+@example(design=SMALLEST)
+@example(design=ALL_DEGENERATE)
+@example(design=WIDE)
 def test_lr_label_swap_invariance(design):
-    m = _matrix(design, "lr")
+    m = _thirds(_matrix(design, "lr"))
     swapped = ms.ExpressionMatrix(values=m.values, layout=3 - m.layout)
     base, other = _score(m, "lr"), _score(swapped, "lr")
     assert np.array_equal(other.degenerate, base.degenerate)
-    np.testing.assert_allclose(other.value, base.value, rtol=1e-9, atol=1e-9)
-    np.testing.assert_allclose(other.p_value, base.p_value, rtol=1e-9, atol=1e-12)
+    assert np.array_equal(other.value, base.value)
+    assert np.array_equal(other.p_value, base.p_value)
+
+
+@PROPERTY
+@given(design=designs)
+@example(design=SMALLEST)
+@example(design=WIDE)
+def test_welch_label_swap_negates_t(design):
+    m = _thirds(_matrix(design, "ttest"))
+    swapped = ms.ExpressionMatrix(values=m.values, layout=3 - m.layout)
+    base, other = _score(m, "ttest"), _score(swapped, "ttest")
+    assert np.array_equal(other.degenerate, base.degenerate)
+    assert np.array_equal(other.value, -base.value)
+    assert np.array_equal(other.p_value, base.p_value)
 
 
 @pytest.mark.parametrize("stat", STATS)
@@ -89,6 +147,25 @@ def test_affine_invariance(stat, design, log2_a, b):
     np.testing.assert_allclose(other.value, base.value, rtol=1e-9, atol=1e-9)
     if stat != "ks":  # ks p-values are steps of the null table; d is compared above
         np.testing.assert_allclose(other.p_value, base.p_value, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("N", [6, 20])
+@pytest.mark.parametrize("v", [0.1, 1 / 3, 123456.789, 17.37])
+def test_constant_rows_are_degenerate(N, v):
+    # N copies of v need not sum to N v, so a rounded mean can miss v
+    row, n = np.full(N, v), N // 2
+    m = ms.ExpressionMatrix(values=np.vstack([row, np.arange(N, dtype=float)]),
+                            layout=np.repeat([1, 2], n))
+    lone = ms.deviance_lr(row, n, n)
+    assert (lone.value, lone.p_value, lone.fit_diagnostics) == (0.0, 1.0, None)
+    for stat in ("lr", "ks", "ttest") if N == 20 else ("ks", "ttest"):
+        table = _score(m, stat)
+        assert (table.value[0], table.p_value[0], table.degenerate[0]) == (0.0, 1.0, True)
+        assert not table.degenerate[1]
+    for fit in (ms.ks_d_statistic, ms.select_bandwidth, ms.fit_pooled_normal,
+                lambda x: ms.fit_mixture_fixed_weights(x, n, n)):
+        with pytest.raises(DegenerateData):
+            fit(row)
 
 
 def test_unknown_statistic_is_an_input_error():
