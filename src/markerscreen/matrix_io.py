@@ -13,7 +13,7 @@ import contextlib
 import csv
 import math
 import os
-from itertools import islice, repeat
+from itertools import chain, islice
 
 import numpy as np
 
@@ -23,31 +23,15 @@ from .matrix import ExpressionMatrix, _UniqueIds, rows_per_block
 _QUOTED_CHARS = frozenset(',"\r\n')  # csv.writer quotes a cell holding any of these
 
 
-def _read_rows(path: str) -> tuple[list[str], list[list[str]], dict[str, str]]:
-    """Returns (header, data rows, comment metadata) of a CSV file.
-
-    Blank records are skipped; a record whose first cell starts with `#` is
-    a comment, read as `key: value` metadata when it has a colon.
-    """
-    meta: dict[str, str] = {}
-    header: list[str] | None = None
-    rows: list[list[str]] = []
-    try:
-        with open(path, newline="") as fh:
-            for raw in csv.reader(fh):
-                if not raw or _comment(",".join(raw), meta):
-                    continue
-                if header is None:
-                    header = [c.strip() for c in raw]
-                else:
-                    rows.append(raw)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except csv.Error as exc:  # e.g. a field over csv's size limit
-        raise ParseError(f"{path}: {exc}") from exc
+def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
+    """The header and data records of a small CSV file: a layout sidecar or
+    a truth file."""
+    with _opened(path) as fh:
+        records = _records(csv.reader(fh), {})
+        header, rows = next(records, None), list(records)
     if header is None:
         raise ParseError(f"{path}: no header row")
-    return header, rows, meta
+    return [c.strip() for c in header], rows
 
 
 def _parse_layout_spec(layout_spec: str | None, sample_names: list[str],
@@ -60,7 +44,7 @@ def _parse_layout_spec(layout_spec: str | None, sample_names: list[str],
         layout_spec = file_layout
     if os.path.exists(layout_spec):
         mapping: dict[str, int] = {}
-        header, rows, _ = _read_rows(layout_spec)
+        header, rows = _read_rows(layout_spec)
         if [h.lower() for h in header[:2]] != ["sample_id", "condition"]:
             raise LayoutError("layout sidecar needs columns sample_id,condition")
         for row in rows:
@@ -92,31 +76,95 @@ def ingest_matrix(path: str, layout_spec: str | None = None) -> ExpressionMatrix
     Raises ParseError for structural problems, LayoutError for condition
     mapping problems, and ValueError naming (protein, sample) for any
     non-numeric or non-finite cell. A cell is numeric when Python's float()
-    accepts it. A file without `"` is read in blocks of rows; a quoted cell
-    may hold a comma or a newline, so a file with one goes through csv.
+    accepts it.
+
+    The file is read once, in blocks of rows. Up to its first `"`, a record
+    is a line split at every comma, and each block of rows_per_block(samples)
+    data lines is parsed by one loadtxt call, or cell by cell if loadtxt
+    rejects it. From the line holding the first `"` on, csv records are
+    parsed cell by cell in blocks of rows_per_block(8 * samples), as a str
+    cell weighs about eight float64s; a quoted cell may hold a comma or a
+    line break. Blocks go into one values array, sized when a block does not
+    fit for the rows the bytes left hold at the bytes per row so far.
     """
-    try:
-        with open(path) as fh:  # universal newlines split lines as csv.reader does
-            read = _read_unquoted(fh, path)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    if read is None:
-        header, rows, meta = _read_rows(path)
-        _check_header(header, path)
-        if not rows:
-            raise ParseError(f"{path}: no protein rows")
-        ids, values = _parse_cells(path, header, rows)
-    else:
-        header, ids, values, meta = read
+    meta: dict[str, str] = {}
+    records = header = None
+    with _opened(path) as fh:
+        for line in fh:  # comments and blank lines up to the header
+            if '"' in line:
+                records = _records(csv.reader(chain([line], fh)), meta)
+                header = next(records, None)
+                break
+            if line[0] not in "\r\n" and not _comment(line, meta):
+                header = line.split(",")
+                break
+        if header is None:
+            raise ParseError(f"{path}: no header row")
+        header = [c.strip() for c in header]
+        if len(header) < 3 or header[0] != "protein_id":
+            raise ParseError(f"{path}: header must be protein_id,<at least two sample columns>")
+        n = len(header) - 1
+        ids: list[str] = []
+        values = np.empty((0, n))
+        seen: set[str] = set()
+        size = os.fstat(fh.fileno()).st_size
+
+        def keep(block_ids: list[str], block: np.ndarray) -> None:
+            end = len(ids) + len(block_ids)
+            if end > len(values):  # no view of values exists, so resize may move it
+                read = fh.buffer.tell() if size else 1  # bytes taken in; a pipe's size is 0
+                values.resize((end + max(0, size - read) * end // read, n), refcheck=False)
+            values[len(ids):end] = block
+            ids.extend(block_ids)
+
+        while records is None and (lines := list(islice(fh, rows_per_block(n)))):
+            if any('"' in line for line in lines):
+                records = _records(csv.reader(chain(lines, fh)), meta)
+                break
+            rows = [line for line in lines if line[0] not in "\r\n#"]
+            if len(rows) < len(lines):
+                for line in lines:
+                    _comment(line, meta)
+            if not rows:
+                continue
+            block_ids = [line.partition(",")[0].strip() for line in rows]
+            block = _parse_block(rows, n)
+            new = set(block_ids)
+            if block is None or len(new) < len(rows) or not seen.isdisjoint(new):
+                block_ids, block = _parse_cells(path, header, [
+                    line.rstrip("\r\n").split(",") for line in rows], len(ids), seen)
+            keep(block_ids, block)
+            del lines, rows, block  # not held while seen grows or the next block is read
+            seen |= new  # a no-op after _parse_cells, which adds the ids itself
+        while records is not None and (rows := list(islice(records, rows_per_block(8 * n)))):
+            keep(*_parse_cells(path, header, rows, len(ids), seen))
+            del rows  # not held while the next block is read
+    if not ids:
+        raise ParseError(f"{path}: no protein rows")
+    values.resize((len(ids), n), refcheck=False)
     layout = _parse_layout_spec(layout_spec, header[1:], meta.get("layout"))
     return ExpressionMatrix(values=values, layout=layout, protein_ids=_UniqueIds(ids))
 
 
-def _check_header(header: list[str], path: str) -> None:
-    if len(header) < 3 or header[0] != "protein_id":
-        raise ParseError(
-            f"{path}: header must be protein_id,<at least two sample columns>"
-        )
+@contextlib.contextmanager
+def _opened(path: str):
+    """path opened with newline="", which splits lines as csv.reader does and
+    keeps a CR inside a quoted cell; read and csv errors raise ParseError."""
+    try:
+        with open(path, newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _records(reader, meta: dict[str, str]):
+    """The records of a csv reader that are neither blank nor comments; a
+    comment is a record whose first cell starts with `#`."""
+    for raw in reader:
+        if raw and not (raw[0].startswith("#") and _comment(",".join(raw), meta)):
+            yield raw
 
 
 def _comment(line: str, meta: dict[str, str]) -> bool:
@@ -130,61 +178,6 @@ def _comment(line: str, meta: dict[str, str]) -> bool:
     return True
 
 
-def _read_unquoted(fh, path: str):
-    """(header, ids, values, comment metadata) of an open matrix file, or None
-    at its first `"`.
-
-    Without quotes a CSV record is a line split at every comma. Data lines are
-    parsed in blocks of rows_per_block(samples) lines, each by one loadtxt
-    call; a block that call rejects goes to `_parse_cells`. Blocks go into one
-    values array, sized when a block does not fit for the rows the bytes left
-    hold at the characters per row so far, and trimmed at the end.
-    """
-    meta: dict[str, str] = {}
-    header = None
-    for line in fh:  # comments and blank lines up to the header
-        if '"' in line:
-            return None
-        if line != "\n" and not _comment(line, meta):
-            header = [c.strip() for c in line.rstrip("\n").split(",")]
-            break
-    if header is None:
-        raise ParseError(f"{path}: no header row")
-    _check_header(header, path)
-    n = len(header) - 1
-    ids: list[str] = []
-    values = np.empty((0, n))
-    seen: set[str] = set()
-    size, chars = os.fstat(fh.fileno()).st_size, 0  # file bytes, characters read
-    while lines := list(islice(fh, rows_per_block(n))):
-        chars += sum(map(len, lines))
-        if any('"' in line for line in lines):
-            return None
-        rows = [line for line in lines if line != "\n" and not line.startswith("#")]
-        if len(rows) < len(lines):
-            for line in lines:
-                _comment(line, meta)
-        if not rows:
-            continue
-        block_ids = [line.partition(",")[0].strip() for line in rows]
-        block = _parse_block(rows, n)
-        new = set(block_ids)
-        if block is None or len(new) < len(rows) or not seen.isdisjoint(new):
-            block_ids, block = _parse_cells(
-                path, header, [line.rstrip("\n").split(",") for line in rows], len(ids), seen)
-        end = len(ids) + len(rows)
-        if end > len(values):  # no view of values exists, so resize may move it
-            values.resize((end + max(0, size - chars) * end // chars, n), refcheck=False)
-        values[len(ids):end] = block
-        ids += block_ids
-        del lines, rows, block  # not held while seen grows or the next block is read
-        seen |= new  # a no-op after _parse_cells, which adds the ids itself
-    if not ids:
-        raise ParseError(f"{path}: no protein rows")
-    values.resize((len(ids), n), refcheck=False)
-    return header, ids, values, meta
-
-
 def _parse_block(lines: list[str], n_samples: int) -> np.ndarray | None:
     """All-finite (rows, n_samples) values of data lines, or None.
 
@@ -192,29 +185,24 @@ def _parse_block(lines: list[str], n_samples: int) -> np.ndarray | None:
     (`1_0`, non-ASCII digits) and otherwise names the first bad row or cell.
     comments=None matters: by default loadtxt reads the cell `1#2` as 1.0.
     """
-    try:
-        values = np.loadtxt(lines, delimiter=",", usecols=range(1, n_samples + 1),
-                            ndmin=2, comments=None)
+    try:  # the dtype asks for exactly 1 + n_samples cells on every line
+        values = np.loadtxt(lines, delimiter=",", ndmin=1, comments=None, dtype=[
+            ("id", "U1"), ("values", float, (n_samples,))])["values"]
     except ValueError:
         return None
-    # usecols needs at least n_samples commas on every line, so this many
-    # commas in all means exactly n_samples on each
-    if (values.shape != (len(lines), n_samples)
-            or sum(map(str.count, lines, repeat(","))) != len(lines) * n_samples
-            or not np.isfinite(values).all()):
+    if values.shape != (len(lines), n_samples) or not np.isfinite(values).all():
         return None
     return values
 
 
-def _parse_cells(path: str, header: list[str], rows: list[list[str]], first: int = 0,
-                 seen: set[str] | None = None) -> tuple[list[str], np.ndarray]:
+def _parse_cells(path: str, header: list[str], rows: list[list[str]], first: int,
+                 seen: set[str]) -> tuple[list[str], np.ndarray]:
     """Cell-by-cell parse of full rows, the first of them data row `first` of
     the file, with the ids of the rows before them in seen (which gains
     theirs); raises on the first bad row or cell."""
     sample_names = header[1:]
     ids = []
     values = np.empty((len(rows), len(sample_names)))
-    seen = set() if seen is None else seen
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise ParseError(
@@ -271,7 +259,7 @@ def write_truth(path: str, protein_ids, truth, header_lines=()) -> None:
 
 
 def read_truth(path: str) -> dict:
-    header, rows, _ = _read_rows(path)
+    header, rows = _read_rows(path)
     if [h.lower() for h in header[:2]] != ["protein_id", "is_true"]:
         raise ParseError(f"{path}: truth file needs columns protein_id,is_true")
     return {row[0].strip(): bool(int(row[1])) for row in rows}

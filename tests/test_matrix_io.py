@@ -160,6 +160,16 @@ INGEST_CASES = {
     "duplicate-before-bad-cell": HEAD + "P1,1,2,3,4\nP1,5,6,7,8\nP3,1,x,3,4\n",
     "quoted-id": HEAD + '"P,1",1,2,3,4\nP2,5,6,7,8\n',
     "quoted-bad-cell": HEAD + '"P,1",1,"2,5",3,4\n',
+    "quoted-header": '"protein_id",s1,"s 2",s3,s4\nP1,1,2,3,4\nP2,5,6,7,8\n',
+    "quote-in-comment-before-header": ('# a "quoted" note, with a comma\n'
+                                       "# layout: 1,2,1,2\n" + HEAD + "P1,1,2,3,4\nP2,5,6,7,8\n"),
+    "quoted-id-in-last-row-only": HEAD + 'P1,1,2,3,4\nP2,5,6,7,8\nP3,1,2,3,4\n"P,4",5,6,7,8\n',
+    "quoted-id-holding-crlf": ("protein_id,s1,s2,s3,s4\r\nP1,1,2,3,4\r\n"
+                               '"P\r\n2",5,6,7,8\r\nP3,1,2,3,4\r\n'),
+    "quoted-id-holding-lf": HEAD + 'P1,1,2,3,4\n"P\n2",5,6,7,8\nP3,1,2,3,4\n',
+    "quoted-cell-cr-only": 'protein_id,s1,s2,s3,s4\rP1,1,2,3,4\r"P,2",5,"6",7,8\rP3,1,2,3,4',
+    "quoted-bad-cell-row-number": HEAD + 'P1,1,2,3,4\nP2,5,6,7,8\nP3,1,"2,5",3\n',
+    "duplicate-id-across-the-switch": HEAD + 'P1,1,2,3,4\nP2,5,6,7,8\nP3,1,2,3,4\n"P1",5,6,7,8\n',
     "single-row": HEAD + "P1,1e-300,-0.0,5e-324,4\n",
     "no-rows": HEAD + "# nothing\n",
     "no-header": "# layout: 1,1,2,2\n\n",
@@ -220,11 +230,17 @@ def _block_lines(change=None):
     ("duplicate in a later block", {27: "P03,1,2,3,4"}),
     ("bad cell before a later duplicate", {14: "P12,1,x,3,4", 27: "P03,1,2,3,4"}),
     ("short row in the last block", {32: "P29,1,2,3"}),
+    ("quote just before a block boundary", {9: '"P08",1,2,3,4'}),
+    ("quote inside a block", {12: '"P10",1,2,3,4'}),
+    ("quote just after a block boundary", {10: '"P09",1,2,3,4'}),
+    ("quoted line break across a block boundary", {9: '"P0\n8",1,2,3,4'}),
+    ("duplicate after the switch to csv records", {12: '"P10",1,2,3,4', 27: "P03,1,2,3,4"}),
 ])
 def test_ingest_matches_per_cell_reference_across_row_blocks(tmp_path, monkeypatch,
                                                              case, change):
     # blocks of 5 lines: line 10 opens the third block, so giving it line 9's
-    # id puts a duplicate across a boundary; the fourth holds the layout
+    # id puts a duplicate across a boundary; the fourth holds the layout. A
+    # quote switches to csv records, one per block at this budget
     monkeypatch.setattr(ms.matrix, "BLOCK_ELEMENTS", 20)
     per_cell = []
     parse_cells = ms.matrix_io._parse_cells
@@ -233,7 +249,8 @@ def test_ingest_matches_per_cell_reference_across_row_blocks(tmp_path, monkeypat
                         or parse_cells(path, header, rows, *rest))
     path = tmp_path / "m.csv"
     path.write_text("\n".join([HEAD.strip()] + _block_lines(change)) + "\n")
-    assert [_block_lines()[i][:4] for i in (9, 14, 16, 27)] == ["P08,", "P12,", "P14,", "P24,"]
+    assert ([_block_lines()[i][:4] for i in (9, 10, 12, 14, 16, 27)]
+            == ["P08,", "P09,", "P10,", "P12,", "P14,", "P24,"])
     _assert_ingest_matches_reference(path)
     if case == "clean":
         assert per_cell == []
@@ -255,13 +272,15 @@ def test_ingest_grows_or_trims_the_values_array_sized_from_the_first_block(
     _assert_ingest_matches_reference(path)
 
 
-def _ingest_peak_ratio(path, rows, repeats=1):
+def _ingest_peak_ratio(path, rows, repeats=1, quoted=None):
     """Traced peak of ingesting `rows` written `repeats` times as repr cells
-    under distinct ids, over the size of the values array read back."""
+    under distinct ids, the id of row `quoted` in quotes, over the size of the
+    values array read back."""
     text = [",".join(map(repr, row)) for row in rows.tolist()]
     with open(path, "w") as fh:
         fh.write("protein_id," + ",".join(f"s{k}" for k in range(rows.shape[1])) + "\n")
-        fh.writelines(f"P{i},{text[i % len(text)]}\n" for i in range(len(text) * repeats))
+        fh.writelines(f'"P{i}",{text[i % len(text)]}\n' if i == quoted
+                      else f"P{i},{text[i % len(text)]}\n" for i in range(len(text) * repeats))
     tracemalloc.start()
     try:
         m = ingest_matrix(str(path), ",".join(["1"] * 10 + ["2"] * 10))
@@ -284,6 +303,32 @@ def test_ingest_memory_at_stress_size_stays_near_one_values_array(tmp_path):
     # block and concatenating them at the end peaked at 2.92x
     rows = np.random.default_rng(12).normal(20.0, 1.5, (10_000, 20))
     assert _ingest_peak_ratio(tmp_path / "m.csv", rows, repeats=10) < 2.2
+
+
+def test_ingest_memory_of_a_quoted_file_at_stress_size_stays_near_one_values_array(tmp_path):
+    # one quoted id in the sixth row sends nearly every row to csv records; reading
+    # them all as lists of str before parsing them peaked at 11.7x
+    rows = np.random.default_rng(12).normal(20.0, 1.5, (10_000, 20))
+    assert _ingest_peak_ratio(tmp_path / "m.csv", rows, repeats=10, quoted=5) < 2.5
+
+
+def test_ingest_reads_a_file_quoted_in_its_last_row_once(tmp_path, monkeypatch):
+    # blocks of 32 lines, then of 4 csv records: only the last block, rows
+    # 96-99, goes cell by cell, and the file is opened once
+    monkeypatch.setattr(ms.matrix, "BLOCK_ELEMENTS", 128)
+    per_cell, opened = [], []
+    parse_cells = ms.matrix_io._parse_cells
+    monkeypatch.setattr(ms.matrix_io, "_parse_cells",
+                        lambda path, header, rows, *rest: per_cell.append((rest[0], len(rows)))
+                        or parse_cells(path, header, rows, *rest))
+    monkeypatch.setattr(ms.matrix_io, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k),
+                        raising=False)
+    path = tmp_path / "m.csv"
+    path.write_text(HEAD + "".join(f"P{i},{i},1,2,3\n" for i in range(99)) + '"P,99",99,1,2,3\n')
+    m = ingest_matrix(str(path), "1,1,2,2")
+    assert m.protein_ids[-1] == "P,99" and m.values[:, 0].tolist() == list(range(100))
+    assert per_cell == [(96, 4)]
+    assert opened == [str(path)]
 
 
 AWKWARD = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 2.2250738585072014e-308,
