@@ -26,8 +26,6 @@ import hashlib
 import json
 import os
 import sys
-import warnings
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -99,15 +97,6 @@ def _header_lines(cfg: RunConfig) -> list[str]:
     return lines
 
 
-@contextmanager
-def _ks_regime_reported():
-    """Ignore score_matrix_ks's lr-regime UserWarning inside the block; the
-    caller reports that case on a stat: line of its own."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "small-sample KS scoring", UserWarning)
-        yield
-
-
 def _score(cfg: RunConfig):
     """Ingest --input and score it; returns (matrix, scores, stat). Says on
     stderr which statistic runs, and why."""
@@ -120,9 +109,9 @@ def _score(cfg: RunConfig):
     else:
         stat, why = cfg.stat, f"--stat {cfg.stat}; regime says {decision.stat}"
     print(f"stat: {stat} ({why})", file=sys.stderr)
-    # The stat: line reports a ks run in the lr regime, and ScoreTable's NaN
-    # check reports a row that overflows; numpy's own warnings would repeat them.
-    with _ks_regime_reported(), np.errstate(over="ignore", invalid="ignore"):
+    # ScoreTable's NaN check reports a row that overflows; numpy's own
+    # warnings would repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
         scores = score_matrix(matrix, stat, cfg.replicates)
     return matrix, scores, stat
 
@@ -195,17 +184,15 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 def cmd_bench(cfg: RunConfig) -> int:
     methods = [tok.strip() for tok in cfg.methods.split(",") if tok.strip()]
     preset_names = [tok.strip() for tok in cfg.presets.split(",") if tok.strip()]
-    # One stat: line per statistic and preset outside its regime reports what
-    # the ks warning of every such run would repeat.
+    # One stat: line per statistic and preset outside its regime, not one per run.
     specs = presets()
     for name in (p for p in preset_names if p in specs):  # benchmark rejects the rest
         decision = regime(specs[name].n_per_condition, specs[name].n_per_condition)
         for stat in dict.fromkeys(m.partition("+")[0] for m in methods):
             if stat in ("lr", "ks") and stat != decision.stat:
                 print(f"stat: {stat} on {name} (regime says {decision.stat})", file=sys.stderr)
-    with _ks_regime_reported():
-        report = benchmark(methods, preset_names, runs=cfg.runs, seed=cfg.seed,
-                           ks_replicates=cfg.replicates)
+    report = benchmark(methods, preset_names, runs=cfg.runs, seed=cfg.seed,
+                       ks_replicates=cfg.replicates)
     header = _header_lines(cfg)
     run_rows = [{**vars(r), "selected": r.selected_count, "fallback_used": int(r.fallback_used),
                  "error": r.error or ""} for r in report.runs]

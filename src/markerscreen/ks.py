@@ -18,7 +18,6 @@ Lilliefors' published table, that null depends only on N: one table per
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,7 +27,7 @@ from scipy.special import ndtr
 from ._rng import substream
 from .errors import DegenerateData
 from .lr import ScoreTable, _sorted_moments
-from .matrix import ExpressionMatrix, regime, rows_per_block
+from .matrix import ExpressionMatrix, rows_per_block
 
 DEFAULT_REPLICATES = 10000
 
@@ -192,20 +191,11 @@ def lilliefors_pvalue(d: float, N: int, replicates: int = DEFAULT_REPLICATES) ->
 def score_matrix_ks(m: ExpressionMatrix, replicates: int = DEFAULT_REPLICATES) -> ScoreTable:
     """Statistic d and Monte-Carlo p-value for every pooled protein row.
 
-    Intended for designs below the likelihood-ratio regime (matrix.regime);
-    larger matrices are allowed but draw a warning since the
-    likelihood-ratio statistic is the better tool there. Degenerate rows get
-    d = 0, p = 1; a row whose standard deviation overflows gets d = NaN,
-    which ScoreTable rejects. One shared null table serves all proteins
-    (they share N).
+    Scores any design with N >= 3; matrix.regime names the statistic a
+    design calls for. Degenerate rows get d = 0, p = 1; a row whose standard
+    deviation overflows gets d = NaN, which ScoreTable rejects. One shared
+    null table serves all proteins (they share N).
     """
-    decision = regime(m.n1, m.n2)
-    if decision.stat == "lr":
-        warnings.warn(
-            f"small-sample KS scoring in the likelihood-ratio regime "
-            f"({decision.reason}); the likelihood-ratio statistic is preferred",
-            stacklevel=2,
-        )
     d, degenerate = _d_blocks(m.values)
     pvals = np.where(degenerate, 1.0, _mc_pvalue(_null_table(m.N, replicates), d))
     return ScoreTable(m.protein_ids, "ks_d", d, pvals, degenerate)

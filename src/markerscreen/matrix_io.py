@@ -79,13 +79,15 @@ def ingest_matrix(path: str, layout_spec: str | None = None) -> ExpressionMatrix
     accepts it.
 
     The file is read once, in blocks of rows. Up to its first `"`, a record
-    is a line split at every comma, and each block of rows_per_block(samples)
-    data lines is parsed by one loadtxt call, or cell by cell if loadtxt
-    rejects it. From the line holding the first `"` on, csv records are
-    parsed cell by cell in blocks of rows_per_block(8 * samples), as a str
-    cell weighs about eight float64s; a quoted cell may hold a comma or a
-    line break. Blocks go into one values array, sized when a block does not
-    fit for the rows the bytes left hold at the bytes per row so far.
+    is a line split at every comma, in blocks of rows_per_block(samples)
+    lines. From the line holding the first `"` on, records are read by
+    csv.reader in blocks of rows_per_block(8 * samples), as a str cell
+    weighs about eight float64s, and each is rejoined into a line without
+    its id. Each block's lines are parsed by one loadtxt call, or cell by
+    cell if loadtxt rejects them or an id repeats; a value cell holding a
+    comma, a quote or a line break is one loadtxt rejects. Blocks go into one
+    values array, sized when a block does not fit for the rows the bytes
+    left hold at the bytes per row so far.
     """
     meta: dict[str, str] = {}
     records = header = None
@@ -108,37 +110,36 @@ def ingest_matrix(path: str, layout_spec: str | None = None) -> ExpressionMatrix
         values = np.empty((0, n))
         seen: set[str] = set()
         size = os.fstat(fh.fileno()).st_size
-
-        def keep(block_ids: list[str], block: np.ndarray) -> None:
+        while rows := list(islice(fh if records is None else records,
+                                  rows_per_block(n if records is None else 8 * n))):
+            if records is not None:  # csv records; "," is a line loadtxt rejects
+                block_ids = [r[0].strip() for r in rows]
+                lines = ["," + ",".join(r[1:]) if len(r) == len(header) else "," for r in rows]
+            elif any('"' in line for line in rows):
+                records = _records(csv.reader(chain(rows, fh)), meta)
+                continue
+            else:
+                lines = [line for line in rows if line[0] not in "\r\n#"]
+                if len(lines) < len(rows):
+                    for line in rows:
+                        _comment(line, meta)
+                block_ids = [line.partition(",")[0].strip() for line in lines]
+            if not lines:
+                continue
+            block = _parse_block(lines, n)
+            new = set(block_ids)
+            if block is None or len(new) < len(lines) or not seen.isdisjoint(new):
+                if records is None:
+                    rows = [line.rstrip("\r\n").split(",") for line in lines]
+                block_ids, block = _parse_cells(path, header, rows, len(ids), seen)
             end = len(ids) + len(block_ids)
             if end > len(values):  # no view of values exists, so resize may move it
                 read = fh.buffer.tell() if size else 1  # bytes taken in; a pipe's size is 0
                 values.resize((end + max(0, size - read) * end // read, n), refcheck=False)
             values[len(ids):end] = block
             ids.extend(block_ids)
-
-        while records is None and (lines := list(islice(fh, rows_per_block(n)))):
-            if any('"' in line for line in lines):
-                records = _records(csv.reader(chain(lines, fh)), meta)
-                break
-            rows = [line for line in lines if line[0] not in "\r\n#"]
-            if len(rows) < len(lines):
-                for line in lines:
-                    _comment(line, meta)
-            if not rows:
-                continue
-            block_ids = [line.partition(",")[0].strip() for line in rows]
-            block = _parse_block(rows, n)
-            new = set(block_ids)
-            if block is None or len(new) < len(rows) or not seen.isdisjoint(new):
-                block_ids, block = _parse_cells(path, header, [
-                    line.rstrip("\r\n").split(",") for line in rows], len(ids), seen)
-            keep(block_ids, block)
-            del lines, rows, block  # not held while seen grows or the next block is read
+            del rows, lines, block  # not held while seen grows or the next block is read
             seen |= new  # a no-op after _parse_cells, which adds the ids itself
-        while records is not None and (rows := list(islice(records, rows_per_block(8 * n)))):
-            keep(*_parse_cells(path, header, rows, len(ids), seen))
-            del rows  # not held while the next block is read
     if not ids:
         raise ParseError(f"{path}: no protein rows")
     values.resize((len(ids), n), refcheck=False)

@@ -113,7 +113,8 @@ def select_gap(scores: ScoreTable) -> SelectionResult:
     step ratio s_i / s_{i+1} among steps clearing the additive guard
     s_i - s_{i+1} >= 0.1 * (s_1 - s_w) / w, ties to the smaller i, and
     requires the winning ratio to reach MIN_GAP_RATIO. Curves without such
-    a cliff raise NoGapFound; callers fall back to BH selection
+    a cliff, one-value and empty ones included, raise NoGapFound; callers
+    fall back to BH selection
     (see apply_policy). Only the rows at or above the GAP_WINDOW-th largest
     value are ranked, by descending value and then ascending id.
     """
@@ -121,13 +122,10 @@ def select_gap(scores: ScoreTable) -> SelectionResult:
 
 
 def _gap(scores: ScoreTable, window: np.ndarray) -> SelectionResult:
-    if len(scores) < 2:
-        raise ValueError("need at least 2 scores")
     w = min(GAP_WINDOW, len(scores))
     top = scores.value[window[:w]]
-
-    span = top[0] - top[-1]
-    if span <= 0:
+    span = top[0] - top[-1] if w > 1 else 0.0
+    if span <= 0:  # a curve of fewer than two values is flat too
         raise NoGapFound("statistic curve is flat over the window")
     guard = 0.1 * span / w
     drops = top[:-1] - top[1:]

@@ -375,6 +375,21 @@ def test_exit_4_on_strict_gap_miss(tmp_path):
                    "--out-dir", str(tmp_path / "y")) == 4
 
 
+def test_gap_on_a_one_protein_matrix_falls_back_to_bh(tmp_path, capsys):
+    # one value is a flat curve: plain gap falls back as on any flat curve
+    one = tmp_path / "one.csv"
+    one.write_text("# layout: 1,1,1,1,1,2,2,2,2,2\nprotein_id,a,b,c,d,e,f,g,h,i,j\n"
+                   "P1,1.0,1.1,0.9,1.05,0.95,10.0,10.1,9.9,10.05,9.95\n")
+    out = tmp_path / "o"
+    assert run_cli("select", "--input", str(one), "--policy", "gap",
+                   "--out-dir", str(out), "--deterministic") == 0
+    assert capsys.readouterr().out == (
+        "selected 1 of 1 proteins (no gap found, fell back to BH at q = 0.05)\n")
+    assert _read_selection_ids(out / "selection.csv") == ["P1"]
+    assert run_cli("select", "--input", str(one), "--policy", "gap:strict",
+                   "--out-dir", str(tmp_path / "s")) == 4
+
+
 def test_auto_stat_picks_by_design_size(tmp_path):
     sim3 = tmp_path / "s3"
     sim10 = tmp_path / "s10"
@@ -393,7 +408,6 @@ def test_auto_stat_picks_by_design_size(tmp_path):
     assert "# stat: lr" in (out10 / "scores.csv").read_text()
 
 
-@pytest.mark.filterwarnings("ignore:small-sample KS scoring")
 def test_stderr_says_which_statistic_ran_and_why(tmp_path, capsys):
     for name, seed in (("water-n3", 4), ("water-n10", 8)):
         run_cli("simulate", "--preset", name, "--seed", str(seed),

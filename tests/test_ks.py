@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -324,11 +325,15 @@ def test_score_matrix_ks_bytes_independent_of_layout_and_sample_order(n):
         assert got.p_value.tobytes() == ref.p_value.tobytes()
 
 
-def test_score_matrix_ks_warns_in_lr_regime():
+def test_ks_in_the_lr_regime_warns_on_no_design():
+    # the CLI's stat: lines report a statistic outside its regime; the
+    # library scorers, and bench running them, stay silent
     rng = np.random.default_rng(59)
-    with pytest.warns(UserWarning):
-        ms.score_matrix_ks(_matrix(rng.normal(0, 1, (2, 12)), 6),
-                           replicates=1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ms.score_matrix_ks(_matrix(rng.normal(0, 1, (2, 12)), 6), replicates=1000)
+        report = ms.benchmark(["ks+gap"], ["water-n10"], runs=1, ks_replicates=1000)
+    assert [r.error for r in report.runs] == [None]
 
 
 def test_score_matrix_ks_null_calibration_and_uniformity():

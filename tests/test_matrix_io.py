@@ -313,8 +313,8 @@ def test_ingest_memory_of_a_quoted_file_at_stress_size_stays_near_one_values_arr
 
 
 def test_ingest_reads_a_file_quoted_in_its_last_row_once(tmp_path, monkeypatch):
-    # blocks of 32 lines, then of 4 csv records: only the last block, rows
-    # 96-99, goes cell by cell, and the file is opened once
+    # blocks of 32 lines, then of 4 csv records: loadtxt parses every block,
+    # the last one, rows 96-99, rejoined from its records, and the file is opened once
     monkeypatch.setattr(ms.matrix, "BLOCK_ELEMENTS", 128)
     per_cell, opened = [], []
     parse_cells = ms.matrix_io._parse_cells
@@ -327,7 +327,7 @@ def test_ingest_reads_a_file_quoted_in_its_last_row_once(tmp_path, monkeypatch):
     path.write_text(HEAD + "".join(f"P{i},{i},1,2,3\n" for i in range(99)) + '"P,99",99,1,2,3\n')
     m = ingest_matrix(str(path), "1,1,2,2")
     assert m.protein_ids[-1] == "P,99" and m.values[:, 0].tolist() == list(range(100))
-    assert per_cell == [(96, 4)]
+    assert per_cell == []
     assert opened == [str(path)]
 
 

@@ -17,7 +17,6 @@ from markerscreen.evaluate import score_matrix
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 STATS = ("lr", "ks", "ttest")
-pytestmark = pytest.mark.filterwarnings("ignore:small-sample KS scoring")  # ks at n >= 5
 # smallest samples per condition each scorer accepts; lr below 5 is a
 # regime violation, Welch needs two per condition
 MIN_N = {"lr": 5, "ks": 1, "ttest": 2}
