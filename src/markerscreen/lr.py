@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -76,11 +75,12 @@ class ProteinScore:
     fit_diagnostics: tuple[MixtureFit, PooledFit] | None = None
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _id_column(ids: tuple) -> np.ndarray | None:
     """Read-only ids array of a tuple of str, shared by every ScoreTable over
     it, or None for a tuple holding anything else: equal tuples of other ids,
-    like (1,) and (1.0,), format apart. The check runs once per tuple."""
+    like (1,) and (1.0,), format apart. The check runs once per tuple. Only
+    the last tuple's array is kept, so a new tuple frees the old one's."""
     if not set(map(type, ids)) <= {str}:
         return None
     column = np.array(ids, dtype=str)
@@ -97,10 +97,11 @@ class ScoreTable:
     Tables over one tuple of str ids share one ids array, converted and
     checked once per tuple. A table holds no ranking: select.py ranks the
     rows a selection can return or show (DECISIONS.md D17).
-    fits, set only by lr scoring with diagnostics, is a (p, 10) array of
-    per-row fits with columns mu1, mu2, sigma21, sigma22, w1, w2, split
-    loglik, pooled mu, pooled sigma2, pooled loglik. len(), table[j] and
-    iteration give ProteinScore row views.
+    fits, set only by lr scoring with diagnostics, is a (p, 10) float array
+    of per-row fits with columns mu1, mu2, sigma21, sigma22, w1, w2, split
+    loglik, pooled mu, pooled sigma2, pooled loglik, checked and held
+    read-only like the other columns. len(), table[j] and iteration give
+    ProteinScore row views, built from one list per column.
     """
 
     ids: np.ndarray
@@ -128,6 +129,12 @@ class ScoreTable:
             if column.shape != (len(self.ids),):
                 raise ValueError(f"{name} needs one entry per protein id")
             object.__setattr__(self, name, column)
+        if self.fits is not None:
+            fits = np.array(self.fits, dtype=float)
+            fits.setflags(write=False)
+            if fits.shape != (len(self.ids), 10):
+                raise ValueError("fits needs one row of 10 per protein id")
+            object.__setattr__(self, "fits", fits)
         nan = np.isnan(self.value) | np.isnan(self.p_value)
         if nan.any():
             raise ValueError(f"protein '{self.ids[nan.argmax()]}' scored NaN (values too large?)")
@@ -143,11 +150,14 @@ class ScoreTable:
 
     def _views(self, rows):
         """Row views of the rows an index list or slice picks."""
-        columns = [a[rows].tolist() for a in (self.ids, self.value, self.p_value, self.degenerate)]
-        fits = repeat(None) if self.fits is None else self.fits[rows].tolist()
-        return (ProteinScore(pid, self.kind, value, p, None if fit is None or degenerate else (
-                    MixtureFit(*fit[:7], iterations=0, converged=True), PooledFit(*fit[7:])))
-                for pid, value, p, degenerate, fit in zip(*columns, fits))
+        kind = self.kind
+        columns = [a[rows].tolist() for a in (self.ids, self.value, self.p_value)]
+        if self.fits is None:
+            return (ProteinScore(pid, kind, v, p) for pid, v, p in zip(*columns))
+        return (ProteinScore(pid, kind, v, p, None if degen else (
+                    MixtureFit(m1, m2, v1, v2, w1, w2, ll, 0, True), PooledFit(mu, vp, llp)))
+                for pid, v, p, degen, m1, m2, v1, v2, w1, w2, ll, mu, vp, llp
+                in zip(*columns, self.degenerate[rows].tolist(), *self.fits[rows].T.tolist()))
 
 
 def _normal_loglik(n: int, ss, sigma2):
@@ -195,8 +205,9 @@ def fit_mixture_fixed_weights(
     loglik counting as -inf, so the fit never falls below the pooled one.
     The S starts still iterating are the columns of (2, S, 1) arrays. At no
     more than 2 x 3 x N numbers, numpy's price per call outweighs the
-    arithmetic: constants are 0-d arrays, and the stop tests and the
-    write-back run on Python lists.
+    arithmetic: constants are 0-d arrays, numpy's functions are looked up
+    once per call, the E-step writes into one buffer per S, and the stop
+    tests and the write-back run on Python lists.
     Non-convergence is reported through converged=False, never raised.
     """
     x = np.asarray(x, dtype=float).ravel()
@@ -230,37 +241,44 @@ def fit_mixture_fixed_weights(
     ll = None
     d2 = np.square(x - m)
     it = 0
+    # numpy's functions looked up once; the E-step's buffer, remade when starts stop
+    log, exp, logaddexp, square, maximum = np.log, np.exp, np.logaddexp, np.square, np.maximum
+    subtract, multiply, add_reduce, empty = np.subtract, np.multiply, np.add.reduce, np.empty
+    rx = empty((2, 2, 0, 0))
     while True:
         # log(w_l N(x | m_l, v_l)), shape (2, S, N), and its log-sum over l
-        lp = lw - half * np.log(two_pi * v) - half * d2 / v
-        lse = np.logaddexp(lp[0], lp[1])
-        prev, ll = ll, np.add.reduce(lse, 1).tolist()
+        lp = lw - half * log(two_pi * v) - half * d2 / v
+        lp0 = lp[0]
+        lse = logaddexp(lp0, lp[1])
+        prev, ll = ll, add_reduce(lse, 1).tolist()
         if it:
             if debug_monotone:
                 assert all(a >= b - 1e-9 for a, b in zip(ll, prev)), "EM log-likelihood decreased"
             done = [abs(a - b) < EM_TOL for a, b in zip(ll, prev)]
-            if any(done):
+            if True in done:
                 keep, live, ll = stop(live, done, m, v, ll, it, True)
                 lw, xs, m, v, lp = (a[:, keep] for a in (lw, xs, m, v, lp))
-                lse = lse[keep]
+                lp0, lse = lp[0], lse[keep]
         if it >= max_iter or not live:
             break
         it += 1
         # E-step in log space, r_1 = 1 - r_0; r and r x are summed in one call
-        rx = np.empty((2, 2, len(live), x.size))
-        r = rx[0]
-        np.subtract(one, np.exp(lp[0] - lse, out=r[0]), out=r[1])
-        np.multiply(r, xs, out=rx[1])
-        sums = np.add.reduce(rx, 3, keepdims=True)
+        if rx.shape[2] != len(live):  # one buffer per number of live starts
+            rx = empty((2, 2, len(live), x.size))
+            (r, rxs), (r0, r1) = rx, rx[0]
+        subtract(one, exp(lp0 - lse, r0), r1)
+        multiply(r, xs, rxs)
+        sums = add_reduce(rx, 3, keepdims=True)
         t, sx = sums[0], sums[1]
-        lost = [t0 <= 0 or t1 <= 0 for t0, t1 in zip(*t[..., 0].tolist())]
-        if any(lost):  # a component lost all responsibility
+        tl = t.ravel().tolist()
+        if True in [a <= 0 for a in tl]:  # a component lost all responsibility
+            lost = [t0 <= 0 or t1 <= 0 for t0, t1 in zip(tl[:len(live)], tl[len(live):])]
             keep, live, ll = stop(live, lost, m, v, ll, it, False)
             lw, xs, r, t, sx = (a[:, keep] for a in (lw, xs, r, t, sx))
         # M-step: weighted means and variances, variances floored
         m = sx / t
-        d2 = np.square(x - m)
-        v = np.maximum(np.add.reduce(r * d2, 2, keepdims=True) / t, floor)
+        d2 = square(x - m)
+        v = maximum(add_reduce(r * d2, 2, keepdims=True) / t, floor)
     stop(live, [True] * len(live), m, v, ll, it, False)
     best = max(map(fits.get, range(4)), key=lambda fit: fit[4] if fit[4] == fit[4] else -np.inf)
     return MixtureFit(*best[:4], *w, *best[4:])
