@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateData, RegimeViolation
-from .matrix import ExpressionMatrix, regime, rows_per_block
+from .matrix import ExpressionMatrix, _UniqueIds, regime, rows_per_block
 
 # Variances below 1e-8 x (pooled variance) are clamped. A row is degenerate
 # (carries no information) only when its pooled variance is exactly zero.
@@ -75,28 +74,16 @@ class ProteinScore:
     fit_diagnostics: tuple[MixtureFit, PooledFit] | None = None
 
 
-@lru_cache(maxsize=1)
-def _id_column(ids: tuple) -> np.ndarray | None:
-    """Read-only ids array of a tuple of str, shared by every ScoreTable over
-    it, or None for a tuple holding anything else: equal tuples of other ids,
-    like (1,) and (1.0,), format apart. The check runs once per tuple. Only
-    the last tuple's array is kept, so a new tuple frees the old one's."""
-    if not set(map(type, ids)) <= {str}:
-        return None
-    column = np.array(ids, dtype=str)
-    column.setflags(write=False)
-    return column
-
-
 @dataclass(frozen=True, eq=False)
 class ScoreTable:
     """Scores of every protein as columns, in matrix row order.
 
-    ids, value, p_value and degenerate are length-p arrays, held read-only; a
-    NaN value or p-value raises ValueError naming the first such protein.
-    Tables over one tuple of str ids share one ids array, converted and
-    checked once per tuple. A table holds no ranking: select.py ranks the
-    rows a selection can return or show (DECISIONS.md D17).
+    ids is the scored matrix's tuple of protein ids, held as it is; ids
+    given any other way are converted once to a tuple of str. value,
+    p_value and degenerate are length-p arrays, held read-only; a NaN value
+    or p-value raises ValueError naming the first such protein. A table
+    holds no ranking: select.py ranks the rows a selection can return or
+    show (DECISIONS.md D17).
     fits, set only by lr scoring with diagnostics, is a (p, 10) float array
     of per-row fits with columns mu1, mu2, sigma21, sigma22, w1, w2, split
     loglik, pooled mu, pooled sigma2, pooled loglik, checked and held
@@ -104,7 +91,7 @@ class ScoreTable:
     ProteinScore row views, built from one list per column.
     """
 
-    ids: np.ndarray
+    ids: tuple[str, ...]
     kind: str
     value: np.ndarray
     p_value: np.ndarray
@@ -112,20 +99,14 @@ class ScoreTable:
     fits: np.ndarray | None = None
 
     def __post_init__(self):
-        # Each table holds a view of a shared ids array, which cannot be made
-        # writeable again. A tuple with an unhashable id goes the other way,
-        # to fail its shape check.
-        try:
-            shared = _id_column(self.ids) if isinstance(self.ids, tuple) else None
-        except TypeError:
-            shared = None
-        for name, dtype in (("ids", str), ("value", float), ("p_value", float),
-                            ("degenerate", bool)):
-            if name == "ids" and shared is not None:
-                column = shared.view()
-            else:
-                column = np.array(getattr(self, name), dtype=dtype)
-                column.setflags(write=False)
+        if not isinstance(self.ids, _UniqueIds):
+            ids = np.array(self.ids, dtype=str)
+            if ids.shape != (len(self.ids),):
+                raise ValueError("ids needs one entry per protein id")
+            object.__setattr__(self, "ids", tuple(ids.tolist()))
+        for name, dtype in (("value", float), ("p_value", float), ("degenerate", bool)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.setflags(write=False)
             if column.shape != (len(self.ids),):
                 raise ValueError(f"{name} needs one entry per protein id")
             object.__setattr__(self, name, column)
@@ -151,7 +132,8 @@ class ScoreTable:
     def _views(self, rows):
         """Row views of the rows an index list or slice picks."""
         kind = self.kind
-        columns = [a[rows].tolist() for a in (self.ids, self.value, self.p_value)]
+        ids = self.ids[rows] if isinstance(rows, slice) else [self.ids[j] for j in rows]
+        columns = [ids, self.value[rows].tolist(), self.p_value[rows].tolist()]
         if self.fits is None:
             return (ProteinScore(pid, kind, v, p) for pid, v, p in zip(*columns))
         return (ProteinScore(pid, kind, v, p, None if degen else (

@@ -37,17 +37,19 @@ def regime(n1: int, n2: int) -> Regime:
     return Regime(stat, f"min(n1,n2)={n} {op} {LR_MIN_N} -> {stat}", q)
 
 
-@lru_cache(maxsize=8)
-def _default_ids(p: int) -> tuple[str, ...]:
-    """P0001.. for p proteins, zero-padded to at least four digits."""
-    width = max(4, len(str(p)))
-    return tuple(f"P{i + 1:0{width}d}" for i in range(p))
-
-
 class _UniqueIds(tuple):
-    """Protein ids already checked to be unique strs, one per row, as
-    ingest_matrix checks them while it reads: ExpressionMatrix keeps them
+    """Protein ids already checked to be unique strs, one per row: the form
+    every ExpressionMatrix holds, and the one a ScoreTable keeps as it is.
+    ingest_matrix checks its ids while it reads, so the matrix keeps them
     without a second pass."""
+
+
+@lru_cache(maxsize=1)
+def _default_ids(p: int) -> _UniqueIds:
+    """P0001.. for p proteins, zero-padded to at least four digits. Only the
+    last p's ids are kept, so a new p frees the old one's."""
+    width = max(4, len(str(p)))
+    return _UniqueIds(f"P{i + 1:0{width}d}" for i in range(p))
 
 
 @dataclass(frozen=True)
@@ -56,8 +58,9 @@ class ExpressionMatrix:
 
     values: (p, N) float array, one row per protein.
     layout: length-N int array of condition labels, each 1 or 2.
-    protein_ids: optional names; P0001.. when omitted, formatted once per p
-        and shared by every matrix of that p as an immutable tuple.
+    protein_ids: optional names, held as a tuple of unique strs; P0001..
+        when omitted, formatted once per p and shared by every matrix of
+        that p.
     """
 
     values: np.ndarray
@@ -82,7 +85,7 @@ class ExpressionMatrix:
         if isinstance(self.protein_ids, _UniqueIds):
             ids = self.protein_ids
         elif self.protein_ids:
-            ids = tuple(str(i) for i in self.protein_ids)
+            ids = _UniqueIds(str(i) for i in self.protein_ids)
             if len(ids) != values.shape[0]:
                 raise ValueError("protein_ids length must equal protein count")
             if len(set(ids)) != len(ids):

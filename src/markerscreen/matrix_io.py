@@ -276,7 +276,7 @@ def write_scores(path: str, scores, header_lines=()) -> None:
         for i in range(0, len(scores), step):
             fh.write("".join([
                 f"{pid},{kind},{value!r},{p_value!r}\r\n"
-                for pid, value, p_value in zip(_fields(scores.ids[i:i + step].tolist()),
+                for pid, value, p_value in zip(_fields(scores.ids[i:i + step]),
                                                scores.value[i:i + step].tolist(),
                                                scores.p_value[i:i + step].tolist())
             ]))
@@ -285,8 +285,7 @@ def write_scores(path: str, scores, header_lines=()) -> None:
 def write_selection(path: str, result, header_lines=()) -> None:
     with _artifact(path, header_lines) as fh:
         fh.write(f"# policy: {result.policy.kind}\n")
-        cutoff = result.cutoff_used
-        fh.write(f"# cutoff: {_num(cutoff) if cutoff is not None else 'none'}\n")
+        fh.write(f"# cutoff: {_num(result.cutoff_used)}\n")
         fh.write(f"# fallback_used: {int(result.fallback_used)}\n")
         if result.fallback_used:
             fh.write(f"# fallback_q: {_num(result.policy.q)}\n")

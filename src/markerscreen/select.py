@@ -63,8 +63,14 @@ class SelectionResult:
 def _rank(scores: ScoreTable, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """The ascending row indices `rows` by ascending keys (one per row), ties
     broken by ascending id: the one tie rule of every selection and preview.
-    Ranking a subset keeps the order the rows have in the whole table."""
-    return rows[np.lexsort((scores.ids[rows], keys))]
+    Ranking a subset keeps the order the rows have in the whole table. The
+    ranked rows' ids are gathered only when two keys tie."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        ids = scores.ids
+        order = np.lexsort((np.array([ids[j] for j in rows.tolist()], dtype=str), keys))
+    return rows[order]
 
 
 def _by_value(scores: ScoreTable, floor: float) -> np.ndarray:
@@ -91,10 +97,11 @@ def _result(scores: ScoreTable, cutoff: float, policy: SelectionPolicy,
             ranked = _by_value(scores, cutoff)  # the cutoff reaches below the window
         chosen = ranked[scores.value[ranked] >= cutoff]
     top = window[:PREVIEW_SIZE]
+    ids = scores.ids
     return SelectionResult(
-        selected=tuple(scores.ids[chosen].tolist()),
+        selected=tuple([ids[j] for j in chosen.tolist()]),
         cutoff_used=float(cutoff),
-        sorted_preview=tuple(zip(scores.value[top].tolist(), scores.ids[top].tolist())),
+        sorted_preview=tuple(zip(scores.value[top].tolist(), [ids[j] for j in top.tolist()])),
         policy=policy,
     )
 

@@ -160,6 +160,26 @@ def test_d_rows_match_the_full_kernel_reference(N):
     assert np.isnan(d[-2:]).all() and np.isnan(h[-2:]).all()
 
 
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 8, 10, 20, 40])
+def test_scorer_d_uses_the_kernel_cdf_that_acceptance_6_checks(N):
+    # d, summed from pair segments, against kernel_cdf at the sample points
+    # minus the fitted normal. Rows are centred near 0: far from it in sd
+    # units the mean's rounding dominates d's error (DECISIONS.md D18).
+    rng = np.random.default_rng(400 + N)
+    rows = np.vstack([
+        rng.normal(0, 1, (50, N)),
+        rng.standard_cauchy((50, N)),
+        np.round(rng.normal(0, 2, (50, N))),  # ties
+    ])
+    worst = 0.0
+    for x in rows[np.ptp(rows, axis=1) > 0]:
+        got = ms.ks_d_statistic(x)
+        kernel = ms.kernel_cdf(ms.KernelEstimate(centers=x, bandwidth=got.bandwidth_used), x)
+        fitted = norm.cdf((x - x.mean()) / x.std())
+        worst = max(worst, abs(got.d - np.abs(kernel - fitted).max()))
+    assert worst <= 1e-14
+
+
 def test_d_blocks_memory_stays_below_one_full_kernel():
     # 20,000 x 20 is 31 blocks of 655 rows. Summing pair segments peaks at
     # 0.82 MiB; building each block's (655, 400) kernel (2 MiB) peaked at 3.76 MiB.

@@ -1,6 +1,4 @@
-import gc
 import math
-import weakref
 from dataclasses import astuple
 
 import numpy as np
@@ -314,11 +312,9 @@ def test_sorted_moments_sort_every_width(N):
 def test_score_table_ids_are_read_only():
     m = _one_protein_matrix(np.arange(10.0), 5)  # default ids, shared per p
     for table in (ms.score_matrix_lr(m), ms.ttest_baseline(m)):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             table.ids[0] = "X"
-        with pytest.raises(ValueError):
-            table.ids.setflags(write=True)
-    assert ms.score_matrix_lr(m).ids.tolist() == ["P0001"]
+    assert list(ms.score_matrix_lr(m).ids) == ["P0001"]
 
 
 def test_score_tables_keep_their_own_explicit_ids():
@@ -326,26 +322,24 @@ def test_score_tables_keep_their_own_explicit_ids():
     layout = np.array([1] * 5 + [2] * 5)
     for ids in (("A", "B"), ("C", "D"), ("A", "B")):
         m = ms.ExpressionMatrix(values=values, layout=layout, protein_ids=ids)
-        assert ms.score_matrix_lr(m).ids.tolist() == list(ids)
-        assert ms.ttest_baseline(m).ids.tolist() == list(ids)
+        assert list(ms.score_matrix_lr(m).ids) == list(ids)
+        assert list(ms.ttest_baseline(m).ids) == list(ids)
     for ids in ((1, 2), (1.0, 2.0)):  # equal tuples, different ids
         table = ms.ScoreTable(ids, "deviance_lr", [0.0, 0.0], [1.0, 1.0], [True, True])
-        assert table.ids.tolist() == [str(i) for i in ids]
+        assert list(table.ids) == [str(i) for i in ids]
     with pytest.raises(ValueError, match="one entry per protein id"):  # unhashable ids
         ms.ScoreTable((["A"], ["B"]), "deviance_lr", [0.0, 0.0], [1.0, 1.0], [True, True])
 
 
-def test_score_tables_free_the_ids_array_of_an_earlier_tuple():
+def test_score_tables_hold_the_matrix_ids_tuple_itself():
     values = np.arange(20.0).reshape(2, 10) ** 2
     layout = np.array([1] * 5 + [2] * 5)
-    m = ms.ExpressionMatrix(values=values, layout=layout, protein_ids=("first-A", "first-B"))
-    table = ms.score_matrix_lr(m)
-    shared = weakref.ref(table.ids.base)
-    del m, table
-    ms.score_matrix_lr(ms.ExpressionMatrix(values=values, layout=layout,
-                                           protein_ids=("second-A", "second-B")))
-    gc.collect()
-    assert shared() is None
+    for ids in (("A", "B"), ()):  # explicit and default ids
+        m = ms.ExpressionMatrix(values=values, layout=layout, protein_ids=ids)
+        assert ms.score_matrix_lr(m).ids is m.protein_ids
+        assert ms.ttest_baseline(m).ids is m.protein_ids
+    m = ms.ExpressionMatrix(values=values[:, :6], layout=np.array([1, 1, 1, 2, 2, 2]))
+    assert ms.score_matrix_ks(m, replicates=1000).ids is m.protein_ids
 
 
 def test_score_table_checks_and_holds_its_fits():

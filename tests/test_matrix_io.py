@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import markerscreen as ms
 from markerscreen.errors import LayoutError, ParseError
+from markerscreen.matrix import _default_ids
 from markerscreen.matrix_io import (
     ingest_matrix,
     read_truth,
@@ -50,6 +51,12 @@ def test_default_ids_are_p_wide_and_at_least_four_digits():
     big = ids(10_000)
     assert big[0] == "P00001" and big[-1] == "P10000" and len(big) == 10_000
     assert ids(3) is ids(3)  # formatted once per p, shared
+
+
+def test_default_ids_keep_only_the_last_p():
+    for p in (3, 5):
+        ms.ExpressionMatrix(values=np.arange(2.0 * p).reshape(p, 2), layout=np.array([1, 2]))
+    assert _default_ids.cache_info().currsize == 1
 
 
 def test_ingest_well_formed(tmp_path):

@@ -64,7 +64,7 @@ def test_row_permutation_is_bit_exact(stat, design, perm_seed):
     shuffled = ms.ExpressionMatrix(values=m.values[perm], layout=m.layout,
                                    protein_ids=tuple(np.asarray(m.protein_ids)[perm]))
     base, moved = _score(m, stat), _score(shuffled, stat)
-    assert np.array_equal(moved.ids, base.ids[perm])
+    assert np.array_equal(moved.ids, np.asarray(base.ids)[perm])
     assert np.array_equal(moved.value, base.value[perm])
     assert np.array_equal(moved.p_value, base.p_value[perm])
     assert np.array_equal(moved.degenerate, base.degenerate[perm])

@@ -132,7 +132,7 @@ def test_apply_policy_matches_list_oracle(table, spec, n):
 def test_selection_invariant_under_row_permutation(table, rnd):
     perm = list(range(len(table)))
     rnd.shuffle(perm)
-    shuffled = ms.ScoreTable(table.ids[perm], table.kind, table.value[perm],
+    shuffled = ms.ScoreTable([table.ids[k] for k in perm], table.kind, table.value[perm],
                              table.p_value[perm], table.degenerate[perm])
     for policy in (ms.SelectionPolicy(kind="fixed_cutoff", c=1.5),
                    ms.SelectionPolicy(kind="bh_fdr", q=0.2),
