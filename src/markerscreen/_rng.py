@@ -7,6 +7,8 @@ draws to one stream cannot perturb another. Counter-based generators make
 the derivation stable across platforms and numpy versions.
 """
 
+from __future__ import annotations
+
 import hashlib
 
 import numpy as np

@@ -84,7 +84,7 @@ class ExpressionMatrix:
         object.__setattr__(self, "layout", layout)
         if isinstance(self.protein_ids, _UniqueIds):
             ids = self.protein_ids
-        elif self.protein_ids:
+        elif self.protein_ids is not None and len(self.protein_ids):
             ids = _UniqueIds(str(i) for i in self.protein_ids)
             if len(ids) != values.shape[0]:
                 raise ValueError("protein_ids length must equal protein count")

@@ -84,10 +84,10 @@ def ingest_matrix(path: str, layout_spec: str | None = None) -> ExpressionMatrix
     csv.reader in blocks of rows_per_block(8 * samples), as a str cell
     weighs about eight float64s, and each is rejoined into a line without
     its id. Each block's lines are parsed by one loadtxt call, or cell by
-    cell if loadtxt rejects them or an id repeats; a value cell holding a
-    comma, a quote or a line break is one loadtxt rejects. Blocks go into one
-    values array, sized when a block does not fit for the rows the bytes
-    left hold at the bytes per row so far.
+    cell if loadtxt rejects them or an id is empty or repeats; a value cell
+    holding a comma, a quote or a line break is one loadtxt rejects. Blocks
+    go into one values array, sized when a block does not fit for the rows
+    the bytes left hold at the bytes per row so far.
     """
     meta: dict[str, str] = {}
     records = header = None
@@ -128,7 +128,7 @@ def ingest_matrix(path: str, layout_spec: str | None = None) -> ExpressionMatrix
                 continue
             block = _parse_block(lines, n)
             new = set(block_ids)
-            if block is None or len(new) < len(lines) or not seen.isdisjoint(new):
+            if block is None or "" in new or len(new) < len(lines) or not seen.isdisjoint(new):
                 if records is None:
                     rows = [line.rstrip("\r\n").split(",") for line in lines]
                 block_ids, block = _parse_cells(path, header, rows, len(ids), seen)
@@ -210,6 +210,8 @@ def _parse_cells(path: str, header: list[str], rows: list[list[str]], first: int
                 f"{path}: row {first + i + 2} has {len(row)} cells, expected {len(header)}"
             )
         pid = row[0].strip()
+        if not pid:
+            raise ParseError(f"{path}: row {first + i + 2} has an empty protein id")
         if pid in seen:
             raise ParseError(f"{path}: duplicate protein id {pid!r}")
         seen.add(pid)
@@ -230,33 +232,38 @@ def _parse_cells(path: str, header: list[str], rows: list[list[str]], first: int
     return ids, values
 
 
-@contextlib.contextmanager
-def _artifact(path: str, header_lines):
-    """The artifact file at path, opened for writing after its `# ` header."""
+def _write_csv(path: str, header_lines, columns, rows: int, block) -> None:
+    """Write an artifact: its `# ` header lines, the column names, then its
+    rows in blocks; block(i, j) gives rows i..j-1 as a list of columns of str
+    cells. The bytes are csv.writer's: a cell holding a comma, a quote, a CR
+    or a LF is quoted, rows end in CRLF, and a row of one empty cell is
+    written `""`. Each column of a block is searched once; only one holding
+    a character to quote goes cell by cell."""
+    step = rows_per_block(8 * len(columns))  # a str cell weighs about eight float64s
     with open(path, "w", newline="") as fh:
         fh.write("".join(f"# {line}\n" for line in header_lines))
-        yield fh
+        for cells in chain([[[c] for c in columns]],
+                           (block(i, i + step) for i in range(0, rows, step))):
+            for k, column in enumerate(cells):
+                joined = "".join(column)
+                if any(c in joined for c in _QUOTED_CHARS):
+                    cells[k] = [c if _QUOTED_CHARS.isdisjoint(c)
+                                else '"' + c.replace('"', '""') + '"' for c in column]
+            if len(cells) == 1:
+                cells = [[c or '""' for c in cells[0]]]
+            fh.write("\r\n".join([*map(",".join, zip(*cells)), ""]))
 
 
 def write_matrix(path: str, matrix: ExpressionMatrix, header_lines=()) -> None:
-    with _artifact(path, header_lines) as fh:
-        fh.write("# layout: " + ",".join(str(c) for c in matrix.layout) + "\n")
-        csv.writer(fh).writerow(["protein_id"] + [f"s{i + 1:02d}" for i in range(matrix.N)])
-        step = rows_per_block(matrix.N + 1)
-        for i in range(0, matrix.p, step):
-            fh.write("".join([
-                f"{pid},{','.join(map(repr, row))}\r\n"
-                for pid, row in zip(_fields(matrix.protein_ids[i:i + step]),
-                                    matrix.values[i:i + step].tolist())
-            ]))
+    _write_csv(path, [*header_lines, "layout: " + ",".join(map(str, matrix.layout.tolist()))],
+               ["protein_id"] + [f"s{i + 1:02d}" for i in range(matrix.N)], matrix.p,
+               lambda i, j: [matrix.protein_ids[i:j]]
+               + [list(map(repr, column)) for column in matrix.values[i:j].T.tolist()])
 
 
 def write_truth(path: str, protein_ids, truth, header_lines=()) -> None:
-    with _artifact(path, header_lines) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["protein_id", "is_true"])
-        for pid, flag in zip(protein_ids, truth):
-            writer.writerow([pid, int(flag)])
+    _write_csv(path, header_lines, ["protein_id", "is_true"], len(protein_ids),
+               lambda i, j: [protein_ids[i:j], ["1" if flag else "0" for flag in truth[i:j]]])
 
 
 def read_truth(path: str) -> dict:
@@ -267,68 +274,39 @@ def read_truth(path: str) -> dict:
 
 
 def write_scores(path: str, scores, header_lines=()) -> None:
-    """One CSV row per protein of a ScoreTable, in table order, written in
-    blocks of rows."""
-    with _artifact(path, header_lines) as fh:
-        csv.writer(fh).writerow(["protein_id", "statistic_kind", "value", "p_value"])
-        kind, = _fields([scores.kind])
-        step = rows_per_block(4)
-        for i in range(0, len(scores), step):
-            fh.write("".join([
-                f"{pid},{kind},{value!r},{p_value!r}\r\n"
-                for pid, value, p_value in zip(_fields(scores.ids[i:i + step]),
-                                               scores.value[i:i + step].tolist(),
-                                               scores.p_value[i:i + step].tolist())
-            ]))
+    """One CSV row per protein of a ScoreTable, in table order."""
+    _write_csv(path, header_lines, ["protein_id", "statistic_kind", "value", "p_value"],
+               len(scores), lambda i, j: [
+                   scores.ids[i:j], [scores.kind] * len(scores.ids[i:j]),
+                   list(map(repr, scores.value[i:j].tolist())),
+                   list(map(repr, scores.p_value[i:j].tolist()))])
 
 
 def write_selection(path: str, result, header_lines=()) -> None:
-    with _artifact(path, header_lines) as fh:
-        fh.write(f"# policy: {result.policy.kind}\n")
-        fh.write(f"# cutoff: {_num(result.cutoff_used)}\n")
-        fh.write(f"# fallback_used: {int(result.fallback_used)}\n")
-        if result.fallback_used:
-            fh.write(f"# fallback_q: {_num(result.policy.q)}\n")
-        elif result.policy.kind == "bh_fdr":
-            fh.write(f"# q: {_num(result.policy.q)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["protein_id"])
-        for pid in result.selected:
-            writer.writerow([pid])
+    policy = [f"policy: {result.policy.kind}", f"cutoff: {_num(result.cutoff_used)}",
+              f"fallback_used: {int(result.fallback_used)}"]
+    if result.fallback_used:
+        policy.append(f"fallback_q: {_num(result.policy.q)}")
+    elif result.policy.kind == "bh_fdr":
+        policy.append(f"q: {_num(result.policy.q)}")
+    _write_csv(path, [*header_lines, *policy], ["protein_id"], len(result.selected),
+               lambda i, j: [result.selected[i:j]])
 
 
 def write_preview(path: str, result, header_lines=()) -> None:
     """Plot-ready descending curve: rank, statistic, protein id."""
-    with _artifact(path, header_lines) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "statistic", "protein_id"])
-        for rank, (value, pid) in enumerate(result.sorted_preview, start=1):
-            writer.writerow([rank, _num(value), pid])
+    rows = [(str(rank), _num(value), pid)
+            for rank, (value, pid) in enumerate(result.sorted_preview, start=1)]
+    _write_csv(path, header_lines, ["rank", "statistic", "protein_id"], len(rows),
+               lambda i, j: list(zip(*rows[i:j])))
 
 
 def write_table(path: str, rows: list[dict], columns, header_lines=()) -> None:
-    with _artifact(path, header_lines) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in columns])
-
-
-def _fields(cells):
-    """Cells as csv.writer writes each in a row of several cells. The block
-    is searched once; only one holding a character to quote goes cell by cell."""
-    joined = "".join(cells)
-    if not any(c in joined for c in _QUOTED_CHARS):
-        return cells
-    return [c if _QUOTED_CHARS.isdisjoint(c) else '"' + c.replace('"', '""') + '"' for c in cells]
+    _write_csv(path, header_lines, columns, len(rows), lambda i, j: [
+        [_num(row[c]) if isinstance(row[c], float) else str(row[c]) for row in rows[i:j]]
+        for c in columns])
 
 
 def _num(v) -> str:
     # repr of a builtin float round-trips bit-exactly; numpy scalars do not
     return repr(float(v))
-
-
-def _format_cell(v):
-    if isinstance(v, float):
-        return _num(v)
-    return v

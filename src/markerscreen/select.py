@@ -35,7 +35,7 @@ class SelectionPolicy:
 
     def __post_init__(self):
         if self.kind == "fixed_cutoff":
-            if self.c is None or self.c <= 0:
+            if self.c is None or not self.c > 0:  # NaN too
                 raise ValueError("fixed_cutoff needs c > 0")
         elif self.kind == "gap_knee":
             if self.q is not None and not 0 < self.q < 1:

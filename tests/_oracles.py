@@ -273,6 +273,8 @@ def ingest_reference(path):
                 f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}"
             )
         pid = row[0].strip()
+        if not pid:
+            raise ParseError(f"{path}: row {i + 2} has an empty protein id")
         if pid in seen:
             raise ParseError(f"{path}: duplicate protein id {pid!r}")
         seen.add(pid)

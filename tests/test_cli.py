@@ -272,6 +272,27 @@ def test_exit_2_on_bad_cell(tmp_path):
                    "--layout", "1,1,2,2", "--out-dir", str(tmp_path)) == 2
 
 
+@pytest.mark.parametrize("row", [",1,2,3,4", " ,1,2,3,4", '"",1,2,3,4'])
+def test_exit_2_on_an_empty_protein_id(tmp_path, capsys, row):
+    src = tmp_path / "m.csv"
+    src.write_text(f"protein_id,s1,s2,s3,s4\nP1,4,3,2,1\n{row}\n")
+    assert run_cli("select", "--input", str(src), "--layout", "1,1,2,2",
+                   "--out-dir", str(tmp_path / "o")) == 2
+    assert "row 3 has an empty protein id" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_exit_2_on_a_nan_fixed_cutoff(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    run_cli("simulate", "--preset", "water-n10", "--seed", "8",
+            "--out-dir", str(sim), "--deterministic")
+    capsys.readouterr()
+    assert run_cli("select", "--input", str(sim / "matrix.csv"), "--policy", "fixed:nan",
+                   "--out-dir", str(tmp_path / "o"), "--deterministic") == 2
+    assert "fixed_cutoff needs c > 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_2_on_oversized_csv_field(tmp_path, capsys):
     # csv.reader's field limit (131,072 characters) is a parse error, not a crash
     long_id = "P" * 200_000

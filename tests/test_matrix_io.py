@@ -15,9 +15,13 @@ from markerscreen.matrix_io import (
     ingest_matrix,
     read_truth,
     write_matrix,
+    write_preview,
     write_scores,
+    write_selection,
+    write_table,
     write_truth,
 )
+from markerscreen.select import SelectionResult
 
 from _oracles import ingest_reference
 
@@ -40,6 +44,12 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         ms.ExpressionMatrix(values=vals, layout=np.array([1, 1, 2, 2]),
                             protein_ids=("A", "A"))
+    named = ms.ExpressionMatrix(values=vals, layout=np.array([1, 1, 2, 2]),
+                                protein_ids=np.array(["A", "B"]))
+    assert named.protein_ids == ("A", "B")
+    assert all(type(pid) is str for pid in named.protein_ids)
+    assert ms.ExpressionMatrix(values=vals, layout=np.array([1, 1, 2, 2]),
+                               protein_ids=None).protein_ids == ("P0001", "P0002")
 
 
 def test_default_ids_are_p_wide_and_at_least_four_digits():
@@ -119,6 +129,14 @@ def test_truth_round_trip(tmp_path):
     assert truth == {"A": True, "B": False, "C": True}
 
 
+def _csv_writer_text(comments, rows):
+    """`# ` comment lines, then rows as csv.writer writes them."""
+    out = io.StringIO()
+    out.write("".join(f"# {line}\n" for line in comments))
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
 def test_writers_quote_ids_as_csv_writer_does(tmp_path):
     ids = ["plain", "a,b", 'q"x', "r\rs", "n\nm", " pad "]
     vals = np.arange(24, dtype=float).reshape(6, 4) / 7.0
@@ -126,21 +144,40 @@ def test_writers_quote_ids_as_csv_writer_does(tmp_path):
                             protein_ids=ids)
     scores = ms.ScoreTable(ids, "deviance_lr", vals[:, 0], vals[:, 1] / 10.0,
                            np.zeros(6, dtype=bool))
+    truth = np.array([True, False, True, True, False, False])
+    result = SelectionResult(selected=("a,b", "", 'q"x'), cutoff_used=2.0,
+                             sorted_preview=((3.5, "a,b"), (3.0, ""), (2.5, "n\nm")),
+                             policy=ms.SelectionPolicy(kind="fixed_cutoff", c=2.0))
+    table = [{"method": "lr+gap", "note": 'say "hi", twice', "x": 0.1, "n": 3},
+             {"method": "", "note": "", "x": float("nan"), "n": 0}]
     write_matrix(str(tmp_path / "m.csv"), m)
     write_scores(str(tmp_path / "s.csv"), scores)
-    expected_m, expected_s = io.StringIO(), io.StringIO()
-    expected_m.write("# layout: 1,1,2,2\n")
-    csv.writer(expected_m).writerows(
-        [["protein_id", "s01", "s02", "s03", "s04"]]
-        + [[pid] + [repr(v) for v in row] for pid, row in zip(ids, vals.tolist())])
-    csv.writer(expected_s).writerows(
-        [["protein_id", "statistic_kind", "value", "p_value"]]
-        + [[pid, "deviance_lr", repr(v), repr(p)]
-           for pid, v, p in zip(ids, vals[:, 0].tolist(), (vals[:, 1] / 10.0).tolist())])
-    with open(tmp_path / "m.csv", newline="") as fh:
-        assert fh.read() == expected_m.getvalue()
-    with open(tmp_path / "s.csv", newline="") as fh:
-        assert fh.read() == expected_s.getvalue()
+    write_truth(str(tmp_path / "t.csv"), ids, truth, ["a header"])
+    write_selection(str(tmp_path / "sel.csv"), result)
+    write_preview(str(tmp_path / "prev.csv"), result)
+    write_table(str(tmp_path / "tab.csv"), table, ["method", "note", "x", "n"])
+    expected = {
+        "m.csv": _csv_writer_text(["layout: 1,1,2,2"], [["protein_id", "s01", "s02", "s03", "s04"]]
+                                  + [[pid] + [repr(v) for v in row]
+                                     for pid, row in zip(ids, vals.tolist())]),
+        "s.csv": _csv_writer_text([], [["protein_id", "statistic_kind", "value", "p_value"]]
+                                  + [[pid, "deviance_lr", repr(v), repr(p)]
+                                     for pid, v, p in zip(ids, vals[:, 0].tolist(),
+                                                          (vals[:, 1] / 10.0).tolist())]),
+        "t.csv": _csv_writer_text(["a header"], [["protein_id", "is_true"]]
+                                  + [[pid, int(flag)] for pid, flag in zip(ids, truth)]),
+        "sel.csv": _csv_writer_text(["policy: fixed_cutoff", "cutoff: 2.0", "fallback_used: 0"],
+                                    [["protein_id"], ["a,b"], [""], ['q"x']]),
+        "prev.csv": _csv_writer_text([], [["rank", "statistic", "protein_id"], [1, "3.5", "a,b"],
+                                          [2, "3.0", ""], [3, "2.5", "n\nm"]]),
+        "tab.csv": _csv_writer_text([], [["method", "note", "x", "n"],
+                                         ["lr+gap", 'say "hi", twice', "0.1", 3],
+                                         ["", "", "nan", 0]]),
+    }
+    assert '\r\n""\r\n' in expected["sel.csv"]  # a lone empty id is written ""
+    for name, text in expected.items():
+        with open(tmp_path / name, newline="") as fh:
+            assert fh.read() == text, name
     back = ingest_matrix(str(tmp_path / "m.csv"))  # quoted file: csv.reader path
     assert back.protein_ids == ("plain", "a,b", 'q"x', "r\rs", "n\nm", "pad")
     assert back.values.tobytes() == vals.tobytes()
@@ -181,6 +218,7 @@ INGEST_CASES = {
     "no-rows": HEAD + "# nothing\n",
     "no-header": "# layout: 1,1,2,2\n\n",
     "one-sample": "protein_id,s1\nP1,1\n",
+    "empty-id": HEAD + "P1,1,2,3,4\n,5,6,7,8\nP3,1,2,3,4\n",
 }
 
 

@@ -1,5 +1,6 @@
 """The package's import surface. ks and evaluate import scipy, so they and
-their names load on first use rather than at `import markerscreen`."""
+their names load on first use rather than at `import markerscreen`; so does
+numpy.random, which the package needs only to draw."""
 
 import os
 import subprocess
@@ -12,7 +13,7 @@ CHECK = """
 import sys
 import markerscreen as ms
 
-early = {"scipy", "markerscreen.ks", "markerscreen.evaluate"} & set(sys.modules)
+early = {"scipy", "numpy.random", "markerscreen.ks", "markerscreen.evaluate"} & set(sys.modules)
 assert not early, f"imported by `import markerscreen`: {sorted(early)}"
 assert set(ms.__all__) <= set(dir(ms))
 assert ms.evaluate is sys.modules["markerscreen.evaluate"]

@@ -162,6 +162,8 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         ms.SelectionPolicy(kind="fixed_cutoff", c=-1.0)
     with pytest.raises(ValueError):
+        ms.SelectionPolicy(kind="fixed_cutoff", c=float("nan"))
+    with pytest.raises(ValueError):
         ms.SelectionPolicy(kind="bh_fdr", q=1.5)
     with pytest.raises(ValueError):
         ms.SelectionPolicy(kind="gap_knee", q=1.5)
