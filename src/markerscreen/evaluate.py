@@ -104,7 +104,8 @@ def ttest_baseline(m: ExpressionMatrix) -> ScoreTable:
     Unequal variances, Welch-Satterthwaite degrees of freedom. Rows where
     both sample variances vanish are unscorable and get t = 0, p = 1.
     """
-    (x1, m1, ss1), (x2, m2, ss2) = (_sorted_moments(m.values[:, c]) for c in m.condition_masks())
+    x1, x2 = (m.values.T[c] for c in m.condition_masks())  # sample-major copies
+    (m1, ss1), (m2, ss2) = _sorted_moments(x1), _sorted_moments(x2)
     n1, n2 = len(x1), len(x2)
     if n1 < 2 or n2 < 2:
         raise ValueError("Welch test needs at least 2 samples per condition")
@@ -163,7 +164,7 @@ def convergence_table(
             raise ValueError("per-condition size must be >= 2")
         rng = substream(seed, f"null-calibration:{n}")
         draws = rng.standard_normal((replicates, 2 * n))
-        dev, _ = _deviance_core(draws, n)
+        dev, _ = _deviance_core(draws.T.copy(), n)
         for alpha in alphas:
             threshold = special.chdtri(2, alpha)  # chi-square(2) upper alpha-quantile
             rows.append({

@@ -112,7 +112,8 @@ def _d_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     N = rows.shape[1]
     if N < 3:
         raise ValueError("need at least 3 observations")
-    x, mean, ss = _sorted_moments(rows)  # x is C-ordered (N, m), whatever the layout of rows
+    x = rows.T.copy()  # C-ordered (N, m), whatever the layout of rows
+    mean, ss = _sorted_moments(x)
     dev = x - mean
     s = np.sqrt(ss / (N - 1))
     d = np.where(np.isfinite(s), 0.0, np.nan)

@@ -33,6 +33,8 @@ VARIANCE_FLOOR_REL = 1e-8
 
 EM_TOL = 1e-8
 EM_MAX_ITER = 500
+# 0.5, 1 and 2 pi as the 0-d arrays the EM loop computes with
+_EM_CONSTANTS = tuple(map(np.array, (0.5, 1.0, 2 * np.pi)))
 
 
 @dataclass
@@ -198,15 +200,19 @@ def fit_mixture_fixed_weights(
     pooled = fit_pooled_normal(x)  # raises DegenerateData on flat rows
     mu, var = pooled.mu, pooled.sigma2
     w = [n1 / x.size, n2 / x.size]
-    half, one, two_pi, floor = map(np.array, (0.5, 1.0, 2 * np.pi, VARIANCE_FLOOR_REL * var))
+    half, one, two_pi = _EM_CONSTANTS
+    vmin = VARIANCE_FLOOR_REL * var
+    floor = np.array(vmin)
     x1, x2 = x[:n1], x[n1:]
-    m1, m2 = np.add.reduce(x1) / n1, np.add.reduce(x2) / n2
-    v1, v2 = np.add.reduce(np.square(x1 - m1)) / n1, np.add.reduce(np.square(x2 - m2)) / n2
-    sd = np.sqrt(var)
+    m1, m2 = float(np.add.reduce(x1)) / n1, float(np.add.reduce(x2)) / n2
+    v1 = max(float(np.add.reduce(np.square(x1 - m1))) / n1, vmin)
+    v2 = max(float(np.add.reduce(np.square(x2 - m2))) / n2, vmin)
+    sd = math.sqrt(var)
+    lo, hi = float(np.minimum.reduce(x)), float(np.maximum.reduce(x))
     # one column per start: condition split, pooled mean -/+ one sd, range;
     # the floor leaves the pooled variance as it is
-    m = np.array([[m1, mu - sd, x.min()], [m2, mu + sd, x.max()]]).reshape(2, 3, 1)
-    v = np.maximum([[v1, var, var], [v2, var, var]], floor).reshape(2, 3, 1)
+    m = np.array([[m1, mu - sd, lo], [m2, mu + sd, hi]]).reshape(2, 3, 1)
+    v = np.array([[v1, var, var], [v2, var, var]]).reshape(2, 3, 1)
     fits = {0: (mu, mu, var, var, pooled.loglik, 0, True)}
 
     def stop(live, stops, m, v, ll, it, converged):
@@ -275,33 +281,38 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _sorted_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(xs, mean, ss) of each row of a 2-D x: xs, the rows sorted, as the
-    columns x_0 <= ... <= x_{N-1} of a C-ordered (N, rows) array; the mean and
-    the sum of squared deviations, each summed over xs column by column
-    (DECISIONS.md D18). ss is exactly 0 on a row whose x_0 equals x_{N-1}."""
-    xs = x.T.copy()
+def _sorted_moments(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, ss) of each column of a 2-D xs that holds one sample per row,
+    sorting xs in place into rows x_0 <= ... <= x_{N-1} first: the mean and
+    the sum of squared deviations, each added over xs row by row (DECISIONS.md
+    D18). ss is exactly 0 on a column whose x_0 equals x_{N-1}. Besides xs,
+    only column-sized arrays are made."""
     if len(xs) > 4:
         xs.sort(axis=0)
-    else:  # odd-even transposition: cheaper than numpy's sort call per row at N <= 4
+    else:  # odd-even transposition: cheaper than numpy's sort call per column at N <= 4
         for i in (i for k in range(len(xs)) for i in range(k % 2, len(xs) - 1, 2)):
             xs[i], xs[i + 1] = np.minimum(xs[i], xs[i + 1]), np.maximum(xs[i], xs[i + 1])
     mean = _row_sums(xs.T) / len(xs)
-    dev = xs - mean
-    ss = _row_sums(np.square(dev, out=dev).T)
+    dev = xs[0] - mean
+    ss = np.square(dev)  # a square is never -0.0, so no + 0.0 as in _row_sums
+    for row in xs[1:]:
+        ss += np.square(np.subtract(row, mean, out=dev), out=dev)
     ss[xs[0] == xs[-1]] = 0.0
-    return xs, mean, ss
+    return mean, ss
 
 
-def _deviance_core(values: np.ndarray, n1: int, fits=None) -> tuple[np.ndarray, np.ndarray]:
-    """(deviance, degenerate mask) of rows laid out condition-1-first; a row
-    with zero pooled variance is degenerate, with deviance 0. A (rows, 10)
-    fits array is filled with the ScoreTable.fits columns from the same
-    moments: the split fit, whose loglik is the condition-assigned
-    likelihood, and the pooled fit."""
-    N = values.shape[1]
-    (mu, ss), (m1, ss1), (m2, ss2) = (
-        _sorted_moments(x)[1:] for x in (values, values[:, :n1], values[:, n1:]))
+def _deviance_core(xs: np.ndarray, n1: int, fits=None) -> tuple[np.ndarray, np.ndarray]:
+    """(deviance, degenerate mask) of the columns of a sample-major (N, rows)
+    block laid out condition-1-first, which is sorted in place: each
+    condition's samples first, then the whole block, since a sorted column no
+    longer keeps its conditions apart. A column with zero pooled variance is
+    degenerate, with deviance 0. A (rows, 10) fits array is filled with the
+    ScoreTable.fits columns from the same moments: the split fit, whose
+    loglik is the condition-assigned likelihood, and the pooled fit."""
+    N = len(xs)
+    (m1, ss1), (m2, ss2) = _sorted_moments(xs[:n1]), _sorted_moments(xs[n1:])
+    mu, ss = _sorted_moments(xs)
+    del xs  # the block goes before the column-sized arithmetic
     vpool = ss / N
     degenerate = vpool == 0.0
     floor = VARIANCE_FLOOR_REL * np.where(degenerate, 1.0, vpool)
@@ -310,24 +321,24 @@ def _deviance_core(values: np.ndarray, n1: int, fits=None) -> tuple[np.ndarray, 
     dev[degenerate] = 0.0
     if fits is not None:
         split_ll = _normal_loglik(n1, ss1, v1) + _normal_loglik(N - n1, ss2, v2)
-        fits[:] = np.column_stack([m1, m2, v1, v2, np.full(len(dev), n1 / N),
-                                   np.full(len(dev), (N - n1) / N), split_ll, mu, vpool,
-                                   _normal_loglik(N, ss, vpool)])
+        for k, column in enumerate((m1, m2, v1, v2, n1 / N, (N - n1) / N, split_ll, mu, vpool,
+                                    _normal_loglik(N, ss, vpool))):
+            fits[:, k] = column
     return dev, degenerate
 
 
 def _score_rows(values: np.ndarray, cols: np.ndarray, n1: int, ids,
                 diagnostics: bool) -> ScoreTable:
     """Scores of the rows of values with their columns taken in the order
-    cols, which puts condition 1 first; reordered and scored in row blocks."""
+    cols, which puts condition 1 first; scored in row blocks, each gathered
+    once into a sample-major (N, rows) array."""
     p = values.shape[0]
     dev, degen = np.empty(p), np.empty(p, dtype=bool)
     fits = np.empty((p, 10)) if diagnostics else None
     step = rows_per_block(len(cols))
     for i in range(0, p, step):
-        block = values[i:i + step][:, cols]
         dev[i:i + step], degen[i:i + step] = _deviance_core(
-            block, n1, None if fits is None else fits[i:i + step])
+            values[i:i + step].T[cols], n1, None if fits is None else fits[i:i + step])
     pvals = np.exp(-dev / 2.0)
     pvals[degen] = 1.0
     return ScoreTable(ids, "deviance_lr", dev, pvals, degen, fits)

@@ -15,7 +15,8 @@ LR_MIN_N = 5
 
 # Ingest, lr and ks scoring and artifact writing work through the rows in
 # blocks whose temporaries hold about this many elements (2 MiB of float64),
-# so their memory does not grow with p.
+# so their memory does not grow with p: lr scoring holds its outputs plus
+# about one block, gathered once and sorted in place.
 BLOCK_ELEMENTS = 2**18
 
 
@@ -38,10 +39,10 @@ def regime(n1: int, n2: int) -> Regime:
 
 
 class _UniqueIds(tuple):
-    """Protein ids already checked to be unique strs, one per row: the form
-    every ExpressionMatrix holds, and the one a ScoreTable keeps as it is.
-    ingest_matrix checks its ids while it reads, so the matrix keeps them
-    without a second pass."""
+    """Protein ids already checked to be unique non-empty strs, one per row:
+    the form every ExpressionMatrix holds, and the one a ScoreTable keeps as
+    it is. ingest_matrix checks its ids while it reads, so the matrix keeps
+    them without a second pass."""
 
 
 @lru_cache(maxsize=1)
@@ -58,9 +59,9 @@ class ExpressionMatrix:
 
     values: (p, N) float array, one row per protein.
     layout: length-N int array of condition labels, each 1 or 2.
-    protein_ids: optional names, held as a tuple of unique strs; P0001..
-        when omitted, formatted once per p and shared by every matrix of
-        that p.
+    protein_ids: optional names, held as a tuple of unique non-empty strs;
+        P0001.. when omitted, formatted once per p and shared by every matrix
+        of that p.
     """
 
     values: np.ndarray
@@ -90,6 +91,8 @@ class ExpressionMatrix:
                 raise ValueError("protein_ids length must equal protein count")
             if len(set(ids)) != len(ids):
                 raise ValueError("protein_ids must be unique")
+            if "" in ids:
+                raise ValueError("protein_ids must not be empty strings")
         else:
             ids = _default_ids(values.shape[0])
         object.__setattr__(self, "protein_ids", ids)

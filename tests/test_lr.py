@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -298,13 +299,32 @@ def test_score_matrix_blocks_match_one_column_major_pass(blocks, extra):
     assert table.degenerate.tolist() == [False] * (p - 2) + [True, False]
 
 
+@pytest.mark.parametrize("layout", [[1] * 10 + [2] * 10, [1, 2] * 10])
+@pytest.mark.parametrize("p, diagnostics", [(100_000, False), (10_000, True)])
+def test_score_matrix_holds_about_one_block(layout, p, diagnostics):
+    # Beside the table it returns, lr scoring holds one sample-major block and
+    # column-sized arrays: 1.95-2.00 MiB. A reordered block, its transposed
+    # copy and a block of deviations held together came to 4.67-5.45 MiB.
+    m = ms.ExpressionMatrix(np.random.default_rng(p).normal(20, 2, (p, 20)), np.array(layout))
+    tracemalloc.start()
+    try:
+        table = ms.score_matrix_lr(m, diagnostics=diagnostics)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (table.value, table.p_value, table.degenerate, table.fits)
+               if a is not None)
+    assert peak - held < 1.5 * ms.matrix.BLOCK_ELEMENTS * 8
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 9])
 def test_sorted_moments_sort_every_width(N):
     # rows of 4 or fewer go through a min/max network, wider ones through numpy
     x = np.random.default_rng(N).integers(-3, 4, (500, N)) / 3
     x[:50] = x[:50, :1]  # constant rows
-    xs, mean, ss = _sorted_moments(x)
-    assert xs.flags.c_contiguous and np.array_equal(xs, np.sort(x, axis=1).T)
+    xs = x.T.copy()  # sample-major, sorted in place
+    mean, ss = _sorted_moments(xs)
+    assert np.array_equal(xs, np.sort(x, axis=1).T)
     assert np.array_equal(ss == 0.0, (x == x[:, :1]).all(axis=1))
     np.testing.assert_allclose(mean, x.mean(axis=1), rtol=1e-15, atol=1e-15)
 
@@ -415,13 +435,13 @@ def test_score_matrix_null_tail_near_nominal(null_matrix_n10):
 
 def test_permutation_collapses_true_markers():
     lab = ms.generate(ms.preset("water-n10", seed=7))
-    dev, _ = _deviance_core(lab.matrix.values, lab.matrix.n1)
+    dev, _ = _deviance_core(lab.matrix.values.T.copy(), lab.matrix.n1)
     true_median = float(np.median(dev[lab.truth]))
     null_median = float(np.median(dev[~lab.truth]))
     assert true_median > 15.0
 
     perm = substream(7, "perm:907").permutation(lab.matrix.N)
-    dev_perm, _ = _deviance_core(lab.matrix.values[:, perm], lab.matrix.n1)
+    dev_perm, _ = _deviance_core(lab.matrix.values[:, perm].T.copy(), lab.matrix.n1)
     perm_true_median = float(np.median(dev_perm[lab.truth]))
     assert perm_true_median < null_median
     assert perm_true_median < 2.0
@@ -432,7 +452,7 @@ def test_permutation_collapses_true_markers():
 def _null_tail(n, alpha, replicates=20000, seed_label=None):
     rng = substream(0, seed_label or f"cal-test:{n}")
     draws = rng.standard_normal((replicates, 2 * n))
-    dev, _ = _deviance_core(draws, n)
+    dev, _ = _deviance_core(draws.T.copy(), n)
     return float(np.mean(dev > chi2.isf(alpha, df=2)))
 
 

@@ -44,6 +44,8 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         ms.ExpressionMatrix(values=vals, layout=np.array([1, 1, 2, 2]),
                             protein_ids=("A", "A"))
+    with pytest.raises(ValueError, match="empty"):  # as ingest refuses an empty id
+        ms.ExpressionMatrix(values=vals, layout=np.array([1, 1, 2, 2]), protein_ids=["", "B"])
     named = ms.ExpressionMatrix(values=vals, layout=np.array([1, 1, 2, 2]),
                                 protein_ids=np.array(["A", "B"]))
     assert named.protein_ids == ("A", "B")
