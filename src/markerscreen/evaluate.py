@@ -11,7 +11,7 @@ from scipy import special
 from ._rng import derive_seed, substream
 from .errors import MarkerScreenError, TruthMismatch
 from .ks import score_matrix_ks
-from .lr import ScoreTable, _deviance_core, _sorted_moments, score_matrix_lr
+from .lr import ScoreTable, _by_row_blocks, _deviance_core, _sorted_moments, score_matrix_lr
 from .matrix import ExpressionMatrix
 from .select import SelectionResult, apply_policy, parse_policy
 from .simulate import generate, presets
@@ -103,24 +103,29 @@ def ttest_baseline(m: ExpressionMatrix) -> ScoreTable:
 
     Unequal variances, Welch-Satterthwaite degrees of freedom. Rows where
     both sample variances vanish are unscorable and get t = 0, p = 1.
+    Scored block by block through lr._by_row_blocks.
     """
-    x1, x2 = (m.values.T[c] for c in m.condition_masks())  # sample-major copies
-    (m1, ss1), (m2, ss2) = _sorted_moments(x1), _sorted_moments(x2)
-    n1, n2 = len(x1), len(x2)
+    n1, n2 = m.n1, m.n2
     if n1 < 2 or n2 < 2:
         raise ValueError("Welch test needs at least 2 samples per condition")
-    v1, v2 = ss1 / (n1 - 1), ss2 / (n2 - 1)
-    se2 = v1 / n1 + v2 / n2
-    degenerate = se2 == 0.0
-    safe = np.where(degenerate, 1.0, se2)
-    t = (m1 - m2) / np.sqrt(safe)
-    df_num = safe**2
-    df_den = (v1 / n1) ** 2 / (n1 - 1) + (v2 / n2) ** 2 / (n2 - 1)
-    df = df_num / np.where(df_den == 0.0, 1.0, df_den)
-    p = 2.0 * special.stdtr(df, -np.abs(t))  # Student-t upper tail at |t|
-    t = np.where(degenerate, 0.0, t)
-    p = np.where(degenerate, 1.0, np.minimum(p, 1.0))
-    return ScoreTable(m.protein_ids, "welch_t", t, p, degenerate)
+
+    def core(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        (m1, ss1), (m2, ss2) = _sorted_moments(xs[:n1]), _sorted_moments(xs[n1:])
+        del xs  # the block goes before the column-sized arithmetic
+        v1, v2 = ss1 / (n1 - 1), ss2 / (n2 - 1)
+        se2 = v1 / n1 + v2 / n2
+        degenerate = se2 == 0.0
+        safe = np.where(degenerate, 1.0, se2)
+        t = (m1 - m2) / np.sqrt(safe)
+        df_num = safe**2
+        df_den = (v1 / n1) ** 2 / (n1 - 1) + (v2 / n2) ** 2 / (n2 - 1)
+        df = df_num / np.where(df_den == 0.0, 1.0, df_den)
+        p = 2.0 * special.stdtr(df, -np.abs(t))  # Student-t upper tail at |t|
+        t = np.where(degenerate, 0.0, t)
+        p = np.where(degenerate, 1.0, np.minimum(p, 1.0))
+        return t, p, degenerate
+    columns = _by_row_blocks(m.values, m.condition_order, m.N, core)
+    return ScoreTable(m.protein_ids, "welch_t", *columns)
 
 
 # statistic name -> scorer of (matrix, ks replicates); names resolve at call time
@@ -164,7 +169,7 @@ def convergence_table(
             raise ValueError("per-condition size must be >= 2")
         rng = substream(seed, f"null-calibration:{n}")
         draws = rng.standard_normal((replicates, 2 * n))
-        dev, _ = _deviance_core(draws.T.copy(), n)
+        dev = _by_row_blocks(draws, np.arange(2 * n), 2 * n, _deviance_core(n))[0]
         for alpha in alphas:
             threshold = special.chdtri(2, alpha)  # chi-square(2) upper alpha-quantile
             rows.append({

@@ -26,8 +26,8 @@ from scipy.special import ndtr
 
 from ._rng import substream
 from .errors import DegenerateData
-from .lr import ScoreTable, _sorted_moments
-from .matrix import ExpressionMatrix, rows_per_block
+from .lr import ScoreTable, _by_row_blocks, _sorted_moments
+from .matrix import ExpressionMatrix
 
 DEFAULT_REPLICATES = 10000
 
@@ -65,13 +65,13 @@ def _bandwidth(xs: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _one_row(x) -> tuple[float, float]:
     """(d, h) of one pooled sample of at least 3 observations."""
-    x = np.asarray(x, dtype=float).ravel()
+    x = np.array(x, dtype=float).reshape(-1, 1)  # sample-major, sorted in place
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite observations")
-    d, h, s = _d_rows(x[None, :])
-    if s[0] == 0.0:
+    d, h, degenerate = _d_rows(x)
+    if degenerate[0]:
         raise DegenerateData("zero sample standard deviation")
-    if not np.isfinite(s[0]):
+    if np.isnan(h[0]):
         raise ValueError("sample standard deviation overflows")
     return float(d[0]), float(h[0])
 
@@ -94,13 +94,16 @@ def kernel_cdf(est: KernelEstimate, t):
     return ndtr(z).mean(axis=-1)
 
 
-def _d_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized statistic for (m, N) rows: (d, h, s) per row, with s the
-    ddof-1 standard deviation. d compares the kernel CDF against the normal
-    fitted with the MLE variance, evaluated at the observed points only.
+def _d_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized statistic for the m rows of a sample-major (N, m) array x,
+    sorted in place: (d, h, degenerate) per row, degenerate where the ddof-1
+    standard deviation s is 0. d compares the kernel CDF against the normal
+    fitted with the MLE variance, at the observed points only.
+    lr._by_row_blocks passes blocks of rows_per_block(N^2) rows, which
+    bounds their N(N-1)/2 pair terms.
 
-    Everything comes from one sorted copy of the rows, held as N contiguous
-    columns x_0 <= ... <= x_{N-1} (lr._sorted_moments): the moments, the IQR,
+    Everything comes from the sorted x, held as N contiguous columns
+    x_0 <= ... <= x_{N-1} (lr._sorted_moments): the moments, the IQR,
     the fitted-normal term and the kernel. Phi is evaluated once per sample pair
     i < k, on z_ik = (x_i - x_k)/h <= 0 (its accurate lower tail), one
     segment of pairs k - i = t at a time. As Phi(-z) = 1 - Phi(z), the
@@ -109,10 +112,9 @@ def _d_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     kernel, and d does not depend on sample order, layout or block (D15).
     A row with s = 0 gets d = h = 0; one whose s overflows gets d = h = NaN.
     """
-    N = rows.shape[1]
+    N = len(x)
     if N < 3:
         raise ValueError("need at least 3 observations")
-    x = rows.T.copy()  # C-ordered (N, m), whatever the layout of rows
     mean, ss = _sorted_moments(x)
     dev = x - mean
     s = np.sqrt(ss / (N - 1))
@@ -131,22 +133,7 @@ def _d_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         g[t:] -= phi
     # the reference normal is fitted with the MLE scale
     d[scored] = np.abs(g / N - ndtr(dev / np.sqrt(ss / N))).max(axis=0)
-    return d, h, s
-
-
-def _d_blocks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d, degenerate) for each (p, N) row, in blocks of rows_per_block(N^2)
-    rows, so that the N(N-1)/2 pair terms a block evaluates stay bounded. A
-    row with zero standard deviation is degenerate with d = 0; one whose
-    standard deviation overflows gets d = NaN. Every step is per row, so the
-    blocks give the bits of one call."""
-    p, N = rows.shape
-    d, degenerate = np.empty(p), np.empty(p, dtype=bool)
-    step = rows_per_block(N * N)
-    for i in range(0, p, step):
-        d[i:i + step], _, s = _d_rows(rows[i:i + step])
-        degenerate[i:i + step] = s == 0.0
-    return d, degenerate
+    return d, h, s == 0.0
 
 
 def ks_d_statistic(x) -> KsScore:
@@ -164,7 +151,7 @@ def _null_table(N: int, replicates: int) -> np.ndarray:
     if replicates < 1000:
         raise ValueError("at least 1000 replicates")
     rng = substream(0, f"ks-null:{N}:{replicates}")
-    d, _ = _d_blocks(rng.standard_normal((replicates, N)))
+    d, _, _ = _by_row_blocks(rng.standard_normal((replicates, N)), np.arange(N), N * N, _d_rows)
     return np.sort(d)
 
 
@@ -197,6 +184,6 @@ def score_matrix_ks(m: ExpressionMatrix, replicates: int = DEFAULT_REPLICATES) -
     deviation overflows gets d = NaN, which ScoreTable rejects. One shared
     null table serves all proteins (they share N).
     """
-    d, degenerate = _d_blocks(m.values)
+    d, _, degenerate = _by_row_blocks(m.values, np.arange(m.N), m.N**2, _d_rows)
     pvals = np.where(degenerate, 1.0, _mc_pvalue(_null_table(m.N, replicates), d))
     return ScoreTable(m.protein_ids, "ks_d", d, pvals, degenerate)

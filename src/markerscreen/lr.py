@@ -82,10 +82,11 @@ class ScoreTable:
 
     ids is the scored matrix's tuple of protein ids, held as it is; ids
     given any other way are converted once to a tuple of str. value,
-    p_value and degenerate are length-p arrays, held read-only; a NaN value
-    or p-value raises ValueError naming the first such protein. A table
-    holds no ranking: select.py ranks the rows a selection can return or
-    show (DECISIONS.md D17).
+    p_value and degenerate are length-p arrays, held read-only: one that
+    already is a read-only array of its dtype owning its data is kept as it
+    is, any other is copied. A NaN value or p-value raises ValueError
+    naming the first such protein. A table holds no ranking: select.py
+    ranks the rows a selection can return or show (DECISIONS.md D17).
     fits, set only by lr scoring with diagnostics, is a (p, 10) float array
     of per-row fits with columns mu1, mu2, sigma21, sigma22, w1, w2, split
     loglik, pooled mu, pooled sigma2, pooled loglik, checked and held
@@ -107,14 +108,12 @@ class ScoreTable:
                 raise ValueError("ids needs one entry per protein id")
             object.__setattr__(self, "ids", tuple(ids.tolist()))
         for name, dtype in (("value", float), ("p_value", float), ("degenerate", bool)):
-            column = np.array(getattr(self, name), dtype=dtype)
-            column.setflags(write=False)
+            column = _read_only(getattr(self, name), dtype)
             if column.shape != (len(self.ids),):
                 raise ValueError(f"{name} needs one entry per protein id")
             object.__setattr__(self, name, column)
         if self.fits is not None:
-            fits = np.array(self.fits, dtype=float)
-            fits.setflags(write=False)
+            fits = _read_only(self.fits, float)
             if fits.shape != (len(self.ids), 10):
                 raise ValueError("fits needs one row of 10 per protein id")
             object.__setattr__(self, "fits", fits)
@@ -142,6 +141,16 @@ class ScoreTable:
                     MixtureFit(m1, m2, v1, v2, w1, w2, ll, 0, True), PooledFit(mu, vp, llp)))
                 for pid, v, p, degen, m1, m2, v1, v2, w1, w2, ll, mu, vp, llp
                 in zip(*columns, self.degenerate[rows].tolist(), *self.fits[rows].T.tolist()))
+
+
+def _read_only(a, dtype) -> np.ndarray:
+    """a itself when it is a read-only array of dtype that owns its data (no
+    writable base can change it), else a read-only copy."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.owndata
+            and not a.flags.writeable):
+        a = np.array(a, dtype=dtype)
+        a.setflags(write=False)
+    return a
 
 
 def _normal_loglik(n: int, ss, sigma2):
@@ -301,47 +310,52 @@ def _sorted_moments(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, ss
 
 
-def _deviance_core(xs: np.ndarray, n1: int, fits=None) -> tuple[np.ndarray, np.ndarray]:
-    """(deviance, degenerate mask) of the columns of a sample-major (N, rows)
-    block laid out condition-1-first, which is sorted in place: each
-    condition's samples first, then the whole block, since a sorted column no
-    longer keeps its conditions apart. A column with zero pooled variance is
-    degenerate, with deviance 0. A (rows, 10) fits array is filled with the
-    ScoreTable.fits columns from the same moments: the split fit, whose
-    loglik is the condition-assigned likelihood, and the pooled fit."""
-    N = len(xs)
-    (m1, ss1), (m2, ss2) = _sorted_moments(xs[:n1]), _sorted_moments(xs[n1:])
-    mu, ss = _sorted_moments(xs)
-    del xs  # the block goes before the column-sized arithmetic
-    vpool = ss / N
-    degenerate = vpool == 0.0
-    floor = VARIANCE_FLOOR_REL * np.where(degenerate, 1.0, vpool)
-    vpool, v1, v2 = (np.maximum(v, floor) for v in (vpool, ss1 / n1, ss2 / (N - n1)))
-    dev = np.maximum(N * np.log(vpool) - (n1 * np.log(v1) + (N - n1) * np.log(v2)), 0.0)
-    dev[degenerate] = 0.0
-    if fits is not None:
-        split_ll = _normal_loglik(n1, ss1, v1) + _normal_loglik(N - n1, ss2, v2)
-        for k, column in enumerate((m1, m2, v1, v2, n1 / N, (N - n1) / N, split_ll, mu, vpool,
-                                    _normal_loglik(N, ss, vpool))):
-            fits[:, k] = column
-    return dev, degenerate
-
-
-def _score_rows(values: np.ndarray, cols: np.ndarray, n1: int, ids,
-                diagnostics: bool) -> ScoreTable:
-    """Scores of the rows of values with their columns taken in the order
-    cols, which puts condition 1 first; scored in row blocks, each gathered
-    once into a sample-major (N, rows) array."""
-    p = values.shape[0]
-    dev, degen = np.empty(p), np.empty(p, dtype=bool)
-    fits = np.empty((p, 10)) if diagnostics else None
-    step = rows_per_block(len(cols))
+def _by_row_blocks(values: np.ndarray, cols, width: int, core) -> list[np.ndarray]:
+    """The columns core computes for the rows of a (p, N) values array, as
+    read-only length-p arrays: the one loop by which every scorer walks a
+    matrix. Each block of rows_per_block(width) rows is gathered once, as the
+    C-ordered sample-major (N, rows) array values[i:j].T[cols], and is core's
+    one argument, held nowhere else, so core may sort it in place and drop it."""
+    p = len(values)
+    step = rows_per_block(width)
     for i in range(0, p, step):
-        dev[i:i + step], degen[i:i + step] = _deviance_core(
-            values[i:i + step].T[cols], n1, None if fits is None else fits[i:i + step])
-    pvals = np.exp(-dev / 2.0)
-    pvals[degen] = 1.0
-    return ScoreTable(ids, "deviance_lr", dev, pvals, degen, fits)
+        columns = core(values[i:i + step].T[cols])
+        if i == 0:  # one block's columns are the outputs; more blocks' are copied into them
+            out = columns if p <= step else [np.empty((p, *c.shape[1:]), c.dtype) for c in columns]
+        if out is not columns:
+            for o, c in zip(out, columns):
+                o[i:i + step] = c
+            del c
+        del columns  # the next block is gathered without this one's columns
+    for o in out:
+        o.setflags(write=False)
+    return out
+
+
+def _deviance_core(n1: int, diagnostics: bool = False):
+    """lr's core for _by_row_blocks on blocks whose first n1 samples are condition 1:
+    (deviance, p-value, degenerate mask) per column, with diagnostics also the
+    (rows, 10) ScoreTable.fits. It sorts each condition in place, then the whole
+    block (a sorted column mixes its conditions). Zero pooled variance: deviance 0, p 1."""
+    def core(xs: np.ndarray) -> tuple[np.ndarray, ...]:
+        N = len(xs)
+        (m1, ss1), (m2, ss2) = _sorted_moments(xs[:n1]), _sorted_moments(xs[n1:])
+        mu, ss = _sorted_moments(xs)
+        del xs  # the block goes before the column-sized arithmetic
+        vpool = ss / N
+        degenerate = vpool == 0.0
+        floor = VARIANCE_FLOOR_REL * np.where(degenerate, 1.0, vpool)
+        vpool, v1, v2 = (np.maximum(v, floor) for v in (vpool, ss1 / n1, ss2 / (N - n1)))
+        dev = np.maximum(N * np.log(vpool) - (n1 * np.log(v1) + (N - n1) * np.log(v2)), 0.0)
+        dev[degenerate] = 0.0
+        pvals = np.exp(-dev / 2.0)
+        if not diagnostics:
+            return dev, pvals, degenerate
+        split_ll = _normal_loglik(n1, ss1, v1) + _normal_loglik(N - n1, ss2, v2)
+        fits = np.column_stack(np.broadcast_arrays(m1, m2, v1, v2, n1 / N, (N - n1) / N, split_ll,
+                                                   mu, vpool, _normal_loglik(N, ss, vpool)))
+        return dev, pvals, degenerate, fits
+    return core
 
 
 def deviance_lr(x, n1: int, n2: int) -> ProteinScore:
@@ -362,7 +376,7 @@ def deviance_lr(x, n1: int, n2: int) -> ProteinScore:
         raise ValueError("n1 + n2 must equal len(x)")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite observations")
-    return _score_rows(x[None, :], np.arange(x.size), n1, ("P0001",), diagnostics=True)[0]
+    return ScoreTable(("P0001",), "deviance_lr", *_deviance_core(n1, True)(x[:, None].copy()))[0]
 
 
 def score_matrix_lr(m: ExpressionMatrix, diagnostics: bool = False) -> ScoreTable:
@@ -378,5 +392,5 @@ def score_matrix_lr(m: ExpressionMatrix, diagnostics: bool = False) -> ScoreTabl
             f"likelihood-ratio scoring is outside its regime "
             f"(n1={m.n1}, n2={m.n2}: {decision.reason}); use ks"
         )
-    cols = np.argsort(m.layout, kind="stable")  # condition 1 first, each in matrix order
-    return _score_rows(m.values, cols, m.n1, m.protein_ids, diagnostics)
+    columns = _by_row_blocks(m.values, m.condition_order, m.N, _deviance_core(m.n1, diagnostics))
+    return ScoreTable(m.protein_ids, "deviance_lr", *columns)

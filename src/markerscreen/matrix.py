@@ -13,10 +13,10 @@ import numpy as np
 # is badly anticonservative, and the kernel-CDF statistic takes over.
 LR_MIN_N = 5
 
-# Ingest, lr and ks scoring and artifact writing work through the rows in
-# blocks whose temporaries hold about this many elements (2 MiB of float64),
-# so their memory does not grow with p: lr scoring holds its outputs plus
-# about one block, gathered once and sorted in place.
+# Ingest, scoring and artifact writing work through the rows in blocks whose
+# temporaries hold about this many elements (2 MiB of float64), so their
+# memory does not grow with p: lr and Welch scoring hold their outputs plus
+# about one block, gathered once and sorted in place (lr._by_row_blocks).
 BLOCK_ELEMENTS = 2**18
 
 
@@ -103,20 +103,21 @@ class ExpressionMatrix:
 
     @property
     def n1(self) -> int:
-        return int(np.sum(self.layout == 1))
+        return int(np.count_nonzero(self.layout == 1))
 
     @property
     def n2(self) -> int:
-        return int(np.sum(self.layout == 2))
+        return int(np.count_nonzero(self.layout == 2))
 
     @property
     def N(self) -> int:
         return self.values.shape[1]
 
-    def condition_masks(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.layout == 1, self.layout == 2
+    @property
+    def condition_order(self) -> np.ndarray:
+        """Sample indices that put condition 1 first, each condition in matrix order."""
+        return np.argsort(self.layout, kind="stable")
 
     def row_condition_first(self, j: int) -> np.ndarray:
         """Row j reordered so condition-1 samples come first."""
-        m1, m2 = self.condition_masks()
-        return np.concatenate([self.values[j, m1], self.values[j, m2]])
+        return self.values[j, self.condition_order]

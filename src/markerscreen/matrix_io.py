@@ -50,7 +50,10 @@ def _parse_layout_spec(layout_spec: str | None, sample_names: list[str],
         for row in rows:
             if len(row) < 2:
                 raise LayoutError(f"layout sidecar row too short: {row}")
-            mapping[row[0].strip()] = _condition_label(row[1])
+            sample = row[0].strip()
+            if sample in mapping:
+                raise LayoutError(f"layout sidecar lists sample {sample!r} twice")
+            mapping[sample] = _condition_label(row[1])
         missing = [s for s in sample_names if s not in mapping]
         if missing:
             raise LayoutError(f"layout sidecar misses samples: {missing[:5]}")
@@ -270,7 +273,15 @@ def read_truth(path: str) -> dict:
     header, rows = _read_rows(path)
     if [h.lower() for h in header[:2]] != ["protein_id", "is_true"]:
         raise ParseError(f"{path}: truth file needs columns protein_id,is_true")
-    return {row[0].strip(): bool(int(row[1])) for row in rows}
+    truth: dict[str, bool] = {}
+    for row in rows:
+        if len(row) < 2 or row[1].strip() not in ("0", "1"):
+            raise ParseError(f"{path}: truth row {row} needs a protein id and a flag 0 or 1")
+        pid = row[0].strip()
+        if pid in truth:
+            raise ParseError(f"{path}: truth row {row} repeats protein id {pid!r}")
+        truth[pid] = row[1].strip() == "1"
+    return truth
 
 
 def write_scores(path: str, scores, header_lines=()) -> None:

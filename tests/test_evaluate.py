@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,22 @@ def test_welch_degenerate_rows_score_p1():
     scores = ms.ttest_baseline(_matrix(values, 4))
     assert scores[0].p_value == 1.0  # zero pooled spread: unscorable
     assert scores[1].p_value < 1e-6  # tiny within-group spread, clear shift
+
+
+@pytest.mark.parametrize("layout", [[1] * 10 + [2] * 10, [1, 2] * 10])
+def test_welch_holds_about_one_block(layout):
+    # Welch scores through lr's row-block loop: beside its table it holds one
+    # block and column-sized arrays (2.51 MiB). Gathering each condition of
+    # the whole matrix held 25.56 MiB.
+    m = ms.ExpressionMatrix(np.random.default_rng(9).normal(20, 2, (100_000, 20)), np.array(layout))
+    tracemalloc.start()
+    try:
+        table = ms.ttest_baseline(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (table.value, table.p_value, table.degenerate))
+    assert peak - held < 1.5 * ms.matrix.BLOCK_ELEMENTS * 8
 
 
 # -------------------------------------------------------- convergence table

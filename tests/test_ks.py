@@ -8,7 +8,8 @@ from scipy.stats import norm
 
 import markerscreen as ms
 from markerscreen.errors import DegenerateData
-from markerscreen.ks import _d_blocks, _d_rows, _mc_pvalue, _null_table, _sorted_quantile
+from markerscreen.ks import _d_rows, _mc_pvalue, _null_table, _sorted_quantile
+from markerscreen.lr import _by_row_blocks
 
 from _oracles import bandwidth_oracle, kernel_cdf_oracle, ks_d_oracle, ks_kernel_mean_reference
 
@@ -133,7 +134,7 @@ def test_ks_d_rows_match_loop_oracle_across_families(N):
     ])
     rows = rows[np.ptp(rows, axis=1) > 0]
     assert len(rows) >= 300
-    d, h, _ = _d_rows(rows)
+    d, h, _ = _by_row_blocks(rows, np.arange(N), N * N, _d_rows)
     for x, got_d, got_h in zip(rows, d, h):
         assert abs(got_d - ks_d_oracle(x)) < 1e-12
         assert got_h == pytest.approx(bandwidth_oracle(x), rel=1e-12)
@@ -152,7 +153,7 @@ def test_d_rows_match_the_full_kernel_reference(N):
         np.full((2, N), 1e200) * np.arange(N),  # s overflows
     ])
     with np.errstate(over="ignore", invalid="ignore"):
-        d, h, _ = _d_rows(rows)
+        d, h, _ = _by_row_blocks(rows, np.arange(N), N * N, _d_rows)
         d_ref, h_ref, _ = ks_kernel_mean_reference(rows)
     np.testing.assert_allclose(d, d_ref, rtol=0, atol=1e-14)
     np.testing.assert_allclose(h, h_ref, rtol=1e-14, atol=0)
@@ -182,11 +183,12 @@ def test_scorer_d_uses_the_kernel_cdf_that_acceptance_6_checks(N):
 
 def test_d_blocks_memory_stays_below_one_full_kernel():
     # 20,000 x 20 is 31 blocks of 655 rows. Summing pair segments peaks at
-    # 0.82 MiB; building each block's (655, 400) kernel (2 MiB) peaked at 3.76 MiB.
+    # 0.97 MiB with d, h and degenerate as outputs; building each block's
+    # (655, 400) kernel (2 MiB) peaked at 3.76 MiB.
     rows = np.random.default_rng(81).normal(0, 1, (20_000, 20))
     tracemalloc.start()
     try:
-        d, _ = _d_blocks(rows)
+        d, _, _ = _by_row_blocks(rows, np.arange(20), 20 * 20, _d_rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -322,7 +324,7 @@ def test_score_matrix_ks_blocks_match_one_d_rows_call():
     values[block] = 3.0
     got = ms.score_matrix_ks(_matrix(values, 3), replicates=1000)
     scored = np.arange(len(values)) != block
-    d, _, _ = _d_rows(values[scored])
+    d, _, _ = _by_row_blocks(values[scored], np.arange(6), 1, _d_rows)  # one block
     assert got.value[scored].tobytes() == d.tobytes()
     assert got.value[block] == 0.0 and np.flatnonzero(got.degenerate).tolist() == [block]
 

@@ -300,11 +300,12 @@ def test_score_matrix_blocks_match_one_column_major_pass(blocks, extra):
 
 
 @pytest.mark.parametrize("layout", [[1] * 10 + [2] * 10, [1, 2] * 10])
-@pytest.mark.parametrize("p, diagnostics", [(100_000, False), (10_000, True)])
+@pytest.mark.parametrize("p, diagnostics", [(100_000, False), (10_000, True), (100_000, True)])
 def test_score_matrix_holds_about_one_block(layout, p, diagnostics):
     # Beside the table it returns, lr scoring holds one sample-major block and
-    # column-sized arrays: 1.95-2.00 MiB. A reordered block, its transposed
-    # copy and a block of deviations held together came to 4.67-5.45 MiB.
+    # column-sized arrays: 1.15-2.72 MiB. A reordered block, its transposed
+    # copy and a block of deviations held together came to 4.67-5.45 MiB,
+    # and a table that copied its columns to 9.54 MiB at p = 100,000 with fits.
     m = ms.ExpressionMatrix(np.random.default_rng(p).normal(20, 2, (p, 20)), np.array(layout))
     tracemalloc.start()
     try:
@@ -378,6 +379,10 @@ def test_score_table_checks_and_holds_its_fits():
     copy = ms.ScoreTable(*columns, own)
     own[0, 6] = 123.0
     assert copy.fits.tolist() == table.fits.tolist() and own.flags.writeable
+    assert ms.ScoreTable(*columns, table.fits).fits is table.fits  # read-only: kept
+    view = own.view()  # read-only, but its writable base could change it
+    view.setflags(write=False)
+    assert ms.ScoreTable(*columns, view).fits is not view
 
 
 def test_score_table_iteration_matches_indexing():
@@ -435,13 +440,13 @@ def test_score_matrix_null_tail_near_nominal(null_matrix_n10):
 
 def test_permutation_collapses_true_markers():
     lab = ms.generate(ms.preset("water-n10", seed=7))
-    dev, _ = _deviance_core(lab.matrix.values.T.copy(), lab.matrix.n1)
+    dev = _deviance_core(lab.matrix.n1)(lab.matrix.values.T.copy())[0]
     true_median = float(np.median(dev[lab.truth]))
     null_median = float(np.median(dev[~lab.truth]))
     assert true_median > 15.0
 
     perm = substream(7, "perm:907").permutation(lab.matrix.N)
-    dev_perm, _ = _deviance_core(lab.matrix.values[:, perm].T.copy(), lab.matrix.n1)
+    dev_perm = _deviance_core(lab.matrix.n1)(lab.matrix.values[:, perm].T.copy())[0]
     perm_true_median = float(np.median(dev_perm[lab.truth]))
     assert perm_true_median < null_median
     assert perm_true_median < 2.0
@@ -452,7 +457,7 @@ def test_permutation_collapses_true_markers():
 def _null_tail(n, alpha, replicates=20000, seed_label=None):
     rng = substream(0, seed_label or f"cal-test:{n}")
     draws = rng.standard_normal((replicates, 2 * n))
-    dev, _ = _deviance_core(draws.T.copy(), n)
+    dev = _deviance_core(n)(draws.T.copy())[0]
     return float(np.mean(dev > chi2.isf(alpha, df=2)))
 
 

@@ -131,6 +131,28 @@ def test_truth_round_trip(tmp_path):
     assert truth == {"A": True, "B": False, "C": True}
 
 
+@pytest.mark.parametrize("rows, named", [
+    ("P1\n", r"\['P1'\]"),  # short row
+    ("P1,yes\n", r"\['P1', 'yes'\]"),
+    ("P1,2\n", r"\['P1', '2'\]"),
+    ("P1,1\nP2,0\nP1,0\n", r"\['P1', '0'\].*'P1'"),  # repeated id
+], ids=["short", "yes", "two", "repeated"])
+def test_read_truth_rejects_bad_rows_naming_them(tmp_path, rows, named):
+    path = tmp_path / "truth.csv"
+    path.write_text("protein_id,is_true\n" + rows)
+    with pytest.raises(ParseError, match=named):
+        read_truth(str(path))
+
+
+def test_layout_sidecar_rejects_a_sample_listed_twice(tmp_path):
+    src = tmp_path / "m.csv"
+    src.write_text("protein_id,a,b,c,d\nP1,1.0,2.0,3.0,4.0\n")
+    sidecar = tmp_path / "layout.csv"
+    sidecar.write_text("sample_id,condition\na,1\nb,1\nc,2\nd,2\na,2\n")
+    with pytest.raises(LayoutError, match="'a'"):
+        ingest_matrix(str(src), str(sidecar))
+
+
 def _csv_writer_text(comments, rows):
     """`# ` comment lines, then rows as csv.writer writes them."""
     out = io.StringIO()

@@ -106,6 +106,23 @@ def test_lone_row_equals_its_matrix_row(stat, design):
         assert lone.degenerate[0] == table.degenerate[j]
 
 
+@pytest.mark.parametrize("stat", STATS)
+def test_row_blocks_give_the_bytes_of_each_block_scored_alone(stat, monkeypatch):
+    # 2 B + 1 rows in blocks of B end in a one-row block; a constant row
+    # opens the second block. ks blocks are sized by N^2 pair terms a row.
+    monkeypatch.setattr(ms.matrix, "BLOCK_ELEMENTS", 1000)
+    block = ms.matrix.rows_per_block(100 if stat == "ks" else 10)
+    values = np.random.default_rng(12).normal(0, 1, (2 * block + 1, 10)) / 3
+    values[block] = values[block, 0]
+    layout = np.array([1, 2] * 5)
+    table = _score(ms.ExpressionMatrix(values=values, layout=layout), stat)
+    assert np.flatnonzero(table.degenerate).tolist() == [block]
+    for i in range(0, len(values), block):
+        alone = _score(ms.ExpressionMatrix(values=values[i:i + block], layout=layout), stat)
+        for name in ("value", "p_value", "degenerate"):
+            assert getattr(table, name)[i:i + block].tobytes() == getattr(alone, name).tobytes()
+
+
 @PROPERTY
 @given(design=designs)
 @example(design=SMALLEST)
