@@ -278,6 +278,8 @@ def read_truth(path: str) -> dict:
         if len(row) < 2 or row[1].strip() not in ("0", "1"):
             raise ParseError(f"{path}: truth row {row} needs a protein id and a flag 0 or 1")
         pid = row[0].strip()
+        if not pid:
+            raise ParseError(f"{path}: truth row {row} has an empty protein id")
         if pid in truth:
             raise ParseError(f"{path}: truth row {row} repeats protein id {pid!r}")
         truth[pid] = row[1].strip() == "1"

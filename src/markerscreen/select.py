@@ -61,15 +61,19 @@ class SelectionResult:
 
 
 def _rank(scores: ScoreTable, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The ascending row indices `rows` by ascending keys (one per row), ties
-    broken by ascending id: the one tie rule of every selection and preview.
-    Ranking a subset keeps the order the rows have in the whole table. The
-    ranked rows' ids are gathered only when two keys tie."""
+    """The row indices `rows`, which callers pass in ascending order (as
+    flatnonzero gives them), by ascending keys (one per row), ties broken by
+    ascending id: the one tie rule of every selection and preview. Ranking a
+    subset keeps the order the rows have in the whole table. The ranked rows'
+    ids are gathered only when two keys tie, and sorted by only when they do
+    not already ascend: the stable sort keeps tied rows in row order."""
     order = np.argsort(keys, kind="stable")
     ranked = keys[order]
     if (ranked[1:] == ranked[:-1]).any():
         ids = scores.ids
-        order = np.lexsort((np.array([ids[j] for j in rows.tolist()], dtype=str), keys))
+        tied = [ids[j] for j in rows.tolist()]
+        if tied != sorted(tied):
+            order = np.lexsort((np.array(tied, dtype=str), keys))
     return rows[order]
 
 

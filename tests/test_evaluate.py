@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,7 +7,8 @@ import pytest
 from scipy import stats
 
 import markerscreen as ms
-from markerscreen.errors import DegenerateData, TruthMismatch
+from markerscreen.errors import DegenerateData, MarkerScreenError, TruthMismatch
+from markerscreen.evaluate import _run_method
 from markerscreen.ks import _null_table
 from markerscreen.matrix import _default_ids
 
@@ -198,6 +200,26 @@ def test_benchmark_formats_default_ids_once_for_all_runs():
     _default_ids.cache_clear()
     ms.benchmark(["ks+gap", "ttest+bh:0.1"], ["water-n3", "human-n3"], runs=3, seed=0)
     assert _default_ids.cache_info().misses == 1
+
+
+def test_benchmark_counts_as_score_against_truth_does():
+    # benchmark counts against each run's planted ids; scoring the same run's
+    # selection against its whole truth map must give the same numbers
+    rep = ms.benchmark(["lr+gap", "ks+gap", "ttest+bh:0.1"], ["water-n3", "water-n10"],
+                       runs=3, seed=0)
+    assert len(rep.runs) == 18
+    for run in rep.runs:
+        labeled = ms.generate(dataclasses.replace(ms.presets()[run.preset], seed=run.seed))
+        try:
+            result = _run_method(run.method, labeled, 10000)
+        except MarkerScreenError as exc:
+            assert run.error == exc.category
+            continue
+        assert run.error is None
+        expected = vars(ms.score_against_truth(result, labeled.truth_map()))
+        assert {k: getattr(run, k) for k in expected} == expected
+    assert sum(run.error is None for run in rep.runs) >= 12
+    assert any(run.tp and run.fp for run in rep.runs)
 
 
 def test_benchmark_counting_identity():

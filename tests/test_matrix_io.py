@@ -136,7 +136,9 @@ def test_truth_round_trip(tmp_path):
     ("P1,yes\n", r"\['P1', 'yes'\]"),
     ("P1,2\n", r"\['P1', '2'\]"),
     ("P1,1\nP2,0\nP1,0\n", r"\['P1', '0'\].*'P1'"),  # repeated id
-], ids=["short", "yes", "two", "repeated"])
+    ("P1,1\nP2,0\n,1\n", r"\['', '1'\].*empty protein id"),
+    ("P1,1\n  ,0\n", r"\['  ', '0'\].*empty protein id"),
+], ids=["short", "yes", "two", "repeated", "empty", "blank"])
 def test_read_truth_rejects_bad_rows_naming_them(tmp_path, rows, named):
     path = tmp_path / "truth.csv"
     path.write_text("protein_id,is_true\n" + rows)

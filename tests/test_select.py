@@ -130,6 +130,18 @@ def test_bh_matches_stepup_oracle():
         assert np.array_equal(got, mask_ref)
 
 
+def test_ascending_ids_break_ties_without_an_id_sort(monkeypatch):
+    # ids that ascend in row order: the stable sort's order is the tie rule's
+    def no_lexsort(*args, **kwargs):
+        raise AssertionError("np.lexsort called")
+    monkeypatch.setattr(np, "lexsort", no_lexsort)
+    scores = _scores([5.0, 7.0, 5.0, 1.0, 7.0, 5.0], pvals=[0.01, 0.001, 0.01, 0.5, 0.001, 0.01])
+    res = ms.select_bh(scores, 0.1)
+    assert res.selected == ("P0002", "P0005", "P0001", "P0003", "P0006")
+    assert res.sorted_preview == ((7.0, "P0002"), (7.0, "P0005"), (5.0, "P0001"),
+                                  (5.0, "P0003"), (5.0, "P0006"), (1.0, "P0004"))
+
+
 def test_bh_null_only_false_selection_budget():
     rng = np.random.default_rng(73)
     p = 200

@@ -2,8 +2,8 @@
 
 Random tables of 1..1,000 rows with heavily tied values, tied p-values,
 degenerate rows (value 0, p 1), ties straddling the 100th-largest value
-(the edge of the ranked window the gap rule and the preview read) and ids
-whose string order differs from their row order.
+(the edge of the ranked window the gap rule and the preview read), and ids
+that either ascend in row order or have a string order that differs from it.
 """
 
 import math
@@ -39,7 +39,10 @@ def tables(draw):
         ranked = np.argsort(-value, kind="stable")
         value[ranked[rng.integers(80, 100):rng.integers(101, min(p, 130) + 1)]] = value[ranked[99]]
     degenerate = rng.random(p) < degenerate_share
-    ids = [f"P{k}" for k in rng.permutation(p)]  # "P10" sorts before "P9"
+    if draw(st.booleans()):  # ids ascend in row order, so ties need no id sort
+        ids = [f"P{k:04d}" for k in range(1, p + 1)]
+    else:
+        ids = [f"P{k}" for k in rng.permutation(p)]  # "P10" sorts before "P9"
     return ms.ScoreTable(ids, "deviance_lr", np.where(degenerate, 0.0, value),
                          np.where(degenerate, 1.0, pval), degenerate)
 
