@@ -112,11 +112,7 @@ def ttest_baseline(m: ExpressionMatrix) -> ScoreTable:
         raise ValueError("Welch test needs at least 2 samples per condition")
 
     def core(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if n1 == n2:  # samples alternate conditions (cols below): one call on an (n, 2 * rows) view
-            moments = _sorted_moments(xs.reshape(n1, 2 * xs.shape[1]))
-            (m1, m2), (ss1, ss2) = (a.reshape(2, -1) for a in moments)
-        else:
-            (m1, ss1), (m2, ss2) = _sorted_moments(xs[:n1]), _sorted_moments(xs[n1:])
+        (m1, ss1), (m2, ss2) = _sorted_moments(xs[:n1]), _sorted_moments(xs[n1:])
         del xs  # the block goes before the column-sized arithmetic
         v1, v2 = ss1 / (n1 - 1), ss2 / (n2 - 1)
         se2 = v1 / n1 + v2 / n2
@@ -130,8 +126,7 @@ def ttest_baseline(m: ExpressionMatrix) -> ScoreTable:
         t = np.where(degenerate, 0.0, t)
         p = np.where(degenerate, 1.0, np.minimum(p, 1.0))
         return t, p, degenerate
-    cols = m.condition_order.reshape(2, n1).T.ravel() if n1 == n2 else m.condition_order
-    columns = _by_row_blocks(m.values, cols, m.N, core)
+    columns = _by_row_blocks(m.values, m.condition_order, m.N, core)
     return ScoreTable(m.protein_ids, "welch_t", *columns)
 
 

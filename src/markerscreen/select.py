@@ -12,7 +12,9 @@ q=None makes the rule strict.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -66,13 +68,14 @@ def _rank(scores: ScoreTable, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
     ascending id: the one tie rule of every selection and preview. Ranking a
     subset keeps the order the rows have in the whole table. The ranked rows'
     ids are gathered only when two keys tie, and sorted by only when they do
-    not already ascend: the stable sort keeps tied rows in row order."""
+    not already ascend (the check stops at the first descent): the stable
+    sort keeps tied rows in row order."""
     order = np.argsort(keys, kind="stable")
     ranked = keys[order]
     if (ranked[1:] == ranked[:-1]).any():
         ids = scores.ids
         tied = [ids[j] for j in rows.tolist()]
-        if tied != sorted(tied):
+        if not all(map(operator.le, tied, islice(tied, 1, None))):
             order = np.lexsort((np.array(tied, dtype=str), keys))
     return rows[order]
 

@@ -206,12 +206,12 @@ def test_benchmark_counts_as_score_against_truth_does():
     # benchmark counts against each run's planted ids; scoring the same run's
     # selection against its whole truth map must give the same numbers
     rep = ms.benchmark(["lr+gap", "ks+gap", "ttest+bh:0.1"], ["water-n3", "water-n10"],
-                       runs=3, seed=0)
+                       runs=3, seed=0, ks_replicates=1000)
     assert len(rep.runs) == 18
     for run in rep.runs:
         labeled = ms.generate(dataclasses.replace(ms.presets()[run.preset], seed=run.seed))
         try:
-            result = _run_method(run.method, labeled, 10000)
+            result = _run_method(run.method, labeled, 1000)
         except MarkerScreenError as exc:
             assert run.error == exc.category
             continue
