@@ -4,7 +4,8 @@ Commands: score, select, simulate, calibrate, bench. Each accepts
 --deterministic, --out-dir and the settings COMMANDS lists for it; any other
 flag is an argparse error (exit 2). Only simulate, calibrate and bench draw
 random numbers, so only they take --seed; the ks null table of score and
-select depends on (N, replicates) alone. Defaults live only on RunConfig.
+select depends on (N, replicates) alone. An unset flag keeps RunConfig's
+default, which overrides the library's (convergence_table's is 20,000).
 Every artifact embeds the tool version, the seed where the command takes
 one, and a digest of the canonical config; reruns with the same config write
 byte-identical artifacts when --deterministic suppresses the timestamp line.

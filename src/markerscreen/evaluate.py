@@ -103,9 +103,9 @@ def _truth_score(selected: tuple, markers: set) -> TruthScore:
 def ttest_baseline(m: ExpressionMatrix) -> ScoreTable:
     """Per-protein Welch two-sample t-test (two-sided), moments as in D18.
 
-    Unequal variances, Welch-Satterthwaite degrees of freedom. Rows where
-    both sample variances vanish are unscorable and get t = 0, p = 1.
-    Scored block by block through lr._by_row_blocks.
+    The value is |t|, as the p-value is two-sided; unequal variances,
+    Welch-Satterthwaite degrees of freedom. Rows where both sample variances
+    vanish are unscorable and get t = 0, p = 1. Scored through lr._by_row_blocks.
     """
     n1, n2 = m.n1, m.n2
     if n1 < 2 or n2 < 2:
@@ -118,11 +118,11 @@ def ttest_baseline(m: ExpressionMatrix) -> ScoreTable:
         se2 = v1 / n1 + v2 / n2
         degenerate = se2 == 0.0
         safe = np.where(degenerate, 1.0, se2)
-        t = (m1 - m2) / np.sqrt(safe)
+        t = np.abs(m1 - m2) / np.sqrt(safe)
         df_num = safe**2
         df_den = (v1 / n1) ** 2 / (n1 - 1) + (v2 / n2) ** 2 / (n2 - 1)
         df = df_num / np.where(df_den == 0.0, 1.0, df_den)
-        p = 2.0 * special.stdtr(df, -np.abs(t))  # Student-t upper tail at |t|
+        p = 2.0 * special.stdtr(df, -t)  # Student-t upper tail at |t|
         t = np.where(degenerate, 0.0, t)
         p = np.where(degenerate, 1.0, np.minimum(p, 1.0))
         return t, p, degenerate

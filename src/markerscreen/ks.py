@@ -150,9 +150,8 @@ def _null_table(N: int, replicates: int) -> np.ndarray:
     """
     if replicates < 1000:
         raise ValueError("at least 1000 replicates")
-    rng = substream(0, f"ks-null:{N}:{replicates}")
-    d, _, _ = _by_row_blocks(rng.standard_normal((replicates, N)), np.arange(N), N * N, _d_rows)
-    return np.sort(d)
+    draws = substream(0, f"ks-null:{N}:{replicates}").standard_normal((replicates, N))
+    return np.sort(_by_row_blocks(draws, np.arange(N), N * N, lambda x: _d_rows(x)[:1])[0])
 
 
 def _mc_pvalue(table: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -184,6 +183,6 @@ def score_matrix_ks(m: ExpressionMatrix, replicates: int = DEFAULT_REPLICATES) -
     deviation overflows gets d = NaN, which ScoreTable rejects. One shared
     null table serves all proteins (they share N).
     """
-    d, _, degenerate = _by_row_blocks(m.values, np.arange(m.N), m.N**2, _d_rows)
+    d, degenerate = _by_row_blocks(m.values, np.arange(m.N), m.N**2, lambda x: _d_rows(x)[::2])
     pvals = np.where(degenerate, 1.0, _mc_pvalue(_null_table(m.N, replicates), d))
     return ScoreTable(m.protein_ids, "ks_d", d, pvals, degenerate)

@@ -181,20 +181,14 @@ def fit_pooled_normal(x) -> PooledFit:
     return PooledFit(mu=mu, sigma2=sigma2, loglik=float(_normal_loglik(x.size, ss, sigma2)))
 
 
-def fit_mixture_fixed_weights(
-    x,
-    n1: int,
-    n2: int,
-    max_iter: int = EM_MAX_ITER,
-    debug_monotone: bool = False,
-) -> MixtureFit:
+def fit_mixture_fixed_weights(x, n1: int, n2: int) -> MixtureFit:
     """EM fixed point of the two-component normal mixture with weights n_l/N.
 
     Start 0 of the start set (decisions ledger D14) is the pooled normal, a
     stationary point of the EM map that keeps fit_pooled_normal's loglik.
     Each other start iterates until |delta loglik| < EM_TOL, until a
     component loses all responsibility (keeping its last fit) or for
-    max_iter steps. The first start with the highest loglik wins, a NaN
+    EM_MAX_ITER steps. The first start with the highest loglik wins, a NaN
     loglik counting as -inf, so the fit never falls below the pooled one.
     The S starts still iterating are the columns of (2, S, 1) arrays. At no
     more than 2 x 3 x N numbers, numpy's price per call outweighs the
@@ -249,14 +243,12 @@ def fit_mixture_fixed_weights(
         lse = logaddexp(lp0, lp[1])
         prev, ll = ll, add_reduce(lse, 1).tolist()
         if it:
-            if debug_monotone:
-                assert all(a >= b - 1e-9 for a, b in zip(ll, prev)), "EM log-likelihood decreased"
             done = [abs(a - b) < EM_TOL for a, b in zip(ll, prev)]
             if True in done:
                 keep, live, ll = stop(live, done, m, v, ll, it, True)
                 lw, xs, m, v, lp = (a[:, keep] for a in (lw, xs, m, v, lp))
                 lp0, lse = lp[0], lse[keep]
-        if it >= max_iter or not live:
+        if it >= EM_MAX_ITER or not live:
             break
         it += 1
         # E-step in log space, r_1 = 1 - r_0; r and r x are summed in one call

@@ -23,15 +23,30 @@ from .matrix import ExpressionMatrix, _UniqueIds, rows_per_block
 _QUOTED_CHARS = frozenset(',"\r\n')  # csv.writer quotes a cell holding any of these
 
 
-def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
-    """The header and data records of a small CSV file: a layout sidecar or
-    a truth file."""
+def _read_keyed(path: str, columns: tuple[str, str], flags: tuple[str, str],
+                error: type) -> dict[str, str]:
+    """{key: flag} from a two-column CSV file headed by columns, a layout
+    sidecar or a truth file, cells stripped: each key non-empty and listed
+    once, each flag one of the two tokens in flags. A file with no header
+    row raises ParseError; any other fault raises error naming the row."""
+    noun, keyed = columns[0].replace("_", " "), {}
     with _opened(path) as fh:
         records = _records(csv.reader(fh), {})
-        header, rows = next(records, None), list(records)
-    if header is None:
-        raise ParseError(f"{path}: no header row")
-    return [c.strip() for c in header], rows
+        if (header := next(records, None)) is None:
+            raise ParseError(f"{path}: no header row")
+        if [c.strip().lower() for c in header[:2]] != list(columns):
+            raise error(f"{path}: header must be {','.join(columns)}")
+        for row in records:
+            key, flag = [c.strip() for c in row[:2]] if len(row) > 1 else ("", "")
+            if flag not in flags:
+                raise error(f"{path}: row {row} needs a {noun} and {columns[1]} "
+                            f"{flags[0]} or {flags[1]}")
+            if not key:
+                raise error(f"{path}: row {row} has an empty {noun}")
+            if key in keyed:
+                raise error(f"{path}: row {row} repeats {noun} {key!r}")
+            keyed[key] = flag
+    return keyed
 
 
 def _parse_layout_spec(layout_spec: str | None, sample_names: list[str],
@@ -43,21 +58,11 @@ def _parse_layout_spec(layout_spec: str | None, sample_names: list[str],
             )
         layout_spec = file_layout
     if os.path.exists(layout_spec):
-        mapping: dict[str, int] = {}
-        header, rows = _read_rows(layout_spec)
-        if [h.lower() for h in header[:2]] != ["sample_id", "condition"]:
-            raise LayoutError("layout sidecar needs columns sample_id,condition")
-        for row in rows:
-            if len(row) < 2:
-                raise LayoutError(f"layout sidecar row too short: {row}")
-            sample = row[0].strip()
-            if sample in mapping:
-                raise LayoutError(f"layout sidecar lists sample {sample!r} twice")
-            mapping[sample] = _condition_label(row[1])
+        mapping = _read_keyed(layout_spec, ("sample_id", "condition"), ("1", "2"), LayoutError)
         missing = [s for s in sample_names if s not in mapping]
         if missing:
             raise LayoutError(f"layout sidecar misses samples: {missing[:5]}")
-        return np.array([mapping[s] for s in sample_names])
+        return np.array([int(mapping[s]) for s in sample_names])
     labels = [tok for tok in layout_spec.replace(";", ",").split(",") if tok.strip()]
     if len(labels) != len(sample_names):
         raise LayoutError(
@@ -270,20 +275,8 @@ def write_truth(path: str, protein_ids, truth, header_lines=()) -> None:
 
 
 def read_truth(path: str) -> dict:
-    header, rows = _read_rows(path)
-    if [h.lower() for h in header[:2]] != ["protein_id", "is_true"]:
-        raise ParseError(f"{path}: truth file needs columns protein_id,is_true")
-    truth: dict[str, bool] = {}
-    for row in rows:
-        if len(row) < 2 or row[1].strip() not in ("0", "1"):
-            raise ParseError(f"{path}: truth row {row} needs a protein id and a flag 0 or 1")
-        pid = row[0].strip()
-        if not pid:
-            raise ParseError(f"{path}: truth row {row} has an empty protein id")
-        if pid in truth:
-            raise ParseError(f"{path}: truth row {row} repeats protein id {pid!r}")
-        truth[pid] = row[1].strip() == "1"
-    return truth
+    truth = _read_keyed(path, ("protein_id", "is_true"), ("0", "1"), ParseError)
+    return {pid: flag == "1" for pid, flag in truth.items()}
 
 
 def write_scores(path: str, scores, header_lines=()) -> None:

@@ -96,18 +96,21 @@ def test_mixture_weights_fixed_by_design():
     assert fit.w2 == pytest.approx(0.6)
 
 
-def test_mixture_nonconvergence_is_not_an_error():
+def test_mixture_nonconvergence_is_not_an_error(monkeypatch):
+    monkeypatch.setattr(ms.lr, "EM_MAX_ITER", 1)
     rng = np.random.default_rng(9)
     x = np.concatenate([rng.normal(0, 1, 6), rng.normal(8, 1, 6)])
-    fit = ms.fit_mixture_fixed_weights(x, 6, 6, max_iter=1)
+    fit = ms.fit_mixture_fixed_weights(x, 6, 6)
     assert fit.iterations <= 1
     assert isinstance(fit.converged, bool)
 
 
 def test_mixture_monotone_debug_flag():
+    # the reference's debug_monotone check holds along every start of the fit
     rng = np.random.default_rng(17)
     x = np.concatenate([rng.normal(0, 1, 8), rng.normal(3, 2, 8)])
-    fit = ms.fit_mixture_fixed_weights(x, 8, 8, debug_monotone=True)
+    fit = em_multistart_reference(x, 8, 8, debug_monotone=True)
+    assert ms.fit_mixture_fixed_weights(x, 8, 8) == fit
     assert fit.loglik >= ms.fit_pooled_normal(x).loglik - 1e-8
 
 
@@ -160,33 +163,34 @@ def _em_parity_rows():
     return rows
 
 
-def _fit_or_error(fit, *args, **kwargs):
-    try:
-        return fit(*args, **kwargs)
-    except AssertionError as exc:  # debug_monotone on a loglik that turns NaN
-        return repr(exc)
-
-
 @pytest.mark.parametrize("max_iter, debug_monotone", [
     (0, False), (1, False), (2, False), (3, False), (ms.lr.EM_MAX_ITER, False),
     (ms.lr.EM_MAX_ITER, True),
 ])
-def test_mixture_matches_scalar_multistart_reference(max_iter, debug_monotone):
+def test_mixture_matches_scalar_multistart_reference(monkeypatch, max_iter, debug_monotone):
     # the starts batched as columns of one array give the scalar loop's fit
-    # exactly, in builtin types; only the rows near 1e153 overflow, and one
-    # turns NaN, on purpose: every other row raises on a floating-point fault
-    capped = 0
-    for x, n1, n2 in _em_parity_rows():
+    # exactly, in builtin types, at the cap EM_MAX_ITER = max_iter; only the
+    # rows near 1e153 overflow, and the last turns NaN, on purpose: every other
+    # row raises on a floating-point fault. With debug_monotone the reference
+    # checks that no start's loglik falls, which fails on that last row only.
+    monkeypatch.setattr(ms.lr, "EM_MAX_ITER", max_iter)
+    rows = _em_parity_rows()
+    capped, falls = 0, []
+    for j, (x, n1, n2) in enumerate(rows):
         faults = "ignore" if np.abs(x).max() > 1e150 else "raise"
         with np.errstate(over=faults, invalid=faults, divide="raise"):
-            fit = _fit_or_error(ms.fit_mixture_fixed_weights, x, n1, n2, max_iter=max_iter,
-                                debug_monotone=debug_monotone)
-            assert fit == _fit_or_error(em_multistart_reference, x, n1, n2, max_iter=max_iter,
-                                        debug_monotone=debug_monotone)
-        if not isinstance(fit, str):
-            assert [type(v) for v in astuple(fit)] == [float] * 7 + [int, bool]
-            capped += fit.iterations == max_iter and not fit.converged
+            fit = ms.fit_mixture_fixed_weights(x, n1, n2)
+            try:
+                reference = em_multistart_reference(x, n1, n2, max_iter=max_iter,
+                                                    debug_monotone=debug_monotone)
+            except AssertionError:
+                falls.append(j)
+                reference = em_multistart_reference(x, n1, n2, max_iter=max_iter)
+        assert fit == reference
+        assert [type(v) for v in astuple(fit)] == [float] * 7 + [int, bool]
+        capped += fit.iterations == max_iter and not fit.converged
     assert capped >= 2  # some winning starts stop only at the iteration cap
+    assert falls == ([len(rows) - 1] if debug_monotone else [])
 
 
 # ----------------------------------------------------------------- deviance

@@ -125,25 +125,37 @@ def test_matrix_write_read_round_trip(tmp_path):
 
 
 def test_truth_round_trip(tmp_path):
+    # and ids that the writer must quote: a comma, a quote, a CR, a LF, a CRLF
     path = tmp_path / "truth.csv"
-    write_truth(str(path), ("A", "B", "C"), np.array([True, False, True]))
+    ids = ("A", "B", "C", "a,b", 'q"x', "r\rs", "n\nm", "c\r\nd")
+    write_truth(str(path), ids, np.array([True, False, True, False, True, False, True, True]))
     truth = read_truth(str(path))
-    assert truth == {"A": True, "B": False, "C": True}
+    assert truth == {"A": True, "B": False, "C": True, "a,b": False, 'q"x': True,
+                     "r\rs": False, "n\nm": True, "c\r\nd": True}
 
 
+# Each fault in both keyed files: a truth file (flags 0, 1; faults raise
+# ParseError) and a layout sidecar of the samples P1, P2 (conditions 1, 2;
+# LayoutError). {bad} is a digit the file refuses, {noun} its key's name.
 @pytest.mark.parametrize("rows, named", [
     ("P1\n", r"\['P1'\]"),  # short row
     ("P1,yes\n", r"\['P1', 'yes'\]"),
-    ("P1,2\n", r"\['P1', '2'\]"),
-    ("P1,1\nP2,0\nP1,0\n", r"\['P1', '0'\].*'P1'"),  # repeated id
-    ("P1,1\nP2,0\n,1\n", r"\['', '1'\].*empty protein id"),
-    ("P1,1\n  ,0\n", r"\['  ', '0'\].*empty protein id"),
+    ("P1,{bad}\n", r"\['P1', '{bad}'\]"),
+    ("P1,1\nP2,1\nP1,1\n", r"\['P1', '1'\].*'P1'"),  # repeated id
+    ("P1,1\nP2,1\n,1\n", r"\['', '1'\].*empty {noun}"),
+    ("P1,1\n  ,1\n", r"\['  ', '1'\].*empty {noun}"),
 ], ids=["short", "yes", "two", "repeated", "empty", "blank"])
 def test_read_truth_rejects_bad_rows_naming_them(tmp_path, rows, named):
-    path = tmp_path / "truth.csv"
-    path.write_text("protein_id,is_true\n" + rows)
-    with pytest.raises(ParseError, match=named):
-        read_truth(str(path))
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("protein_id,P1,P2\nX,1.0,2.0\n")
+    path = tmp_path / "keyed.csv"
+    for header, bad, noun, read, error in (
+            ("protein_id,is_true", "2", "protein id", read_truth, ParseError),
+            ("sample_id,condition", "3", "sample id",
+             lambda sidecar: ingest_matrix(str(matrix), sidecar), LayoutError)):
+        path.write_text(header + "\n" + rows.format(bad=bad))
+        with pytest.raises(error, match=named.format(bad=bad, noun=noun)):
+            read(str(path))
 
 
 def test_layout_sidecar_rejects_a_sample_listed_twice(tmp_path):

@@ -6,6 +6,8 @@ rows are constant (degenerate), and a map a*x + b with a a power of two and
 b an integer is exact: degeneracy and ties survive it bit for bit.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -137,17 +139,37 @@ def test_lr_label_swap_invariance(design):
     assert np.array_equal(other.p_value, base.p_value)
 
 
+# a fixed cutoff that some rows of each statistic clear, the gap rule with
+# its BH fallback, and BH at a level loose enough to select
+POLICIES = {"lr": ("fixed:2", "gap", "bh:0.5"), "ks": ("fixed:0.1", "gap", "bh:0.5"),
+            "ttest": ("fixed:1", "gap", "bh:0.5")}
+
+
+@pytest.mark.parametrize("stat", STATS)
 @PROPERTY
-@given(design=designs)
-@example(design=SMALLEST)
-@example(design=WIDE)
-def test_welch_label_swap_negates_t(design):
-    m = _thirds(_matrix(design, "ttest"))
-    swapped = ms.ExpressionMatrix(values=m.values, layout=3 - m.layout)
-    base, other = _score(m, "ttest"), _score(swapped, "ttest")
-    assert np.array_equal(other.degenerate, base.degenerate)
-    assert np.array_equal(other.value, -base.value)
-    assert np.array_equal(other.p_value, base.p_value)
+@given(design=designs, perm_seed=st.integers(0, 2**32 - 1))
+@example(design=SMALLEST, perm_seed=0)
+@example(design=ALL_DEGENERATE, perm_seed=0)
+@example(design=WIDE, perm_seed=0)
+def test_selection_ignores_labels_and_sample_order(stat, design, perm_seed):
+    # swapping the condition labels leaves every score bit for bit (Welch's
+    # value is |t|), and neither a swap nor shuffling each row's samples within
+    # their condition moves a bit of any policy's selection, cutoff or preview
+    m = _thirds(_matrix(design, stat))
+    shuffled = m.values.copy()
+    rng = np.random.default_rng(perm_seed)
+    for label in (1, 2):
+        shuffled[:, m.layout == label] = rng.permuted(shuffled[:, m.layout == label], axis=1)
+    tables = [_score(other, stat) for other in (
+        m, ms.ExpressionMatrix(values=m.values, layout=3 - m.layout),
+        ms.ExpressionMatrix(values=shuffled, layout=m.layout))]
+    for name in ("value", "p_value", "degenerate"):
+        assert getattr(tables[1], name).tobytes() == getattr(tables[0], name).tobytes()
+    for spec in POLICIES[stat]:
+        policy = ms.parse_policy(spec, min(m.n1, m.n2))
+        base, swapped, moved = (ms.apply_policy(table, policy) for table in tables)
+        for other in (swapped, moved):
+            assert repr(astuple(other)) == repr(astuple(base))
 
 
 @pytest.mark.parametrize("stat", STATS)
