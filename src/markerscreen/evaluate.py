@@ -10,9 +10,9 @@ from scipy import special
 
 from ._rng import derive_seed, substream
 from .errors import MarkerScreenError, TruthMismatch
-from .ks import score_matrix_ks
-from .lr import ScoreTable, _by_row_blocks, _deviance_core, _sorted_moments, score_matrix_lr
-from .matrix import ExpressionMatrix
+from .ks import _ks_columns
+from .lr import ScoreTable, _by_row_blocks, _deviance_core, _lr_columns, _sorted_moments
+from .matrix import ExpressionMatrix, rows_per_block
 from .select import SelectionResult, apply_policy, parse_policy
 from .simulate import generate, presets
 
@@ -107,6 +107,11 @@ def ttest_baseline(m: ExpressionMatrix) -> ScoreTable:
     Welch-Satterthwaite degrees of freedom. Rows where both sample variances
     vanish are unscorable and get t = 0, p = 1. Scored through lr._by_row_blocks.
     """
+    return ScoreTable(m.protein_ids, "welch_t", *_welch_columns(m, m.values))
+
+
+def _welch_columns(m: ExpressionMatrix, values: np.ndarray) -> list:
+    """ttest_baseline's columns for rows of values with m's samples (D24)."""
     n1, n2 = m.n1, m.n2
     if n1 < 2 or n2 < 2:
         raise ValueError("Welch test needs at least 2 samples per condition")
@@ -126,24 +131,30 @@ def ttest_baseline(m: ExpressionMatrix) -> ScoreTable:
         t = np.where(degenerate, 0.0, t)
         p = np.where(degenerate, 1.0, np.minimum(p, 1.0))
         return t, p, degenerate
-    columns = _by_row_blocks(m.values, m.condition_order, m.N, core)
-    return ScoreTable(m.protein_ids, "welch_t", *columns)
+    return _by_row_blocks(values, m.condition_order, m.N, core)
 
 
-# statistic name -> scorer of (matrix, ks replicates); names resolve at call time
+# statistic name -> (ScoreTable kind, its columns of (matrix, rows of values with
+# the matrix's samples, ks replicates))
 _SCORERS = {
-    "lr": lambda m, replicates: score_matrix_lr(m),
-    "ks": lambda m, replicates: score_matrix_ks(m, replicates=replicates),
-    "ttest": lambda m, replicates: ttest_baseline(m),
+    "lr": ("deviance_lr", lambda m, values, replicates: _lr_columns(m, values)),
+    "ks": ("ks_d", lambda m, values, replicates: _ks_columns(values, replicates)),
+    "ttest": ("welch_t", lambda m, values, replicates: _welch_columns(m, values)),
 }
+
+
+def _scorer(stat: str):
+    """The (kind, columns) pair of the statistic named lr, ks or ttest."""
+    if stat not in _SCORERS:
+        raise ValueError(f"unknown statistic {stat!r}; expected one of {', '.join(_SCORERS)}")
+    return _SCORERS[stat]
 
 
 def score_matrix(m: ExpressionMatrix, stat: str, replicates: int) -> ScoreTable:
     """Scores of every row under the statistic named lr, ks or ttest;
     `replicates` sizes the ks null table."""
-    if stat not in _SCORERS:
-        raise ValueError(f"unknown statistic {stat!r}; expected one of {', '.join(_SCORERS)}")
-    return _SCORERS[stat](m, replicates)
+    kind, columns = _scorer(stat)
+    return ScoreTable(m.protein_ids, kind, *columns(m, m.values, replicates))
 
 
 def convergence_table(
@@ -196,13 +207,18 @@ def convergence_text(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def _run_method(method: str, labeled, ks_replicates: int) -> SelectionResult:
+def _score_stack(method: str, m: ExpressionMatrix, values: np.ndarray, replicates: int):
+    """(kind, columns, policy) of a method over values, the stacked values of
+    runs of m's design, or the MarkerScreenError scoring raised."""
     stat, _, policy_spec = method.partition("+")
     if not policy_spec:
         raise ValueError(f"method {method!r} must look like 'lr+gap' or 'ttest+bh:0.05'")
-    m = labeled.matrix
-    scores = score_matrix(m, stat, ks_replicates)
-    return apply_policy(scores, parse_policy(policy_spec, min(m.n1, m.n2)))
+    kind, columns = _scorer(stat)
+    try:
+        columns = columns(m, values, replicates)
+    except MarkerScreenError as exc:
+        return exc
+    return kind, columns, parse_policy(policy_spec, min(m.n1, m.n2))
 
 
 def benchmark(
@@ -218,6 +234,14 @@ def benchmark(
     method sees the same matrices and comparisons are paired. Failing runs
     become flagged rows (error category recorded, metrics NaN); the matrix
     never aborts.
+
+    A preset's runs are scored in groups of G = max(1, rows_per_block(N^2)
+    // p) consecutive runs, so a group is at most one ks row block
+    (DECISIONS.md D24): each method scores the group's stacked values in
+    one call. Each run then gets the ScoreTable of its own rows and ids,
+    with the bits it has when scored alone (D15, D18), and is selected and
+    counted alone. A MarkerScreenError raised by scoring flags every run of
+    its group; one raised by selection flags its own run.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -226,18 +250,30 @@ def benchmark(
     for preset_name in preset_names:
         if preset_name not in available:
             raise ValueError(f"unknown preset {preset_name!r}")
-        for r in range(runs):
-            run_seed = derive_seed(seed, f"bench:{preset_name}:{r}")
-            labeled = generate(replace(available[preset_name], seed=run_seed))
-            ids = labeled.matrix.protein_ids  # every selected id is one of them
-            markers = {ids[j] for j in np.flatnonzero(labeled.truth).tolist()}
-            for method in methods:
-                try:
-                    result = _run_method(method, labeled, ks_replicates)
-                    scored = _truth_score(result.selected, markers)
-                    report.runs.append(EvalRun(method, preset_name, run_seed, **vars(scored),
-                                               fallback_used=result.fallback_used))
-                except MarkerScreenError as exc:
-                    report.runs.append(EvalRun(method, preset_name, run_seed, float("nan"),
-                                               float("nan"), 0, 0, 0, error=exc.category))
+        spec = available[preset_name]
+        group = max(1, rows_per_block((2 * spec.n_per_condition) ** 2) // spec.p)
+        for first in range(0, runs, group):
+            seeds = [derive_seed(seed, f"bench:{preset_name}:{r}")
+                     for r in range(first, min(runs, first + group))]
+            labeled = [generate(replace(spec, seed=run_seed)) for run_seed in seeds]
+            m = labeled[0].matrix
+            values = np.concatenate([lab.matrix.values for lab in labeled])
+            outcomes = [_score_stack(method, m, values, ks_replicates) for method in methods]
+            for k, (run_seed, lab) in enumerate(zip(seeds, labeled)):
+                ids = lab.matrix.protein_ids  # every selected id is one of them
+                markers = {ids[j] for j in np.flatnonzero(lab.truth).tolist()}
+                rows = slice(k * m.p, (k + 1) * m.p)
+                for method, outcome in zip(methods, outcomes):
+                    try:
+                        if isinstance(outcome, MarkerScreenError):  # flags the whole group
+                            raise outcome.with_traceback(None)
+                        kind, columns, policy = outcome
+                        table = ScoreTable(ids, kind, *(c[rows] for c in columns))
+                        result = apply_policy(table, policy)
+                        scored = _truth_score(result.selected, markers)
+                        report.runs.append(EvalRun(method, preset_name, run_seed, **vars(scored),
+                                                   fallback_used=result.fallback_used))
+                    except MarkerScreenError as exc:
+                        report.runs.append(EvalRun(method, preset_name, run_seed, float("nan"),
+                                                   float("nan"), 0, 0, 0, error=exc.category))
     return report

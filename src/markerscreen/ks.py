@@ -183,6 +183,11 @@ def score_matrix_ks(m: ExpressionMatrix, replicates: int = DEFAULT_REPLICATES) -
     deviation overflows gets d = NaN, which ScoreTable rejects. One shared
     null table serves all proteins (they share N).
     """
-    d, degenerate = _by_row_blocks(m.values, np.arange(m.N), m.N**2, lambda x: _d_rows(x)[::2])
-    pvals = np.where(degenerate, 1.0, _mc_pvalue(_null_table(m.N, replicates), d))
-    return ScoreTable(m.protein_ids, "ks_d", d, pvals, degenerate)
+    return ScoreTable(m.protein_ids, "ks_d", *_ks_columns(m.values, replicates))
+
+
+def _ks_columns(values: np.ndarray, replicates: int) -> list:
+    """score_matrix_ks's (d, p-value, degenerate) columns for rows of values (D24)."""
+    N = values.shape[1]
+    d, degenerate = _by_row_blocks(values, np.arange(N), N * N, lambda x: _d_rows(x)[::2])
+    return [d, np.where(degenerate, 1.0, _mc_pvalue(_null_table(N, replicates), d)), degenerate]

@@ -378,11 +378,15 @@ def score_matrix_lr(m: ExpressionMatrix, diagnostics: bool = False) -> ScoreTabl
     RegimeViolation. diagnostics=True attaches the per-row fits of
     deviance_lr. Pure function of the matrix.
     """
+    return ScoreTable(m.protein_ids, "deviance_lr", *_lr_columns(m, m.values, diagnostics))
+
+
+def _lr_columns(m: ExpressionMatrix, values: np.ndarray, diagnostics: bool = False) -> list:
+    """score_matrix_lr's columns for rows of values with m's samples (D24)."""
     decision = regime(m.n1, m.n2)
     if decision.stat != "lr":
         raise RegimeViolation(
             f"likelihood-ratio scoring is outside its regime "
             f"(n1={m.n1}, n2={m.n2}: {decision.reason}); use ks"
         )
-    columns = _by_row_blocks(m.values, m.condition_order, m.N, _deviance_core(m.n1, diagnostics))
-    return ScoreTable(m.protein_ids, "deviance_lr", *columns)
+    return _by_row_blocks(values, m.condition_order, m.N, _deviance_core(m.n1, diagnostics))

@@ -45,6 +45,13 @@ class _UniqueIds(tuple):
     them without a second pass."""
 
 
+def _refuse_comment_ids(ids) -> None:
+    """Raise ValueError naming the first id that starts with `#`: read back, it is a comment."""
+    for pid in ids:
+        if pid.startswith("#"):
+            raise ValueError(f"protein id {pid!r} starts with '#' and would read back as a comment")
+
+
 @lru_cache(maxsize=1)
 def _default_ids(p: int) -> _UniqueIds:
     """P0001.. for p proteins, zero-padded to at least four digits. Only the
@@ -59,9 +66,9 @@ class ExpressionMatrix:
 
     values: (p, N) float array, one row per protein.
     layout: length-N int array of condition labels, each 1 or 2.
-    protein_ids: optional names, held as a tuple of unique non-empty strs;
-        P0001.. when omitted, formatted once per p and shared by every matrix
-        of that p.
+    protein_ids: optional names, held as a tuple of unique non-empty strs,
+        none starting with `#`; P0001.. when omitted, formatted once per p
+        and shared by every matrix of that p.
     """
 
     values: np.ndarray
@@ -93,6 +100,7 @@ class ExpressionMatrix:
                 raise ValueError("protein_ids must be unique")
             if "" in ids:
                 raise ValueError("protein_ids must not be empty strings")
+            _refuse_comment_ids(ids)
         else:
             ids = _default_ids(values.shape[0])
         object.__setattr__(self, "protein_ids", ids)

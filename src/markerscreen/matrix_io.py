@@ -18,7 +18,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import LayoutError, ParseError
-from .matrix import ExpressionMatrix, _UniqueIds, rows_per_block
+from .matrix import ExpressionMatrix, _UniqueIds, _refuse_comment_ids, rows_per_block
 
 _QUOTED_CHARS = frozenset(',"\r\n')  # csv.writer quotes a cell holding any of these
 
@@ -114,6 +114,10 @@ def ingest_matrix(path: str, layout_spec: str | None = None) -> ExpressionMatrix
         if len(header) < 3 or header[0] != "protein_id":
             raise ParseError(f"{path}: header must be protein_id,<at least two sample columns>")
         n = len(header) - 1
+        if "" in header or len(set(header[1:])) < n:
+            k = next(k for k, name in enumerate(header) if k and name in ("", *header[1:k]))
+            raise ParseError(f"{path}: header cell {k + 1} is an empty or repeated sample "
+                             f"name: {header[k]!r}")
         ids: list[str] = []
         values = np.empty((0, n))
         seen: set[str] = set()
@@ -263,6 +267,7 @@ def _write_csv(path: str, header_lines, columns, rows: int, block) -> None:
 
 
 def write_matrix(path: str, matrix: ExpressionMatrix, header_lines=()) -> None:
+    _refuse_comment_ids(matrix.protein_ids)  # ingest keeps `#x` from a line ` #x,...`
     _write_csv(path, [*header_lines, "layout: " + ",".join(map(str, matrix.layout.tolist()))],
                ["protein_id"] + [f"s{i + 1:02d}" for i in range(matrix.N)], matrix.p,
                lambda i, j: [matrix.protein_ids[i:j]]
@@ -270,6 +275,7 @@ def write_matrix(path: str, matrix: ExpressionMatrix, header_lines=()) -> None:
 
 
 def write_truth(path: str, protein_ids, truth, header_lines=()) -> None:
+    _refuse_comment_ids(protein_ids)
     _write_csv(path, header_lines, ["protein_id", "is_true"], len(protein_ids),
                lambda i, j: [protein_ids[i:j], ["1" if flag else "0" for flag in truth[i:j]]])
 

@@ -263,6 +263,11 @@ def ingest_reference(path):
         raise ParseError(
             f"{path}: header must be protein_id,<at least two sample columns>"
         )
+    for k, name in enumerate(header[1:], start=1):
+        if not name or name in header[1:k]:
+            raise ParseError(
+                f"{path}: header cell {k + 1} is an empty or repeated sample name: {name!r}"
+            )
     if not rows:
         raise ParseError(f"{path}: no protein rows")
     ids, seen = [], set()

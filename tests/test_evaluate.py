@@ -7,8 +7,9 @@ import pytest
 from scipy import stats
 
 import markerscreen as ms
+from markerscreen._rng import derive_seed
 from markerscreen.errors import DegenerateData, MarkerScreenError, TruthMismatch
-from markerscreen.evaluate import _run_method
+from markerscreen.evaluate import EvalRun, _truth_score, score_matrix
 from markerscreen.ks import _null_table
 from markerscreen.matrix import _default_ids
 
@@ -202,6 +203,13 @@ def test_benchmark_formats_default_ids_once_for_all_runs():
     assert _default_ids.cache_info().misses == 1
 
 
+def _selection_alone(method, m, replicates):
+    """A run's selection under method with the run scored on its own."""
+    stat, _, spec = method.partition("+")
+    policy = ms.parse_policy(spec, min(m.n1, m.n2))
+    return ms.apply_policy(score_matrix(m, stat, replicates), policy)
+
+
 def test_benchmark_counts_as_score_against_truth_does():
     # benchmark counts against each run's planted ids; scoring the same run's
     # selection against its whole truth map must give the same numbers
@@ -211,7 +219,7 @@ def test_benchmark_counts_as_score_against_truth_does():
     for run in rep.runs:
         labeled = ms.generate(dataclasses.replace(ms.presets()[run.preset], seed=run.seed))
         try:
-            result = _run_method(run.method, labeled, 1000)
+            result = _selection_alone(run.method, labeled.matrix, 1000)
         except MarkerScreenError as exc:
             assert run.error == exc.category
             continue
@@ -220,6 +228,59 @@ def test_benchmark_counts_as_score_against_truth_does():
         assert {k: getattr(run, k) for k in expected} == expected
     assert sum(run.error is None for run in rep.runs) >= 12
     assert any(run.tp and run.fp for run in rep.runs)
+
+
+@pytest.mark.parametrize("group, runs", [(2, 5), (3, 7)])
+def test_benchmark_groups_give_the_rows_of_one_run_at_a_time(monkeypatch, group, runs):
+    # n3 designs have N = 6, so ks blocks of BLOCK_ELEMENTS // 36 rows hold
+    # `group` runs of p = 1000, and the last group of `runs` is shorter
+    monkeypatch.setattr(ms.matrix, "BLOCK_ELEMENTS", 36 * 1000 * group)
+    stacked = []
+    score_stack = ms.evaluate._score_stack
+    monkeypatch.setattr(ms.evaluate, "_score_stack", lambda method, m, values, replicates:
+                        stacked.append(len(values)) or score_stack(method, m, values, replicates))
+    methods = ["lr+gap", "ks+gap", "ttest+bh:0.1", "ttest+gap:strict"]
+    presets = ["water-n3", "cauchy-n3"]
+    rep = ms.benchmark(methods, presets, runs=runs, seed=5, ks_replicates=1000)
+    sizes = [1000 * min(group, runs - first) for first in range(0, runs, group)]
+    assert stacked == [size for size in sizes * len(presets) for _ in methods]
+    reference = []
+    for preset_name in presets:
+        for r in range(runs):
+            run_seed = derive_seed(5, f"bench:{preset_name}:{r}")
+            labeled = ms.generate(dataclasses.replace(ms.presets()[preset_name], seed=run_seed))
+            ids = labeled.matrix.protein_ids
+            markers = {ids[j] for j in np.flatnonzero(labeled.truth)}
+            for method in methods:
+                try:
+                    result = _selection_alone(method, labeled.matrix, 1000)
+                except MarkerScreenError as exc:
+                    reference.append(EvalRun(method, preset_name, run_seed, math.nan, math.nan,
+                                             0, 0, 0, error=exc.category))
+                    continue
+                reference.append(EvalRun(method, preset_name, run_seed,
+                                         **vars(_truth_score(result.selected, markers)),
+                                         fallback_used=result.fallback_used))
+    assert list(map(repr, rep.runs)) == list(map(repr, reference))  # NaN == NaN in a repr
+    strict = [r.error for r in reference if r.method == "ttest+gap:strict"]
+    assert "no-gap-found" in strict and None in strict  # raised per run, not per group
+    assert {r.error for r in reference if r.method == "lr+gap"} == {"regime-violation"}
+
+
+def test_benchmark_memory_stays_near_one_group():
+    # bench-n3's methods and presets in groups of G = 7 runs (DECISIONS.md
+    # D24). Measured: 3.35 MiB at G = 7, 3.81 MiB at G = 10, 5.56 MiB with
+    # all 21 runs in one group, 0.51 MiB one run at a time
+    _null_table.cache_clear()
+    _default_ids.cache_clear()
+    tracemalloc.start()
+    try:
+        ms.benchmark(["ks+gap", "ttest+bh:0.1"], ["water-n3", "human-n3", "cauchy-n3", "chisq-n3"],
+                     runs=21, seed=0, ks_replicates=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.75 * 2**20
 
 
 def test_benchmark_counting_identity():

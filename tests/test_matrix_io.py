@@ -46,6 +46,8 @@ def test_matrix_validation():
                             protein_ids=("A", "A"))
     with pytest.raises(ValueError, match="empty"):  # as ingest refuses an empty id
         ms.ExpressionMatrix(values=vals, layout=np.array([1, 1, 2, 2]), protein_ids=["", "B"])
+    with pytest.raises(ValueError, match="'#x' starts with '#'"):  # it would read back as a comment
+        ms.ExpressionMatrix(values=vals, layout=np.array([1, 1, 2, 2]), protein_ids=["A", "#x"])
     named = ms.ExpressionMatrix(values=vals, layout=np.array([1, 1, 2, 2]),
                                 protein_ids=np.array(["A", "B"]))
     assert named.protein_ids == ("A", "B")
@@ -132,6 +134,21 @@ def test_truth_round_trip(tmp_path):
     truth = read_truth(str(path))
     assert truth == {"A": True, "B": False, "C": True, "a,b": False, 'q"x': True,
                      "r\rs": False, "n\nm": True, "c\r\nd": True}
+
+
+def test_writers_refuse_an_id_read_back_as_a_comment(tmp_path):
+    # csv.reader strips the quotes a writer could add, so quoting cannot save
+    # it; ingest takes `#x` from a line ` #x,...`, which is no comment
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="'#x' starts with '#'"):
+        write_truth(str(path), ("y", "#x"), [True, False])
+    source = tmp_path / "m.csv"
+    source.write_text(HEAD + "y,1,2,3,4\n #x,5,6,7,8\n")
+    m = ingest_matrix(str(source), "1,1,2,2")
+    assert m.protein_ids == ("y", "#x")
+    with pytest.raises(ValueError, match="'#x' starts with '#'"):
+        write_matrix(str(path), m)
+    assert not path.exists()
 
 
 # Each fault in both keyed files: a truth file (flags 0, 1; faults raise
@@ -257,6 +274,8 @@ INGEST_CASES = {
     "no-header": "# layout: 1,1,2,2\n\n",
     "one-sample": "protein_id,s1\nP1,1\n",
     "empty-id": HEAD + "P1,1,2,3,4\n,5,6,7,8\nP3,1,2,3,4\n",
+    "repeated-sample-name": "protein_id,a,a,b\nP1,1,2,3\nP2,5,6,7\n",
+    "empty-sample-name": "protein_id,,b,c,d\nP1,1,2,3,4\nP2,5,6,7,8\n",
 }
 
 

@@ -1,5 +1,6 @@
 """Property tests: invariances of the three scorers, run through the one
-scorer table (evaluate.score_matrix), and their rule for constant rows.
+scorer table (evaluate.score_matrix) or, for runs scored in one stack, each
+scorer's columns step, and their rule for constant rows.
 
 Matrices hold values from a small-integer grid, so ties are common, some
 rows are constant (degenerate), and a map a*x + b with a a power of two and
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 import markerscreen as ms
 from markerscreen.errors import DegenerateData
-from markerscreen.evaluate import score_matrix
+from markerscreen.evaluate import _welch_columns, score_matrix
+from markerscreen.ks import _ks_columns
+from markerscreen.lr import _lr_columns
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 STATS = ("lr", "ks", "ttest")
@@ -123,6 +126,45 @@ def test_row_blocks_give_the_bytes_of_each_block_scored_alone(stat, monkeypatch)
         alone = _score(ms.ExpressionMatrix(values=values[i:i + block], layout=layout), stat)
         for name in ("value", "p_value", "degenerate"):
             assert getattr(table, name)[i:i + block].tobytes() == getattr(alone, name).tobytes()
+
+
+# scorer -> (its columns of (matrix, stacked values), its table of a matrix)
+STACKED = {
+    "lr": (_lr_columns, lambda m: ms.score_matrix_lr(m)),
+    "lr diagnostics": (lambda m, values: _lr_columns(m, values, True),
+                       lambda m: ms.score_matrix_lr(m, diagnostics=True)),
+    "ks": (lambda m, values: _ks_columns(values, REPLICATES), lambda m: _score(m, "ks")),
+    "ttest": (_welch_columns, lambda m: _score(m, "ttest")),
+}
+
+
+@pytest.mark.parametrize("scorer", sorted(STACKED))
+@PROPERTY
+@given(design=designs, runs=st.integers(2, 4), block_rows=st.sampled_from([1, 2, 3, 7, 100]))
+@example(design=ALL_DEGENERATE, runs=2, block_rows=2)
+@example(design=WIDE, runs=3, block_rows=7)
+@example(design=WIDE, runs=4, block_rows=100)
+def test_a_run_scored_in_a_stack_has_the_bits_it_has_alone(scorer, design, runs, block_rows):
+    # benchmark scores the stacked values of runs of one design in one call
+    # (DECISIONS.md D24); each run's rows must keep the bits of the run scored
+    # alone, in one row block or in blocks that cut runs apart
+    stat = scorer.split()[0]
+    p = design[0]
+    stack = _thirds(_matrix((p * runs, *design[1:]), stat))
+    columns, table = STACKED[scorer]
+    width = stack.N**2 if stat == "ks" else stack.N  # the row width of the scorer's blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ms.matrix, "BLOCK_ELEMENTS", block_rows * width)
+        stacked = columns(stack, stack.values)
+    for k in range(runs):
+        run = stack.values[k * p:(k + 1) * p]
+        alone = table(ms.ExpressionMatrix(values=run, layout=stack.layout))
+        own = [alone.value, alone.p_value, alone.degenerate]
+        if alone.fits is not None:
+            own.append(alone.fits)
+        assert len(stacked) == len(own)
+        for column, expected in zip(stacked, own):
+            assert column[k * p:(k + 1) * p].tobytes() == expected.tobytes()
 
 
 @PROPERTY
