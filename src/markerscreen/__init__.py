@@ -29,9 +29,6 @@ from .select import (
     SelectionResult,
     apply_policy,
     parse_policy,
-    select_bh,
-    select_fixed,
-    select_gap,
 )
 from .simulate import ErrorLaw, LabeledMatrix, SimSpec, generate, preset, presets
 
@@ -72,9 +69,6 @@ __all__ = [
     "score_matrix_lr",
     "SelectionPolicy",
     "SelectionResult",
-    "select_fixed",
-    "select_gap",
-    "select_bh",
     "apply_policy",
     "parse_policy",
     "ErrorLaw",

@@ -12,7 +12,9 @@ byte-identical artifacts when --deterministic suppresses the timestamp line.
 
 score and select run the statistic matrix.regime picks for the design (lr at
 n >= LR_MIN_N per condition, ks below) unless --stat names one, and say on
-stderr which statistic ran and why.
+stderr which statistic ran and why. select's --cutoff-scale says how c of
+fixed:<c> is given; every artifact is on the deviance scale. bench checks
+its methods and presets before its first run and prints stat: lines after.
 
 Exit codes: 0 success, 2 input error, 3 --stat lr on a design below the lr
 regime, 4 no gap found (only with --policy gap:strict; plain gap falls back
@@ -25,6 +27,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -117,17 +120,16 @@ def _score(cfg: RunConfig):
     return matrix, scores, stat
 
 
-def _scale_scores(scores, stat: str, scale: str):
-    """Express deviance scores on the requested cutoff scale."""
+def _deviance_policy(policy, stat: str, scale: str):
+    """policy with the c of fixed:<c>, given on `scale`, as a deviance cutoff:
+    2c for lnR and 2 ln c for R, which needs c > 1 since every row has R >= 1."""
     if scale == "deviance":
-        return scores
-    if stat != "lr":
-        raise ParseError("--cutoff-scale other than 'deviance' applies only to --stat lr")
-    if scale == "lnR":
-        return replace(scores, value=scores.value / 2.0)
-    if scale == "R":
-        return replace(scores, value=np.exp(np.minimum(scores.value / 2.0, 700.0)))
-    raise ParseError(f"unknown cutoff scale {scale!r}")
+        return policy
+    if stat != "lr" or policy.kind != "fixed_cutoff" or scale not in ("lnR", "R"):
+        raise ParseError(f"--cutoff-scale {scale} applies only to fixed:<c> with the lr statistic")
+    if scale == "R" and not policy.c > 1:
+        raise ParseError("fixed:<c> on the R scale needs c > 1: every row has R >= 1")
+    return replace(policy, c=2.0 * (math.log(policy.c) if scale == "R" else policy.c))
 
 
 def _out(cfg: RunConfig, name: str) -> str:
@@ -157,10 +159,10 @@ def cmd_score(cfg: RunConfig) -> int:
 
 def cmd_select(cfg: RunConfig) -> int:
     matrix, scores, stat = _score(cfg)
-    scaled = _scale_scores(scores, stat, cfg.cutoff_scale)
-    result = apply_policy(scaled, parse_policy(cfg.policy, min(matrix.n1, matrix.n2)))
+    policy = parse_policy(cfg.policy, min(matrix.n1, matrix.n2))
+    result = apply_policy(scores, _deviance_policy(policy, stat, cfg.cutoff_scale))
     header = _header_lines(cfg) + [f"stat: {stat}"]
-    if stat == "lr":  # the cutoff scale applies only to deviance scores
+    if stat == "lr":  # how c of fixed:<c> was given; every cutoff written is a deviance
         header.append(f"scale: {cfg.cutoff_scale}")
     write_scores(_out(cfg, "scores.csv"), scores, header)
     write_selection(_out(cfg, "selection.csv"), result, header)
@@ -185,15 +187,15 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 def cmd_bench(cfg: RunConfig) -> int:
     methods = [tok.strip() for tok in cfg.methods.split(",") if tok.strip()]
     preset_names = [tok.strip() for tok in cfg.presets.split(",") if tok.strip()]
+    report = benchmark(methods, preset_names, runs=cfg.runs, seed=cfg.seed,
+                       ks_replicates=cfg.replicates)  # checks the whole plan first
     # One stat: line per statistic and preset outside its regime, not one per run.
     specs = presets()
-    for name in (p for p in preset_names if p in specs):  # benchmark rejects the rest
+    for name in preset_names:
         decision = regime(specs[name].n_per_condition, specs[name].n_per_condition)
         for stat in dict.fromkeys(m.partition("+")[0] for m in methods):
             if stat in ("lr", "ks") and stat != decision.stat:
                 print(f"stat: {stat} on {name} (regime says {decision.stat})", file=sys.stderr)
-    report = benchmark(methods, preset_names, runs=cfg.runs, seed=cfg.seed,
-                       ks_replicates=cfg.replicates)
     header = _header_lines(cfg)
     run_rows = [{**vars(r), "selected": r.selected_count, "fallback_used": int(r.fallback_used),
                  "error": r.error or ""} for r in report.runs]

@@ -10,7 +10,7 @@ from scipy import special
 
 from ._rng import derive_seed, substream
 from .errors import MarkerScreenError, TruthMismatch
-from .ks import _ks_columns
+from .ks import DEFAULT_REPLICATES, _ks_columns
 from .lr import ScoreTable, _by_row_blocks, _deviance_core, _lr_columns, _sorted_moments
 from .matrix import ExpressionMatrix, rows_per_block
 from .select import SelectionResult, apply_policy, parse_policy
@@ -82,7 +82,9 @@ class EvalReport:
 def score_against_truth(result: SelectionResult, truth: dict) -> TruthScore:
     """Sensitivity and empirical FDR of a selection against truth labels.
 
-    truth maps every protein id to a bool. Empty selections score (0, 0).
+    truth maps every protein id to a bool. Every id it maps to True counts
+    as a marker, also one that no row of the scored matrix carries, so pass
+    the scored matrix's own truth. Empty selections score (0, 0).
     """
     unknown = [pid for pid in result.selected if pid not in truth]
     if unknown:
@@ -207,28 +209,19 @@ def convergence_text(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def _score_stack(method: str, m: ExpressionMatrix, values: np.ndarray, replicates: int):
-    """(kind, columns, policy) of a method over values, the stacked values of
-    runs of m's design, or the MarkerScreenError scoring raised."""
-    stat, _, policy_spec = method.partition("+")
-    if not policy_spec:
-        raise ValueError(f"method {method!r} must look like 'lr+gap' or 'ttest+bh:0.05'")
-    kind, columns = _scorer(stat)
-    try:
-        columns = columns(m, values, replicates)
-    except MarkerScreenError as exc:
-        return exc
-    return kind, columns, parse_policy(policy_spec, min(m.n1, m.n2))
-
-
 def benchmark(
     methods,
     preset_names,
     runs: int = 50,
     seed: int = 0,
-    ks_replicates: int = 10000,
+    ks_replicates: int = DEFAULT_REPLICATES,
 ) -> EvalReport:
     """Full methods x presets cross, `runs` seeded replicates each.
+
+    The whole plan is checked before the first run is simulated: a
+    ValueError refuses an empty or repeated method or preset, an unknown
+    preset, and a method that is not stat+policy with a known statistic and
+    a policy parse_policy reads at the preset's n (parsed once per preset).
 
     Per-run seeds derive from (seed, preset, run index) only, so every
     method sees the same matrices and comparisons are paired. Failing runs
@@ -246,10 +239,22 @@ def benchmark(
     if runs < 1:
         raise ValueError("runs must be >= 1")
     available = presets()
-    report = EvalReport()
+    for what, names in (("method", methods), ("preset", preset_names)):
+        if not names or len(set(names)) < len(names):
+            raise ValueError(f"need at least one {what}, none repeated: {names}")
+    plans = {}  # preset -> (method, table kind, columns step, policy) per method
     for preset_name in preset_names:
         if preset_name not in available:
             raise ValueError(f"unknown preset {preset_name!r}")
+        plans[preset_name] = plan = []
+        for method in methods:
+            stat, _, policy_spec = method.partition("+")
+            if not policy_spec:
+                raise ValueError(f"method {method!r} must look like 'lr+gap' or 'ttest+bh:0.05'")
+            policy = parse_policy(policy_spec, available[preset_name].n_per_condition)
+            plan.append((method, *_scorer(stat), policy))
+    report = EvalReport()
+    for preset_name, plan in plans.items():
         spec = available[preset_name]
         group = max(1, rows_per_block((2 * spec.n_per_condition) ** 2) // spec.p)
         for first in range(0, runs, group):
@@ -258,22 +263,29 @@ def benchmark(
             labeled = [generate(replace(spec, seed=run_seed)) for run_seed in seeds]
             m = labeled[0].matrix
             values = np.concatenate([lab.matrix.values for lab in labeled])
-            outcomes = [_score_stack(method, m, values, ks_replicates) for method in methods]
+            stacked = []  # per method: the group's columns, or the category scoring raised
+            for _, _, columns, _ in plan:
+                try:
+                    stacked.append(columns(m, values, ks_replicates))
+                except MarkerScreenError as exc:
+                    stacked.append(exc.category)
             for k, (run_seed, lab) in enumerate(zip(seeds, labeled)):
                 ids = lab.matrix.protein_ids  # every selected id is one of them
                 markers = {ids[j] for j in np.flatnonzero(lab.truth).tolist()}
                 rows = slice(k * m.p, (k + 1) * m.p)
-                for method, outcome in zip(methods, outcomes):
-                    try:
-                        if isinstance(outcome, MarkerScreenError):  # flags the whole group
-                            raise outcome.with_traceback(None)
-                        kind, columns, policy = outcome
-                        table = ScoreTable(ids, kind, *(c[rows] for c in columns))
-                        result = apply_policy(table, policy)
+                for (method, kind, _, policy), columns in zip(plan, stacked):
+                    error = columns if isinstance(columns, str) else None  # flags the whole group
+                    if error is None:
+                        try:
+                            table = ScoreTable(ids, kind, *(c[rows] for c in columns))
+                            result = apply_policy(table, policy)
+                        except MarkerScreenError as exc:
+                            error = exc.category
+                    if error is None:
                         scored = _truth_score(result.selected, markers)
                         report.runs.append(EvalRun(method, preset_name, run_seed, **vars(scored),
                                                    fallback_used=result.fallback_used))
-                    except MarkerScreenError as exc:
+                    else:
                         report.runs.append(EvalRun(method, preset_name, run_seed, float("nan"),
-                                                   float("nan"), 0, 0, 0, error=exc.category))
+                                                   float("nan"), 0, 0, 0, error=error))
     return report

@@ -113,13 +113,7 @@ def _result(scores: ScoreTable, cutoff: float, policy: SelectionPolicy,
     )
 
 
-def select_fixed(scores: ScoreTable, c: float) -> SelectionResult:
-    """Select every protein whose statistic is >= c (ties at c included)."""
-    policy = SelectionPolicy(kind="fixed_cutoff", c=float(c))  # validates c > 0
-    return _result(scores, c, policy, _window(scores))
-
-
-def select_gap(scores: ScoreTable) -> SelectionResult:
+def _gap(scores: ScoreTable, window: np.ndarray) -> SelectionResult:
     """Cut at the largest sudden drop of the descending statistic curve.
 
     Restricted to the top GAP_WINDOW sorted values (window clamped to p
@@ -128,14 +122,10 @@ def select_gap(scores: ScoreTable) -> SelectionResult:
     s_i - s_{i+1} >= 0.1 * (s_1 - s_w) / w, ties to the smaller i, and
     requires the winning ratio to reach MIN_GAP_RATIO. Curves without such
     a cliff, one-value and empty ones included, raise NoGapFound; callers
-    fall back to BH selection
-    (see apply_policy). Only the rows at or above the GAP_WINDOW-th largest
-    value are ranked, by descending value and then ascending id.
+    fall back to BH selection (see apply_policy). Only the rows at or above
+    the GAP_WINDOW-th largest value are ranked, by descending value and then
+    ascending id.
     """
-    return _gap(scores, _window(scores))
-
-
-def _gap(scores: ScoreTable, window: np.ndarray) -> SelectionResult:
     w = min(GAP_WINDOW, len(scores))
     top = scores.value[window[:w]]
     span = top[0] - top[-1] if w > 1 else 0.0
@@ -155,7 +145,7 @@ def _gap(scores: ScoreTable, window: np.ndarray) -> SelectionResult:
     return _result(scores, cutoff, SelectionPolicy(kind="gap_knee"), window)
 
 
-def select_bh(scores: ScoreTable, q: float) -> SelectionResult:
+def _bh(scores: ScoreTable, q: float, window: np.ndarray) -> SelectionResult:
     """Benjamini-Hochberg step-up on the scores' p-values at level q.
 
     Rows are ranked by ascending p-value, ties by ascending id, and the k
@@ -164,10 +154,6 @@ def select_bh(scores: ScoreTable, q: float) -> SelectionResult:
     floating-point operations, can pass at any rank; they are the ones
     ranked. An empty table selects nothing, with a NaN cutoff.
     """
-    return _bh(scores, q, _window(scores))
-
-
-def _bh(scores: ScoreTable, q: float, window: np.ndarray) -> SelectionResult:
     policy = SelectionPolicy(kind="bh_fdr", q=float(q))  # validates 0 < q < 1
     q, m = policy.q, len(scores)
     rows = np.flatnonzero(scores.p_value <= m * q / max(m, 1))
@@ -179,11 +165,13 @@ def _bh(scores: ScoreTable, q: float, window: np.ndarray) -> SelectionResult:
 
 
 def apply_policy(scores: ScoreTable, policy: SelectionPolicy) -> SelectionResult:
-    """Run a policy; for gap_knee, fall back to BH at policy.q when no gap
-    exists, or raise NoGapFound when policy.q is None (strict)."""
+    """Run a policy, selection's one entry: fixed_cutoff selects every protein
+    whose statistic is >= c (ties at c included), bh_fdr runs BH at q (_bh),
+    and gap_knee cuts at the largest sudden drop (_gap), falling back to BH at
+    policy.q when no gap exists, or raising NoGapFound when it is None (strict)."""
+    window = _window(scores)  # ranked once for the rule, its fallback and the preview
     if policy.kind == "fixed_cutoff":
-        return select_fixed(scores, policy.c)
-    window = _window(scores)  # ranked once for the gap rule, its fallback and the preview
+        return _result(scores, policy.c, policy, window)
     if policy.kind == "bh_fdr":
         return _bh(scores, policy.q, window)
     try:

@@ -19,6 +19,7 @@ from _oracles import (
     kernel_cdf_oracle,
     welch_oracle,
 )
+from _policies import select
 
 RESULTS = []
 
@@ -124,7 +125,7 @@ def _gap_hit_rate(preset_name, use_lr):
         else:
             scores = ms.score_matrix_ks(lab.matrix, replicates=2000)
         try:
-            selected = len(ms.select_gap(scores).selected)
+            selected = len(select(scores, "gap_knee").selected)
         except NoGapFound:
             no_gap += 1
             continue
@@ -224,7 +225,7 @@ def test_07_invariant_suite(tmp_path, water10, water10_scores):
     fdrs = []
     for seed in range(50):
         lab = ms.generate(ms.preset("water-n10", seed=seed))
-        res = ms.select_bh(ms.ttest_baseline(lab.matrix), 0.05)
+        res = select(ms.ttest_baseline(lab.matrix), "bh_fdr", q=0.05)
         fdrs.append(ms.score_against_truth(res, lab.truth_map()).empirical_fdr)
     mean_fdr = float(np.mean(fdrs))
     checks["bh-fdr"] = mean_fdr <= 0.05 + 0.03

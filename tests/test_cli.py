@@ -195,6 +195,52 @@ def test_fixed_policy_with_log_ratio_scale(tmp_path):
             == _read_selection_ids(sel_lnr / "selection.csv"))
 
 
+@pytest.fixture(scope="module")
+def water10_csv(tmp_path_factory):
+    sim = tmp_path_factory.mktemp("sim")
+    run_cli("simulate", "--preset", "water-n10", "--seed", "8",
+            "--out-dir", str(sim), "--deterministic")
+    return str(sim / "matrix.csv")
+
+
+def test_fixed_policy_with_ratio_scale_moves_the_deviance_cutoff(tmp_path, water10_csv):
+    # R = exp(deviance / 2): c on the R scale is the deviance cutoff 2 ln c
+    c = 12.0
+    for out, policy, scale in ((tmp_path / "r", f"fixed:{c}", "R"),
+                               (tmp_path / "dev", f"fixed:{2.0 * math.log(c)!r}", "deviance")):
+        assert run_cli("select", "--input", water10_csv, "--policy", policy,
+                       "--cutoff-scale", scale, "--out-dir", str(out), "--deterministic") == 0
+    ids = _read_selection_ids(tmp_path / "r" / "selection.csv")
+    assert ids and ids == _read_selection_ids(tmp_path / "dev" / "selection.csv")
+    lines = (tmp_path / "r" / "selection.csv").read_text().splitlines()
+    assert "# scale: R" in lines and f"# cutoff: {2.0 * math.log(c)!r}" in lines
+
+
+@pytest.mark.parametrize("scale", ["lnR", "R"])
+@pytest.mark.parametrize("policy", ["gap", "bh:0.1"])
+def test_exit_2_on_a_ratio_scale_with_a_rule_other_than_fixed(policy, scale, tmp_path,
+                                                              water10_csv, capsys):
+    assert run_cli("select", "--input", water10_csv, "--policy", policy, "--cutoff-scale",
+                   scale, "--out-dir", str(tmp_path / "o"), "--deterministic") == 2
+    assert f"--cutoff-scale {scale} applies only to fixed:<c>" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("c", ["0.5", "1"])
+def test_exit_2_on_an_r_cutoff_no_row_can_miss(c, tmp_path, water10_csv, capsys):
+    # every row has R >= 1, so c <= 1 on the R scale would select them all
+    assert run_cli("select", "--input", water10_csv, "--policy", f"fixed:{c}",
+                   "--cutoff-scale", "R", "--out-dir", str(tmp_path / "o")) == 2
+    assert "on the R scale needs c > 1" in capsys.readouterr().err
+
+
+def test_exit_2_on_a_ratio_scale_with_ks(tmp_path, water10_csv, capsys):
+    assert run_cli("select", "--input", water10_csv, "--stat", "ks", "--replicates", "1000",
+                   "--policy", "fixed:0.3", "--cutoff-scale", "lnR",
+                   "--out-dir", str(tmp_path / "o")) == 2
+    assert "applies only to fixed:<c> with the lr statistic" in capsys.readouterr().err
+
+
 def test_gap_fallback_records_small_design_q(tmp_path, capsys):
     sim = tmp_path / "sim"
     run_cli("simulate", "--preset", "water-n3", "--seed", "4",
@@ -353,6 +399,19 @@ def test_bench_reports_a_statistic_outside_its_regime_once(methods, preset, line
     assert run_cli("bench", "--methods", methods, "--presets", preset, "--runs", "2",
                    "--replicates", "1000", "--out-dir", str(tmp_path), "--deterministic") == 0
     assert capsys.readouterr().err == line + "\n"
+
+
+@pytest.mark.parametrize("methods, presets", [
+    ("lr+bogus", "water-n3"),
+    ("", "water-n3"),
+    ("ttest+bh,ttest+bh", "water-n3"),
+])
+def test_bench_refuses_a_bad_plan_with_only_its_error(methods, presets, tmp_path, capsys):
+    assert run_cli("bench", "--methods", methods, "--presets", presets, "--runs", "2",
+                   "--out-dir", str(tmp_path / "o"), "--deterministic") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error [input]: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_exit_2_on_too_few_ks_replicates(tmp_path, capsys):

@@ -236,9 +236,12 @@ def test_benchmark_groups_give_the_rows_of_one_run_at_a_time(monkeypatch, group,
     # `group` runs of p = 1000, and the last group of `runs` is shorter
     monkeypatch.setattr(ms.matrix, "BLOCK_ELEMENTS", 36 * 1000 * group)
     stacked = []
-    score_stack = ms.evaluate._score_stack
-    monkeypatch.setattr(ms.evaluate, "_score_stack", lambda method, m, values, replicates:
-                        stacked.append(len(values)) or score_stack(method, m, values, replicates))
+
+    def spy(columns):
+        return lambda m, values, replicates: (stacked.append(len(values))
+                                              or columns(m, values, replicates))
+    for stat, (kind, columns) in list(ms.evaluate._SCORERS.items()):
+        monkeypatch.setitem(ms.evaluate._SCORERS, stat, (kind, spy(columns)))
     methods = ["lr+gap", "ks+gap", "ttest+bh:0.1", "ttest+gap:strict"]
     presets = ["water-n3", "cauchy-n3"]
     rep = ms.benchmark(methods, presets, runs=runs, seed=5, ks_replicates=1000)
@@ -321,6 +324,25 @@ def test_benchmark_rejects_bad_method_ids():
         ms.benchmark(["nonsense+gap"], ["water-n10"], runs=1, seed=0)
     with pytest.raises(ValueError):
         ms.benchmark(["lr"], ["water-n10"], runs=1, seed=0)
+
+
+@pytest.mark.parametrize("methods, presets", [
+    ([], ["water-n3"]),
+    (["lr+gap"], []),
+    (["ttest+bh", "ttest+bh"], ["water-n3"]),
+    (["lr+gap"], ["water-n10", "water-n10"]),
+    (["lr+gap"], ["water-n10", "nope"]),
+    (["lr+bogus"], ["water-n3"]),  # lr's regime violation used to come first
+    (["ttest+bh", "lr"], ["water-n3"]),
+    (["ttest+bh", "nonsense+gap"], ["water-n3"]),
+    (["ttest+bh:2"], ["water-n3"]),
+])
+def test_benchmark_refuses_a_bad_plan_before_simulating(monkeypatch, methods, presets):
+    simulated = []
+    monkeypatch.setattr(ms.evaluate, "generate", simulated.append)
+    with pytest.raises(ValueError):
+        ms.benchmark(methods, presets, runs=2, seed=0)
+    assert simulated == []
 
 
 def test_benchmark_water_recovery_near_reference():

@@ -9,6 +9,7 @@ from markerscreen.errors import NoGapFound
 from markerscreen.select import MIN_GAP_RATIO
 
 from _oracles import bh_oracle
+from _policies import select
 
 
 def _scores(values, pvals=None):
@@ -28,13 +29,13 @@ def _shuffled(scores, rng):
 # -------------------------------------------------------------- fixed cutoff
 
 def test_fixed_cutoff_includes_ties():
-    res = ms.select_fixed(_scores([0.1, 3.0, 2.5]), 2.5)
+    res = select(_scores([0.1, 3.0, 2.5]), "fixed_cutoff", c=2.5)
     assert res.selected_set == {"P0002", "P0003"}
     assert res.cutoff_used == 2.5
 
 
 def test_fixed_cutoff_empty_when_all_below():
-    res = ms.select_fixed(_scores([0.1, 0.2, 0.3]), 2.5)
+    res = select(_scores([0.1, 0.2, 0.3]), "fixed_cutoff", c=2.5)
     assert res.selected == ()
 
 
@@ -49,7 +50,7 @@ def test_fixed_cutoff_on_hrm_style_simulation():
     scores = ms.score_matrix_lr(lab.matrix)
     log10_ratio = dataclasses.replace(
         scores, value=scores.value / (2.0 * math.log(10.0)))
-    res = ms.select_fixed(log10_ratio, 2.5)
+    res = select(log10_ratio, "fixed_cutoff", c=2.5)
     truth = ms.score_against_truth(res, lab.truth_map())
     assert 11 <= len(res.selected) <= 15
     assert truth.tp >= 12
@@ -59,7 +60,7 @@ def test_fixed_cutoff_on_hrm_style_simulation():
 
 def test_gap_single_cliff():
     vals = [50.0, 48.0, 47.0] + list(np.linspace(2.0, 1.0, 60))
-    res = ms.select_gap(_scores(vals))
+    res = select(_scores(vals), "gap_knee")
     assert len(res.selected) == 3
     assert res.selected_set == {"P0001", "P0002", "P0003"}
     assert 2.0 < res.cutoff_used < 47.0
@@ -68,7 +69,7 @@ def test_gap_single_cliff():
 def test_gap_geometric_decay_finds_nothing():
     vals = [100.0 * 1.05 ** (-k) for k in range(120)]
     with pytest.raises(NoGapFound):
-        ms.select_gap(_scores(vals))
+        select(_scores(vals), "gap_knee")
 
 
 def test_gap_needs_significant_ratio():
@@ -76,13 +77,13 @@ def test_gap_needs_significant_ratio():
     assert MIN_GAP_RATIO == 1.5
     vals = [10.0, 9.9, 9.8, 9.0] + list(np.linspace(8.9, 8.0, 40))
     with pytest.raises(NoGapFound):
-        ms.select_gap(_scores(vals))
+        select(_scores(vals), "gap_knee")
 
 
 def test_gap_ties_break_toward_smaller_index():
     # two drops with the same ratio: earliest one wins
     vals = [90.0, 30.0, 10.0] + list(np.linspace(9.0, 8.5, 30))
-    res = ms.select_gap(_scores(vals))
+    res = select(_scores(vals), "gap_knee")
     assert len(res.selected) == 1
 
 
@@ -90,9 +91,9 @@ def test_gap_window_excludes_cliffs_past_the_edge():
     # smooth inside the top 100; the only cliff sits at rank 100 -> 101
     vals = list(np.linspace(200.0, 101.0, 100)) + [1.0] * 50
     with pytest.raises(NoGapFound):
-        ms.select_gap(_scores(vals))
+        select(_scores(vals), "gap_knee")
     # one rank up, the cliff at 99 -> 100 is inside the window
-    res = ms.select_gap(_scores(vals[1:]))
+    res = select(_scores(vals[1:]), "gap_knee")
     assert len(res.selected) == 99
 
 
@@ -108,13 +109,13 @@ def test_gap_fallback_recovers_planted_markers_on_water_background(water10, wate
 
 def test_bh_hand_checkable():
     scores = _scores([5.0, 1.0, 0.1], pvals=[0.001, 0.2, 0.9])
-    res = ms.select_bh(scores, 0.05)
+    res = select(scores, "bh_fdr", q=0.05)
     assert res.selected_set == {"P0001"}
     assert res.cutoff_used == pytest.approx(0.001)
 
 
 def test_bh_all_ones_empty():
-    res = ms.select_bh(_scores([1.0, 1.0], pvals=[1.0, 1.0]), 0.05)
+    res = select(_scores([1.0, 1.0], pvals=[1.0, 1.0]), "bh_fdr", q=0.05)
     assert res.selected == ()
     assert math.isnan(res.cutoff_used)
 
@@ -125,7 +126,7 @@ def test_bh_matches_stepup_oracle():
         pvals = rng.uniform(0, 1, 40) ** rng.uniform(0.5, 3.0)
         mask_ref = bh_oracle(pvals, 0.1)
         scores = _scores(list(-np.log(pvals + 1e-12)), pvals=list(pvals))
-        res = ms.select_bh(scores, 0.1)
+        res = select(scores, "bh_fdr", q=0.1)
         got = np.array([s.protein_id in res.selected_set for s in scores])
         assert np.array_equal(got, mask_ref)
 
@@ -136,7 +137,7 @@ def test_ascending_ids_break_ties_without_an_id_sort(monkeypatch):
         raise AssertionError("np.lexsort called")
     monkeypatch.setattr(np, "lexsort", no_lexsort)
     scores = _scores([5.0, 7.0, 5.0, 1.0, 7.0, 5.0], pvals=[0.01, 0.001, 0.01, 0.5, 0.001, 0.01])
-    res = ms.select_bh(scores, 0.1)
+    res = select(scores, "bh_fdr", q=0.1)
     assert res.selected == ("P0002", "P0005", "P0001", "P0003", "P0006")
     assert res.sorted_preview == ((7.0, "P0002"), (7.0, "P0005"), (5.0, "P0001"),
                                   (5.0, "P0003"), (5.0, "P0006"), (1.0, "P0004"))
@@ -148,7 +149,7 @@ def test_bh_null_only_false_selection_budget():
     total_false = 0
     for _ in range(50):
         pvals = rng.uniform(0, 1, p)
-        res = ms.select_bh(_scores([0.0] * p, pvals=list(pvals)), 0.05)
+        res = select(_scores([0.0] * p, pvals=list(pvals)), "bh_fdr", q=0.05)
         total_false += len(res.selected)
     assert total_false / 50.0 <= 0.05 * p
 
@@ -162,7 +163,7 @@ def test_bh_empirical_fdr_within_guarantee():
     for seed in range(50):
         lab = ms.generate(ms.preset("water-n10", seed=seed))
         scores = ms.ttest_baseline(lab.matrix)
-        res = ms.select_bh(scores, q)
+        res = select(scores, "bh_fdr", q=q)
         truth = ms.score_against_truth(res, lab.truth_map())
         fdrs.append(truth.empirical_fdr)
     assert float(np.mean(fdrs)) <= q + 0.03
@@ -245,24 +246,24 @@ def test_selection_order_invariance():
         assert a == b
     cliff = _scores([60.0, 55.0] + list(np.linspace(2, 1, 80)))
     shuffled_cliff = _shuffled(cliff, rng)
-    assert (ms.select_gap(cliff).selected_set
-            == ms.select_gap(shuffled_cliff).selected_set)
+    assert (select(cliff, "gap_knee").selected_set
+            == select(shuffled_cliff, "gap_knee").selected_set)
 
 
 def test_raising_statistic_never_drops_a_selection():
     vals = [50.0, 48.0, 47.0] + list(np.linspace(2.0, 1.0, 60))
-    res = ms.select_gap(_scores(vals))
+    res = select(_scores(vals), "gap_knee")
     cutoff = res.cutoff_used
     vals2 = list(vals)
     vals2[5] = 49.0  # promote one below-cutoff protein
-    res2 = ms.select_fixed(_scores(vals2), cutoff)
+    res2 = select(_scores(vals2), "fixed_cutoff", c=cutoff)
     assert res.selected_set <= res2.selected_set
 
 
 def test_preview_is_descending_and_bounded():
     rng = np.random.default_rng(83)
     scores = _scores(list(rng.uniform(0, 50, 300)))
-    res = ms.select_fixed(scores, 10.0)
+    res = select(scores, "fixed_cutoff", c=10.0)
     vals = [v for v, _ in res.sorted_preview]
     assert len(res.sorted_preview) <= 100
     assert vals == sorted(vals, reverse=True)

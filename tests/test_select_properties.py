@@ -17,6 +17,7 @@ import markerscreen as ms
 from markerscreen.errors import NoGapFound
 
 from _oracles import bh_selection_oracle, fixed_selection_oracle, gap_selection_oracle
+from _policies import select
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -64,7 +65,7 @@ def _same(result, expected):
 def test_fixed_matches_list_oracle(table, data):
     positive = [v for v in table.value.tolist() if v > 0]
     c = data.draw(st.sampled_from(positive) if positive else st.floats(0.1, 60.0))
-    _same(ms.select_fixed(table, c), fixed_selection_oracle(_rows(table), c))
+    _same(select(table, "fixed_cutoff", c=c), fixed_selection_oracle(_rows(table), c))
 
 
 @PROPERTY
@@ -73,15 +74,15 @@ def test_gap_matches_list_oracle(table):
     expected = gap_selection_oracle(_rows(table))
     if expected is None:
         with pytest.raises(NoGapFound):
-            ms.select_gap(table)
+            select(table, "gap_knee")
     else:
-        _same(ms.select_gap(table), expected)
+        _same(select(table, "gap_knee"), expected)
 
 
 @PROPERTY
 @given(tables(), st.floats(0.01, 0.5))
 def test_bh_matches_list_oracle(table, q):
-    _same(ms.select_bh(table, q), bh_selection_oracle(_rows(table), q))
+    _same(select(table, "bh_fdr", q=q), bh_selection_oracle(_rows(table), q))
 
 
 # m*q/m, the largest BH threshold, rounds above q at m = 3 and 12 and below
@@ -96,7 +97,7 @@ def test_bh_at_the_largest_threshold_matches_list_oracle(m, q, at, below):
     pval[:below * m // 3] = rng.uniform(0.0, level, below * m // 3)
     ids = [f"P{k}" for k in rng.permutation(m)]
     table = ms.ScoreTable(ids, "deviance_lr", rng.uniform(0.0, 60.0, m), pval, [False] * m)
-    result = ms.select_bh(table, q)
+    result = select(table, "bh_fdr", q=q)
     _same(result, bh_selection_oracle(_rows(table), q))
     if below == 0:  # every row at the level: all pass exactly when it is <= m*q/m
         assert len(result.selected) == (m if level <= m * q / m else 0)
@@ -104,7 +105,7 @@ def test_bh_at_the_largest_threshold_matches_list_oracle(m, q, at, below):
 
 def test_bh_on_an_empty_table_selects_nothing():
     empty = ms.ScoreTable((), "deviance_lr", [], [], [])
-    for result in (ms.select_bh(empty, 0.1),
+    for result in (select(empty, "bh_fdr", q=0.1),
                    ms.apply_policy(empty, ms.SelectionPolicy(kind="bh_fdr", q=0.1))):
         assert result.selected == ()
         assert math.isnan(result.cutoff_used)

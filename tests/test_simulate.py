@@ -6,6 +6,8 @@ import pytest
 import markerscreen as ms
 from markerscreen.errors import InvalidSpec
 
+from _policies import select
+
 
 def _spec(**overrides):
     base = dict(p=50, n_true=5, n_per_condition=4, mu=15.0,
@@ -150,5 +152,5 @@ def test_null_preset_calibrates_like_reference_table(null_matrix_n10):
 def test_cauchy_preset_gap_lands_near_true_count():
     lab = ms.generate(ms.preset("cauchy-n10", seed=0))
     scores = ms.score_matrix_lr(lab.matrix)
-    res = ms.select_gap(scores)
+    res = select(scores, "gap_knee")
     assert 27 <= len(res.selected) <= 33
