@@ -17,7 +17,6 @@ from .lr import (
     PooledFit,
     ProteinScore,
     ScoreTable,
-    deviance_lr,
     fit_mixture_fixed_weights,
     fit_pooled_normal,
     score_matrix_lr,
@@ -35,9 +34,8 @@ from .simulate import ErrorLaw, LabeledMatrix, SimSpec, generate, preset, preset
 # ks and evaluate import scipy, which takes longer than the rest of the package,
 # so they and their names load on first use; cli.py imports them eagerly
 _LAZY = {name: module for module, names in [
-    ("ks", "ks KernelEstimate KsScore select_bandwidth kernel_cdf ks_d_statistic "
-           "lilliefors_pvalue score_matrix_ks"),
-    ("evaluate", "evaluate TruthScore EvalRun EvalReport score_against_truth ttest_baseline "
+    ("ks", "ks KernelEstimate select_bandwidth kernel_cdf"),
+    ("evaluate", "evaluate TruthScore EvalRun EvalReport score_against_truth "
                  "convergence_table convergence_text benchmark"),
 ] for name in names.split()}
 
@@ -65,7 +63,6 @@ __all__ = [
     "ScoreTable",
     "fit_pooled_normal",
     "fit_mixture_fixed_weights",
-    "deviance_lr",
     "score_matrix_lr",
     "SelectionPolicy",
     "SelectionResult",

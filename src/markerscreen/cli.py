@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .errors import MarkerScreenError, NoGapFound, ParseError, RegimeViolation
-from .evaluate import benchmark, convergence_table, convergence_text, score_matrix
+from .evaluate import DEFAULT_REPLICATES, benchmark, convergence_table, convergence_text, score_matrix
 from .matrix import regime
 from .matrix_io import (
     ingest_matrix,
@@ -62,7 +62,7 @@ class RunConfig:
     policy: str = "gap"
     cutoff_scale: str = "deviance"
     seed: int = 0
-    replicates: int = 10000
+    replicates: int = DEFAULT_REPLICATES
     preset: str | None = None
     deterministic: bool = False
     out_dir: str = "."

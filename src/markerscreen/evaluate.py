@@ -1,5 +1,5 @@
-"""Truth-scored evaluation: sensitivity/FDR accounting, the Welch t-test
-baseline, null-calibration tables, and the seeded multi-run benchmark."""
+"""score_matrix (every statistic, the Welch t-test baseline among them),
+sensitivity/FDR accounting, null-calibration tables, and the seeded multi-run benchmark."""
 
 from __future__ import annotations
 
@@ -102,18 +102,14 @@ def _truth_score(selected: tuple, markers: set) -> TruthScore:
     return TruthScore(sensitivity, fp / max(1, len(selected)), len(selected), tp, fp)
 
 
-def ttest_baseline(m: ExpressionMatrix) -> ScoreTable:
-    """Per-protein Welch two-sample t-test (two-sided), moments as in D18.
+def _welch_columns(m: ExpressionMatrix, values: np.ndarray) -> list:
+    """score_matrix's ttest columns (D24): per-protein Welch two-sample t-test
+    (two-sided) of the rows of values with m's samples, moments as in D18.
 
     The value is |t|, as the p-value is two-sided; unequal variances,
     Welch-Satterthwaite degrees of freedom. Rows where both sample variances
     vanish are unscorable and get t = 0, p = 1. Scored through lr._by_row_blocks.
     """
-    return ScoreTable(m.protein_ids, "welch_t", *_welch_columns(m, m.values))
-
-
-def _welch_columns(m: ExpressionMatrix, values: np.ndarray) -> list:
-    """ttest_baseline's columns for rows of values with m's samples (D24)."""
     n1, n2 = m.n1, m.n2
     if n1 < 2 or n2 < 2:
         raise ValueError("Welch test needs at least 2 samples per condition")
@@ -152,9 +148,9 @@ def _scorer(stat: str):
     return _SCORERS[stat]
 
 
-def score_matrix(m: ExpressionMatrix, stat: str, replicates: int) -> ScoreTable:
-    """Scores of every row under the statistic named lr, ks or ttest;
-    `replicates` sizes the ks null table."""
+def score_matrix(m: ExpressionMatrix, stat: str, replicates: int = DEFAULT_REPLICATES) -> ScoreTable:
+    """Scores of every row under the statistic named lr, ks or ttest; `replicates`
+    sizes the ks null table. lr.score_matrix_lr adds lr's per-row fits."""
     kind, columns = _scorer(stat)
     return ScoreTable(m.protein_ids, kind, *columns(m, m.values, replicates))
 

@@ -26,8 +26,7 @@ from scipy.special import ndtr
 
 from ._rng import substream
 from .errors import DegenerateData
-from .lr import ScoreTable, _by_row_blocks, _sorted_moments
-from .matrix import ExpressionMatrix
+from .lr import _by_row_blocks, _sorted_moments
 
 DEFAULT_REPLICATES = 10000
 
@@ -38,12 +37,6 @@ class KernelEstimate:
 
     centers: np.ndarray
     bandwidth: float
-
-
-@dataclass
-class KsScore:
-    d: float
-    bandwidth_used: float
 
 
 def _sorted_quantile(xs: np.ndarray, q: float) -> np.ndarray:
@@ -63,26 +56,22 @@ def _bandwidth(xs: np.ndarray, s: np.ndarray) -> np.ndarray:
     return 1.06 * scale * xs.shape[1] ** (-1.0 / 5.0)
 
 
-def _one_row(x) -> tuple[float, float]:
-    """(d, h) of one pooled sample of at least 3 observations."""
-    x = np.array(x, dtype=float).reshape(-1, 1)  # sample-major, sorted in place
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite observations")
-    d, h, degenerate = _d_rows(x)
-    if degenerate[0]:
-        raise DegenerateData("zero sample standard deviation")
-    if np.isnan(h[0]):
-        raise ValueError("sample standard deviation overflows")
-    return float(d[0]), float(h[0])
-
-
 def select_bandwidth(x) -> float:
     """Gaussian-reference bandwidth minimizing mean integrated squared error.
 
     h = 1.06 * min(s, IQR/1.349) * N^(-1/5), with s the ddof-1 standard
     deviation. When the IQR collapses to 0 but s > 0, s alone is used.
+    x is one pooled sample of at least 3 observations.
     """
-    return _one_row(x)[1]
+    x = np.array(x, dtype=float).reshape(-1, 1)  # sample-major, sorted in place
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite observations")
+    _, h, degenerate = _d_rows(x)
+    if degenerate[0]:
+        raise DegenerateData("zero sample standard deviation")
+    if np.isnan(h[0]):
+        raise ValueError("sample standard deviation overflows")
+    return float(h[0])
 
 
 def kernel_cdf(est: KernelEstimate, t):
@@ -136,18 +125,13 @@ def _d_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return d, h, s == 0.0
 
 
-def ks_d_statistic(x) -> KsScore:
-    """The statistic d for one pooled sample, with the bandwidth it used."""
-    d, h = _one_row(x)
-    return KsScore(d=d, bandwidth_used=h)
-
-
 @lru_cache(maxsize=32)
 def _null_table(N: int, replicates: int) -> np.ndarray:
-    """Sorted null statistics for sample size N, from a fixed stream.
-
-    Fewer than 1000 replicates would put p-values on too coarse a grid.
-    """
+    """Sorted null statistics of d for sample size N >= 3, from a fixed stream:
+    `replicates` standard-normal samples through the full pipeline, the
+    fitted-normal null of _mc_pvalue. The table depends only on (N,
+    replicates) and is cached, so every matrix and run of the same N shares
+    one table. Fewer than 1000 replicates would put p-values on too coarse a grid."""
     if replicates < 1000:
         raise ValueError("at least 1000 replicates")
     draws = substream(0, f"ks-null:{N}:{replicates}").standard_normal((replicates, N))
@@ -162,32 +146,14 @@ def _mc_pvalue(table: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (1.0 + n_ge) / (table.size + 1.0)
 
 
-def lilliefors_pvalue(d: float, N: int, replicates: int = DEFAULT_REPLICATES) -> float:
-    """Monte-Carlo p-value of d under the fitted-normal null.
-
-    Simulates `replicates` standard-normal samples of size N >= 3 through the
-    full pipeline and returns (1 + #{D* >= d}) / (replicates + 1).
-    The null table depends only on (N, replicates) and is cached, so every
-    matrix and run of the same N shares one table.
-    """
-    if not 0.0 <= d <= 1.0:
-        raise ValueError("d must lie in [0, 1]")
-    return float(_mc_pvalue(_null_table(N, replicates), np.array([d]))[0])
-
-
-def score_matrix_ks(m: ExpressionMatrix, replicates: int = DEFAULT_REPLICATES) -> ScoreTable:
-    """Statistic d and Monte-Carlo p-value for every pooled protein row.
+def _ks_columns(values: np.ndarray, replicates: int) -> list:
+    """evaluate.score_matrix's ks columns (D24): d, Monte-Carlo p-value, degenerate.
 
     Scores any design with N >= 3; matrix.regime names the statistic a
     design calls for. Degenerate rows get d = 0, p = 1; a row whose standard
     deviation overflows gets d = NaN, which ScoreTable rejects. One shared
     null table serves all proteins (they share N).
     """
-    return ScoreTable(m.protein_ids, "ks_d", *_ks_columns(m.values, replicates))
-
-
-def _ks_columns(values: np.ndarray, replicates: int) -> list:
-    """score_matrix_ks's (d, p-value, degenerate) columns for rows of values (D24)."""
     N = values.shape[1]
     d, degenerate = _by_row_blocks(values, np.arange(N), N * N, lambda x: _d_rows(x)[::2])
     return [d, np.where(degenerate, 1.0, _mc_pvalue(_null_table(N, replicates), d)), degenerate]

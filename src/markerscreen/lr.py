@@ -350,33 +350,15 @@ def _deviance_core(n1: int, diagnostics: bool = False):
     return core
 
 
-def deviance_lr(x, n1: int, n2: int) -> ProteinScore:
-    """Score one row: per-condition normal fits against the pooled normal.
-
-    x is laid out condition-1-first (first n1 entries, then n2). The value is
-    2*(condition-split log-likelihood - pooled log-likelihood), clamped at 0,
-    and the p-value is the chi-square(2 df) survival exp(-value/2). The
-    attached MixtureFit diagnostic holds the per-condition parameters with
-    the design weights; its loglik is the condition-assigned likelihood, so
-    value equals 2*(MixtureFit.loglik - PooledFit.loglik) up to rounding.
-    The row is named P0001.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    if n1 < 2 or n2 < 2:
-        raise ValueError("need at least 2 samples per condition")
-    if n1 + n2 != x.size:
-        raise ValueError("n1 + n2 must equal len(x)")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite observations")
-    return ScoreTable(("P0001",), "deviance_lr", *_deviance_core(n1, True)(x[:, None].copy()))[0]
-
-
 def score_matrix_lr(m: ExpressionMatrix, diagnostics: bool = False) -> ScoreTable:
     """Deviance scores for every protein row, order preserved.
 
     Designs outside the statistic's regime (see matrix.regime) raise
-    RegimeViolation. diagnostics=True attaches the per-row fits of
-    deviance_lr. Pure function of the matrix.
+    RegimeViolation. diagnostics=True attaches the per-row fits, the one way
+    to get them: a row's MixtureFit holds the per-condition parameters with
+    the design weights and the condition-assigned loglik, so the value equals
+    2*(MixtureFit.loglik - PooledFit.loglik) up to rounding, clamped at 0.
+    Pure function of the matrix.
     """
     return ScoreTable(m.protein_ids, "deviance_lr", *_lr_columns(m, m.values, diagnostics))
 

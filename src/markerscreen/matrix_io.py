@@ -161,10 +161,12 @@ def ingest_matrix(path: str, layout_spec: str | None = None) -> ExpressionMatrix
 
 @contextlib.contextmanager
 def _opened(path: str):
-    """path opened with newline="", which splits lines as csv.reader does and
-    keeps a CR inside a quoted cell; read and csv errors raise ParseError."""
+    """path read as UTF-8 less a leading byte-order mark, with newline="" (lines
+    split as csv.reader splits them, a quoted CR kept); read and csv errors raise ParseError."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
+            if fh.buffer.peek(3).startswith(b"\xef\xbb\xbf"):  # dropped before any text is read
+                fh.buffer.read(3)
             yield fh
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
@@ -245,14 +247,14 @@ def _parse_cells(path: str, header: list[str], rows: list[list[str]], first: int
 
 
 def _write_csv(path: str, header_lines, columns, rows: int, block) -> None:
-    """Write an artifact: its `# ` header lines, the column names, then its
-    rows in blocks; block(i, j) gives rows i..j-1 as a list of columns of str
-    cells. The bytes are csv.writer's: a cell holding a comma, a quote, a CR
+    """Write an artifact in UTF-8: its `# ` header lines, the column names, then
+    its rows in blocks; block(i, j) gives rows i..j-1 as a list of columns of
+    str cells. The bytes are csv.writer's: a cell holding a comma, a quote, a CR
     or a LF is quoted, rows end in CRLF, and a row of one empty cell is
     written `""`. Each column of a block is searched once; only one holding
     a character to quote goes cell by cell."""
     step = rows_per_block(8 * len(columns))  # a str cell weighs about eight float64s
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("".join(f"# {line}\n" for line in header_lines))
         for cells in chain([[[c] for c in columns]],
                            (block(i, i + step) for i in range(0, rows, step))):

@@ -13,6 +13,7 @@ import pytest
 
 import markerscreen as ms
 from markerscreen.errors import NoGapFound
+from markerscreen.evaluate import score_matrix
 
 from _oracles import (
     grid_best_mixture_loglik,
@@ -20,6 +21,7 @@ from _oracles import (
     welch_oracle,
 )
 from _policies import select
+from _scoring import ks_d, lr_row
 
 RESULTS = []
 
@@ -123,7 +125,7 @@ def _gap_hit_rate(preset_name, use_lr):
         if use_lr:
             scores = ms.score_matrix_lr(lab.matrix)
         else:
-            scores = ms.score_matrix_ks(lab.matrix, replicates=2000)
+            scores = score_matrix(lab.matrix, "ks", 2000)
         try:
             selected = len(select(scores, "gap_knee").selected)
         except NoGapFound:
@@ -184,7 +186,7 @@ def test_06_oracle_equivalence():
         row = ms.ExpressionMatrix(
             values=x[None, :],
             layout=np.array([1] * n1 + [2] * (N - n1)))
-        score = ms.ttest_baseline(row)[0]
+        score = score_matrix(row, "ttest")[0]
         welch_worst = max(welch_worst,
                           abs(abs(score.value) - abs(t_ref)),
                           abs(score.p_value - p_ref))
@@ -212,12 +214,12 @@ def test_07_invariant_suite(tmp_path, water10, water10_scores):
     swap_ok, affine_ok = True, True
     for j in rows:
         x = water10.matrix.values[j]
-        base = ms.deviance_lr(x, 10, 10).value
-        swapped = ms.deviance_lr(np.concatenate([x[10:], x[:10]]), 10, 10).value
+        base = lr_row(x, 10, 10).value
+        swapped = lr_row(np.concatenate([x[10:], x[:10]]), 10, 10).value
         swap_ok &= abs(base - swapped) < 1e-9
-        affine_ok &= abs(ms.deviance_lr(2.5 * x - 40.0, 10, 10).value - base) < 1e-6
-        d0 = ms.ks_d_statistic(x).d
-        affine_ok &= abs(ms.ks_d_statistic(2.5 * x - 40.0).d - d0) < 1e-9
+        affine_ok &= abs(lr_row(2.5 * x - 40.0, 10, 10).value - base) < 1e-6
+        d0 = ks_d(x)
+        affine_ok &= abs(ks_d(2.5 * x - 40.0) - d0) < 1e-9
     checks["label-swap"] = swap_ok
     checks["affine"] = affine_ok
 
@@ -225,7 +227,7 @@ def test_07_invariant_suite(tmp_path, water10, water10_scores):
     fdrs = []
     for seed in range(50):
         lab = ms.generate(ms.preset("water-n10", seed=seed))
-        res = select(ms.ttest_baseline(lab.matrix), "bh_fdr", q=0.05)
+        res = select(score_matrix(lab.matrix, "ttest"), "bh_fdr", q=0.05)
         fdrs.append(ms.score_against_truth(res, lab.truth_map()).empirical_fdr)
     mean_fdr = float(np.mean(fdrs))
     checks["bh-fdr"] = mean_fdr <= 0.05 + 0.03

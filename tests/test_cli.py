@@ -8,6 +8,8 @@ import markerscreen as ms
 from markerscreen.cli import COMMANDS, build_parser, config_digest, main, parse_config
 from markerscreen.matrix_io import ingest_matrix, read_truth
 
+from _scoring import lr_row
+
 
 def run_cli(*args):
     return main(list(args))
@@ -65,7 +67,7 @@ def test_score_single_protein_matches_library(tmp_path):
                    + "PROT1," + ",".join(repr(float(v)) for v in x) + "\n")
     out = tmp_path / "scored"
     assert run_cli("score", "--input", str(src), "--out-dir", str(out)) == 0
-    ref = ms.deviance_lr(x, 5, 5)
+    ref = lr_row(x, 5, 5)
     with open(out / "scores.csv") as fh:
         rows = [l.strip().split(",") for l in fh
                 if not l.startswith("#") and l.strip()]

@@ -73,7 +73,7 @@ def _matrix(values, n1):
 
 def test_welch_identical_groups():
     values = np.tile([4.0, 5.0, 6.0, 4.0, 5.0, 6.0], (1, 1))
-    scores = ms.ttest_baseline(_matrix(values, 3))
+    scores = score_matrix(_matrix(values, 3), "ttest")
     assert scores[0].value == 0.0
     assert scores[0].p_value == 1.0
 
@@ -82,7 +82,7 @@ def test_welch_separated_clusters_tiny_p():
     rng = np.random.default_rng(2)
     row = np.concatenate([rng.uniform(-1e-3, 1e-3, 3),
                           10.0 + rng.uniform(-1e-3, 1e-3, 3)])
-    scores = ms.ttest_baseline(_matrix(row[None, :], 3))
+    scores = score_matrix(_matrix(row[None, :], 3), "ttest")
     assert scores[0].p_value < 1e-4
 
 
@@ -92,7 +92,7 @@ def test_welch_matches_direct_formula_oracle():
     values[:10, :6] += 1.5
     refs = [welch_oracle(row[:6], row[6:]) for row in values]
 
-    scores = ms.ttest_baseline(_matrix(values, 6))
+    scores = score_matrix(_matrix(values, 6), "ttest")
     for score, (t_ref, _, p_ref) in zip(scores, refs):
         assert abs(abs(score.value) - abs(t_ref)) < 1e-9
         assert abs(score.p_value - p_ref) < 1e-9
@@ -102,7 +102,7 @@ def test_welch_matches_direct_formula_oracle():
 def test_welch_matches_scipy():
     rng = np.random.default_rng(101)
     values = rng.normal(0, 2, (25, 16))
-    scores = ms.ttest_baseline(_matrix(values, 9))
+    scores = score_matrix(_matrix(values, 9), "ttest")
     ref = stats.ttest_ind(values[:, :9], values[:, 9:], axis=1,
                           equal_var=False)
     assert np.allclose([abs(s.value) for s in scores],
@@ -115,7 +115,7 @@ def test_welch_degenerate_rows_score_p1():
     shifted = np.concatenate([np.full(4, 1.0), np.full(4, 2.0)])
     shifted += rng.uniform(-1e-6, 1e-6, 8)
     values = np.vstack([np.full(8, 3.0), shifted])
-    scores = ms.ttest_baseline(_matrix(values, 4))
+    scores = score_matrix(_matrix(values, 4), "ttest")
     assert scores[0].p_value == 1.0  # zero pooled spread: unscorable
     assert scores[1].p_value < 1e-6  # tiny within-group spread, clear shift
 
@@ -128,7 +128,7 @@ def test_welch_holds_about_one_block(layout):
     m = ms.ExpressionMatrix(np.random.default_rng(9).normal(20, 2, (100_000, 20)), np.array(layout))
     tracemalloc.start()
     try:
-        table = ms.ttest_baseline(m)
+        table = score_matrix(m, "ttest")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -7,11 +7,14 @@ import pytest
 from scipy.stats import norm
 
 import markerscreen as ms
+from markerscreen.cli import RunConfig
 from markerscreen.errors import DegenerateData
+from markerscreen.evaluate import score_matrix
 from markerscreen.ks import _d_rows, _mc_pvalue, _null_table, _sorted_quantile
 from markerscreen.lr import _by_row_blocks
 
 from _oracles import bandwidth_oracle, kernel_cdf_oracle, ks_d_oracle, ks_kernel_mean_reference
+from _scoring import ks_d, ks_p
 
 
 # ---------------------------------------------------------------- bandwidth
@@ -47,12 +50,11 @@ def test_sorted_row_quantiles_match_percentile(N):
 
 
 def test_single_sample_rejects_non_finite_or_overflowing_spread():
-    for fn in (ms.select_bandwidth, ms.ks_d_statistic):
-        for x in ([1.0, 2.0, np.nan], [1.0, 2.0, 4.0, np.inf]):
-            with pytest.raises(ValueError, match="non-finite"):
-                fn(x)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
-            fn([1e200, 0.0, 1.0, 2.0])
+    for x in ([1.0, 2.0, np.nan], [1.0, 2.0, 4.0, np.inf]):
+        with pytest.raises(ValueError, match="non-finite"):
+            ms.select_bandwidth(x)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+        ms.select_bandwidth([1e200, 0.0, 1.0, 2.0])
 
 
 def test_bandwidth_zero_iqr_falls_back_to_sd():
@@ -115,9 +117,8 @@ def test_ks_d_matches_loop_oracle():
     rng = np.random.default_rng(37)
     x = rng.normal(1.0, 2.0, 6)
     ref = ks_d_oracle(x)
-    got = ms.ks_d_statistic(x)
-    assert abs(got.d - ref) < 1e-12
-    assert got.bandwidth_used == pytest.approx(bandwidth_oracle(x))
+    assert abs(ks_d(x) - ref) < 1e-12
+    assert ms.select_bandwidth(x) == pytest.approx(bandwidth_oracle(x))
 
 
 @pytest.mark.parametrize("N", [3, 4, 6, 8, 20])
@@ -174,10 +175,9 @@ def test_scorer_d_uses_the_kernel_cdf_that_acceptance_6_checks(N):
     ])
     worst = 0.0
     for x in rows[np.ptp(rows, axis=1) > 0]:
-        got = ms.ks_d_statistic(x)
-        kernel = ms.kernel_cdf(ms.KernelEstimate(centers=x, bandwidth=got.bandwidth_used), x)
+        kernel = ms.kernel_cdf(ms.KernelEstimate(centers=x, bandwidth=ms.select_bandwidth(x)), x)
         fitted = norm.cdf((x - x.mean()) / x.std())
-        worst = max(worst, abs(got.d - np.abs(kernel - fitted).max()))
+        worst = max(worst, abs(ks_d(x) - np.abs(kernel - fitted).max()))
     assert worst <= 1e-14
 
 
@@ -199,16 +199,16 @@ def test_d_blocks_memory_stays_below_one_full_kernel():
 def test_ks_needs_three_observations():
     values = np.random.default_rng(61).normal(0, 1, (5, 2))
     with pytest.raises(ValueError, match="need at least 3 observations"):
-        ms.score_matrix_ks(_matrix(values, 1), replicates=1000)
+        score_matrix(_matrix(values, 1), "ks", 1000)
     for N in (1, 2):
         with pytest.raises(ValueError, match="need at least 3 observations"):
-            ms.lilliefors_pvalue(0.5, N, replicates=1000)
+            ks_p(0.5, N, 1000)
 
 
 def test_ks_d_near_normal_quantiles_is_small():
     probs = (np.arange(1, 10) - 0.5) / 9.0
     x = norm.ppf(probs)
-    assert ms.ks_d_statistic(x).d < 0.10
+    assert ks_d(x) < 0.10
 
 
 @pytest.mark.xfail(
@@ -221,30 +221,22 @@ def test_ks_d_separated_clusters_exceeds_015():
     rng = np.random.default_rng(41)
     x = np.concatenate([rng.uniform(-1e-3, 1e-3, 3),
                         10.0 + rng.uniform(-1e-3, 1e-3, 3)])
-    assert ms.ks_d_statistic(x).d > 0.15
+    assert ks_d(x) > 0.15
 
 
 def test_ks_d_affine_invariance():
     rng = np.random.default_rng(43)
     x = rng.normal(0, 1, 6)
-    d0 = ms.ks_d_statistic(x).d
+    d0 = ks_d(x)
     for a, b in [(2.0, 1.0), (0.5, -3.0), (100.0, 7.0)]:
-        assert abs(ms.ks_d_statistic(a * x + b).d - d0) < 1e-9
+        assert abs(ks_d(a * x + b) - d0) < 1e-9
 
 
 # ----------------------------------------------------------- Lilliefors MC
 
 def test_lilliefors_degenerate_endpoints():
-    assert ms.lilliefors_pvalue(0.0, 6, replicates=1000) == 1.0
-    assert ms.lilliefors_pvalue(1.0, 6, replicates=1000) == pytest.approx(
-        1.0 / 1001.0)
-
-
-def test_lilliefors_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        ms.lilliefors_pvalue(1.5, 6, replicates=1000)
-    with pytest.raises(ValueError):
-        ms.lilliefors_pvalue(0.5, 6, replicates=10)
+    assert ks_p(0.0, 6, 1000) == 1.0
+    assert ks_p(1.0, 6, 1000) == pytest.approx(1.0 / 1001.0)
 
 
 def test_mc_pvalue_matches_brute_force_count():
@@ -265,19 +257,19 @@ def test_mc_pvalue_matches_brute_force_count():
 def test_lilliefors_median_self_consistency():
     table = _null_table(6, 10000)
     med = float(np.median(table))
-    p = ms.lilliefors_pvalue(med, 6, replicates=10000)
+    p = ks_p(med, 6, 10000)
     assert abs(p - 0.5) < 0.05
 
 
 def test_lilliefors_null_stream_is_pinned():
     # the table is drawn from substream(0, "ks-null:N:replicates"), the
     # stream seed 0 used when the table was also keyed by a seed
-    assert ms.lilliefors_pvalue(0.11, 6, replicates=2000) == 0.08595702148925537
+    assert ks_p(0.11, 6, 2000) == 0.08595702148925537
 
 
 def test_lilliefors_deterministic_given_seed():
-    a = ms.lilliefors_pvalue(0.11, 6, replicates=2000)
-    b = ms.lilliefors_pvalue(0.11, 6, replicates=2000)
+    a = ks_p(0.11, 6, 2000)
+    b = ks_p(0.11, 6, 2000)
     assert a == b
 
 
@@ -292,9 +284,9 @@ def _matrix(values, n1):
 def test_score_matrix_ks_composition_single_protein():
     rng = np.random.default_rng(47)
     x = rng.normal(0, 1, 6)
-    direct_d = ms.ks_d_statistic(x).d
-    direct_p = ms.lilliefors_pvalue(direct_d, 6, replicates=2000)
-    got = ms.score_matrix_ks(_matrix(x[None, :], 3), replicates=2000)
+    direct_d = ks_d(x)
+    direct_p = ks_p(direct_d, 6, 2000)
+    got = score_matrix(_matrix(x[None, :], 3), "ks", 2000)
     assert len(got) == 1
     assert got[0].statistic_kind == "ks_d"
     assert got[0].value == pytest.approx(direct_d, abs=1e-12)
@@ -304,14 +296,23 @@ def test_score_matrix_ks_composition_single_protein():
 def test_score_matrix_ks_rejects_too_few_replicates():
     values = np.random.default_rng(59).normal(0, 1, (4, 6))
     with pytest.raises(ValueError, match="at least 1000 replicates"):
-        ms.score_matrix_ks(_matrix(values, 3), replicates=999)
-    assert len(ms.score_matrix_ks(_matrix(values, 3), replicates=1000)) == 4
+        score_matrix(_matrix(values, 3), "ks", 999)
+    assert len(score_matrix(_matrix(values, 3), "ks", 1000)) == 4
+
+
+def test_ks_replicates_default_to_one_constant():
+    values = np.random.default_rng(73).normal(0, 1, (50, 6))
+    default = score_matrix(_matrix(values, 3), "ks")
+    pinned = score_matrix(_matrix(values, 3), "ks", 10000)
+    for column in ("value", "p_value", "degenerate"):
+        assert getattr(default, column).tobytes() == getattr(pinned, column).tobytes()
+    assert RunConfig("score").replicates == ms.ks.DEFAULT_REPLICATES == 10000
 
 
 def test_score_matrix_ks_degenerate_row():
     rng = np.random.default_rng(53)
     values = np.vstack([np.full(6, 2.0), rng.normal(0, 1, 6)])
-    got = ms.score_matrix_ks(_matrix(values, 3), replicates=1000)
+    got = score_matrix(_matrix(values, 3), "ks", 1000)
     assert got[0].value == 0.0
     assert got[0].p_value == 1.0
     assert got[1].value > 0.0
@@ -322,7 +323,7 @@ def test_score_matrix_ks_blocks_match_one_d_rows_call():
     block = ms.matrix.rows_per_block(6 * 6)
     values = np.random.default_rng(71).normal(0, 1, (2 * block + 1, 6))
     values[block] = 3.0
-    got = ms.score_matrix_ks(_matrix(values, 3), replicates=1000)
+    got = score_matrix(_matrix(values, 3), "ks", 1000)
     scored = np.arange(len(values)) != block
     d, _, _ = _by_row_blocks(values[scored], np.arange(6), 1, _d_rows)  # one block
     assert got.value[scored].tobytes() == d.tobytes()
@@ -340,9 +341,9 @@ def test_score_matrix_ks_bytes_independent_of_layout_and_sample_order(n):
         _matrix(np.asfortranarray(values), n),
         ms.ExpressionMatrix(values=values[:, order], layout=m.layout[order]),
     ]
-    ref = ms.score_matrix_ks(m, replicates=1000)
+    ref = score_matrix(m, "ks", 1000)
     for copy in copies:
-        got = ms.score_matrix_ks(copy, replicates=1000)
+        got = score_matrix(copy, "ks", 1000)
         assert got.value.tobytes() == ref.value.tobytes()
         assert got.p_value.tobytes() == ref.p_value.tobytes()
 
@@ -353,7 +354,7 @@ def test_ks_in_the_lr_regime_warns_on_no_design():
     rng = np.random.default_rng(59)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ms.score_matrix_ks(_matrix(rng.normal(0, 1, (2, 12)), 6), replicates=1000)
+        score_matrix(_matrix(rng.normal(0, 1, (2, 12)), 6), "ks", 1000)
         report = ms.benchmark(["ks+gap"], ["water-n10"], runs=1, ks_replicates=1000)
     assert [r.error for r in report.runs] == [None]
 
@@ -361,7 +362,7 @@ def test_ks_in_the_lr_regime_warns_on_no_design():
 def test_score_matrix_ks_null_calibration_and_uniformity():
     rng = np.random.default_rng(2024)
     values = rng.standard_normal((5000, 6))
-    scores = ms.score_matrix_ks(_matrix(values, 3), replicates=10000)
+    scores = score_matrix(_matrix(values, 3), "ks", 10000)
     pvals = np.sort([s.p_value for s in scores])
     frac = float(np.mean(pvals <= 0.05))
     assert abs(frac - 0.05) <= 0.02
@@ -380,7 +381,7 @@ def test_score_matrix_ks_null_calibration_and_uniformity():
 )
 def test_score_matrix_ks_cauchy_sorted_drop_near_true_count():
     lab = ms.generate(ms.preset("cauchy-n3"))
-    scores = ms.score_matrix_ks(lab.matrix, replicates=2000)
+    scores = score_matrix(lab.matrix, "ks", 2000)
     vals = np.sort([s.value for s in scores])[::-1]
     ratios = vals[:99] / vals[1:100]
     drop_at = int(np.argmax(ratios)) + 1

@@ -9,6 +9,7 @@ from scipy.stats import chi2
 import markerscreen as ms
 from markerscreen._rng import substream
 from markerscreen.errors import DegenerateData, RegimeViolation
+from markerscreen.evaluate import score_matrix
 from markerscreen.lr import _deviance_core, _sorted_moments
 
 from _oracles import (
@@ -18,6 +19,7 @@ from _oracles import (
     mixture_loglik_oracle,
     pooled_normal_oracle,
 )
+from _scoring import lr_row
 
 
 # ---------------------------------------------------------------- pooled fit
@@ -38,7 +40,7 @@ def test_pooled_fit_zero_variance_raises():
     [1e308, 1e308, -1e308, -1e308],  # the sum overflows
 ])
 def test_pooled_and_mixture_fits_reject_an_overflowing_variance(x):
-    # finite samples, as deviance_lr rejects them: no inf variance, no NaN loglik
+    # finite samples, as score_matrix rejects them: no inf variance, no NaN loglik
     for fit in (ms.fit_pooled_normal, lambda x: ms.fit_mixture_fixed_weights(x, 2, 2)):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="pooled variance overflows"):
@@ -196,7 +198,7 @@ def test_mixture_matches_scalar_multistart_reference(monkeypatch, max_iter, debu
 # ----------------------------------------------------------------- deviance
 
 def test_deviance_identical_halves_is_zero():
-    score = ms.deviance_lr([0.0, 1.0, 0.0, 1.0], 2, 2)
+    score = lr_row([0.0, 1.0, 0.0, 1.0], 2, 2)
     assert score.value == 0.0
     assert score.p_value == 1.0
 
@@ -206,7 +208,7 @@ def test_deviance_pvalue_closed_form():
     assert math.exp(-(-2.0 * math.log(0.05)) / 2.0) == pytest.approx(0.05)
     rng = np.random.default_rng(40)
     x = rng.normal(0, 1, 14)
-    score = ms.deviance_lr(x, 7, 7)
+    score = lr_row(x, 7, 7)
     assert score.p_value == pytest.approx(math.exp(-score.value / 2.0), abs=1e-15)
 
 
@@ -216,12 +218,12 @@ def test_deviance_two_clusters_tiny_pvalue():
         rng.uniform(-1e-3, 1e-3, 5),
         10.0 + rng.uniform(-1e-3, 1e-3, 5),
     ])
-    score = ms.deviance_lr(x, 5, 5)
+    score = lr_row(x, 5, 5)
     assert score.p_value < 1e-10
 
 
 def test_deviance_degenerate_data_scores_zero():
-    score = ms.deviance_lr([4.0] * 12, 6, 6)
+    score = lr_row([4.0] * 12, 6, 6)
     assert score.value == 0.0
     assert score.p_value == 1.0
 
@@ -230,7 +232,7 @@ def test_deviance_nesting_identity():
     rng = np.random.default_rng(77)
     for _ in range(20):
         x = rng.normal(0, 1, 16) + rng.choice([0.0, 2.0]) * np.repeat([0, 1], 8)
-        score = ms.deviance_lr(x, 8, 8)
+        score = lr_row(x, 8, 8)
         mix, pooled = score.fit_diagnostics
         assert mix.loglik >= pooled.loglik - 1e-8
         assert score.value == pytest.approx(
@@ -241,8 +243,8 @@ def test_deviance_nesting_identity():
 def test_label_swap_symmetry():
     rng = np.random.default_rng(101)
     x = np.concatenate([rng.normal(0, 1, 6), rng.normal(4, 2, 9)])
-    fwd = ms.deviance_lr(x, 6, 9)
-    swapped = ms.deviance_lr(np.concatenate([x[6:], x[:6]]), 9, 6)
+    fwd = lr_row(x, 6, 9)
+    swapped = lr_row(np.concatenate([x[6:], x[:6]]), 9, 6)
     assert (fwd.value, fwd.p_value) == (swapped.value, swapped.p_value)
     (m1, p1), (m2, p2) = fwd.fit_diagnostics, swapped.fit_diagnostics
     assert (m1.mu1, m1.mu2, m1.sigma21, m1.sigma22) == (m2.mu2, m2.mu1, m2.sigma22, m2.sigma21)
@@ -252,9 +254,9 @@ def test_label_swap_symmetry():
 def test_affine_equivariance_of_deviance():
     rng = np.random.default_rng(55)
     x = np.concatenate([rng.normal(0, 1, 10), rng.normal(1.5, 1, 10)])
-    base = ms.deviance_lr(x, 10, 10).value
+    base = lr_row(x, 10, 10).value
     for a, b in [(2.0, 0.0), (-3.0, 7.0), (0.25, -40.0)]:
-        transformed = ms.deviance_lr(a * x + b, 10, 10).value
+        transformed = lr_row(a * x + b, 10, 10).value
         assert abs(transformed - base) < 1e-6
 
 
@@ -269,7 +271,7 @@ def _one_protein_matrix(x, n1):
 def test_score_matrix_composition_single_protein():
     rng = np.random.default_rng(8)
     x = np.concatenate([rng.normal(0, 1, 5), rng.normal(5, 1, 5)])
-    direct = ms.deviance_lr(x, 5, 5)
+    direct = lr_row(x, 5, 5)
     via_matrix = ms.score_matrix_lr(_one_protein_matrix(x, 5))
     assert len(via_matrix) == 1
     assert via_matrix[0].value == pytest.approx(direct.value, abs=1e-12)
@@ -283,7 +285,7 @@ def test_row_scored_alone_matches_its_matrix_score():
     m = ms.ExpressionMatrix(values=values, layout=np.array([1, 2] * 10))
     table = ms.score_matrix_lr(m, diagnostics=True)
     for j, row in enumerate(table):
-        alone = ms.deviance_lr(m.row_condition_first(j), m.n1, m.n2)
+        alone = lr_row(m.row_condition_first(j), m.n1, m.n2)
         assert (alone.value, alone.p_value) == (row.value, row.p_value)
         assert alone.fit_diagnostics == row.fit_diagnostics
 
@@ -336,7 +338,7 @@ def test_sorted_moments_sort_every_width(N):
 
 def test_score_table_ids_are_read_only():
     m = _one_protein_matrix(np.arange(10.0), 5)  # default ids, shared per p
-    for table in (ms.score_matrix_lr(m), ms.ttest_baseline(m)):
+    for table in (ms.score_matrix_lr(m), score_matrix(m, "ttest")):
         with pytest.raises(TypeError):
             table.ids[0] = "X"
     assert list(ms.score_matrix_lr(m).ids) == ["P0001"]
@@ -348,7 +350,7 @@ def test_score_tables_keep_their_own_explicit_ids():
     for ids in (("A", "B"), ("C", "D"), ("A", "B")):
         m = ms.ExpressionMatrix(values=values, layout=layout, protein_ids=ids)
         assert list(ms.score_matrix_lr(m).ids) == list(ids)
-        assert list(ms.ttest_baseline(m).ids) == list(ids)
+        assert list(score_matrix(m, "ttest").ids) == list(ids)
     for ids in ((1, 2), (1.0, 2.0)):  # equal tuples, different ids
         table = ms.ScoreTable(ids, "deviance_lr", [0.0, 0.0], [1.0, 1.0], [True, True])
         assert list(table.ids) == [str(i) for i in ids]
@@ -362,9 +364,9 @@ def test_score_tables_hold_the_matrix_ids_tuple_itself():
     for ids in (("A", "B"), ()):  # explicit and default ids
         m = ms.ExpressionMatrix(values=values, layout=layout, protein_ids=ids)
         assert ms.score_matrix_lr(m).ids is m.protein_ids
-        assert ms.ttest_baseline(m).ids is m.protein_ids
+        assert score_matrix(m, "ttest").ids is m.protein_ids
     m = ms.ExpressionMatrix(values=values[:, :6], layout=np.array([1, 1, 1, 2, 2, 2]))
-    assert ms.score_matrix_ks(m, replicates=1000).ids is m.protein_ids
+    assert score_matrix(m, "ks", 1000).ids is m.protein_ids
 
 
 def test_score_table_checks_and_holds_its_fits():
@@ -394,7 +396,8 @@ def test_score_table_iteration_matches_indexing():
     values = rng.normal(15.0, 1.0, (6, 10))
     values[2] = 4.0  # degenerate: no fits
     m = ms.ExpressionMatrix(values=values, layout=np.array([1] * 5 + [2] * 5))
-    tables = (ms.score_matrix_lr(m, diagnostics=True), ms.score_matrix_lr(m), ms.ttest_baseline(m))
+    tables = (ms.score_matrix_lr(m, diagnostics=True), ms.score_matrix_lr(m),
+              score_matrix(m, "ttest"))
     assert tables[0].degenerate.tolist() == [False, False, True, False, False, False]
     for table in tables:
         rows = list(table)
@@ -430,7 +433,7 @@ def test_score_matrix_handles_interleaved_layout():
         layout=np.array([1, 2, 1, 2, 1, 2, 1, 2, 1, 2]),
     )
     cond1_first = np.concatenate([x[::2], x[1::2]])
-    want = ms.deviance_lr(cond1_first, 5, 5).value
+    want = lr_row(cond1_first, 5, 5).value
     got = ms.score_matrix_lr(inter)[0].value
     assert got == pytest.approx(want, abs=1e-12)
 

@@ -1,6 +1,10 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +186,41 @@ def test_layout_sidecar_rejects_a_sample_listed_twice(tmp_path):
     sidecar.write_text("sample_id,condition\na,1\nb,1\nc,2\nd,2\na,2\n")
     with pytest.raises(LayoutError, match="'a'"):
         ingest_matrix(str(src), str(sidecar))
+
+
+def test_inputs_read_the_same_with_a_leading_byte_order_mark(tmp_path):
+    # spreadsheet exports often start a UTF-8 file with U+FEFF; every reader drops it
+    texts = {
+        "matrix": "# layout: 1,1,2,2\nprotein_id,a,b,c,d\nP1,1.0,2.0,3.0,4.0\nP2,5,6,7,9\n",
+        "quoted": '"protein_id",a,b,c,d\n"P,1",1.0,2.0,3.0,4.0\n',
+        "sidecar": "sample_id,condition\na,1\nb,2\nc,1\nd,2\n",
+        "truth": "protein_id,is_true\nP1,1\nP2,0\n",
+    }
+    read = []
+    for mark in ("", "\ufeff"):
+        path = {name: tmp_path / f"{name}{len(mark)}.csv" for name in texts}
+        for name, text in texts.items():
+            path[name].write_text(mark + text, encoding="utf-8")
+        matrices = [ingest_matrix(str(path["matrix"])),
+                    ingest_matrix(str(path["quoted"]), "1,1,2,2"),
+                    ingest_matrix(str(path["matrix"]), str(path["sidecar"]))]
+        read.append([[(m.values.tolist(), m.layout.tolist(), m.protein_ids) for m in matrices],
+                     read_truth(str(path["truth"]))])
+    assert read[1] == read[0]
+    assert read[0][0][2][1] == [1, 2, 1, 2]  # the sidecar's layout, not the comment's
+
+
+def test_inputs_and_artifacts_are_utf8_whatever_the_locale(tmp_path):
+    # under an ASCII locale a non-ASCII id is read and written as UTF-8, as in UTF-8 mode
+    src, out = tmp_path / "m.csv", tmp_path / "out"
+    src.write_text("# layout: 1,1,2,2\nprotein_id,a,b,c,d\nPé,1,2,3,5\nP2,1,2,3,4\n", encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONPATH": str(Path(ms.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "markerscreen.cli", "score", "--input", str(src),
+                           "--replicates", "1000", "--out-dir", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "\r\nPé," in (out / "scores.csv").read_bytes().decode("utf-8")
 
 
 def _csv_writer_text(comments, rows):

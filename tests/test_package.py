@@ -19,6 +19,9 @@ assert set(ms.__all__) <= set(dir(ms))
 assert ms.evaluate is sys.modules["markerscreen.evaluate"]
 assert ms.ks is sys.modules["markerscreen.ks"]
 assert callable(ms.evaluate.score_matrix)
+gone = ("deviance_lr", "ks_d_statistic", "KsScore", "lilliefors_pvalue", "score_matrix_ks",
+        "ttest_baseline")  # score_matrix and score_matrix_lr score a matrix
+assert not [name for name in gone if hasattr(ms, name) or name in dir(ms)], gone
 for name in ms.__all__:
     obj = getattr(ms, name)
     home = getattr(obj, "__module__", None)

@@ -20,6 +20,8 @@ from markerscreen.evaluate import _welch_columns, score_matrix
 from markerscreen.ks import _ks_columns
 from markerscreen.lr import _lr_columns
 
+from _scoring import lr_row
+
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 STATS = ("lr", "ks", "ttest")
 # smallest samples per condition each scorer accepts; lr below 5 is a
@@ -236,13 +238,13 @@ def test_constant_rows_are_degenerate(N, v):
     row, n = np.full(N, v), N // 2
     m = ms.ExpressionMatrix(values=np.vstack([row, np.arange(N, dtype=float)]),
                             layout=np.repeat([1, 2], n))
-    lone = ms.deviance_lr(row, n, n)
+    lone = lr_row(row, n, n)
     assert (lone.value, lone.p_value, lone.fit_diagnostics) == (0.0, 1.0, None)
     for stat in ("lr", "ks", "ttest") if N == 20 else ("ks", "ttest"):
         table = _score(m, stat)
         assert (table.value[0], table.p_value[0], table.degenerate[0]) == (0.0, 1.0, True)
         assert not table.degenerate[1]
-    for fit in (ms.ks_d_statistic, ms.select_bandwidth, ms.fit_pooled_normal,
+    for fit in (ms.select_bandwidth, ms.fit_pooled_normal,
                 lambda x: ms.fit_mixture_fixed_weights(x, n, n)):
         with pytest.raises(DegenerateData):
             fit(row)

@@ -6,6 +6,7 @@ import pytest
 
 import markerscreen as ms
 from markerscreen.errors import NoGapFound
+from markerscreen.evaluate import score_matrix
 from markerscreen.select import MIN_GAP_RATIO
 
 from _oracles import bh_oracle
@@ -162,7 +163,7 @@ def test_bh_empirical_fdr_within_guarantee():
     fdrs = []
     for seed in range(50):
         lab = ms.generate(ms.preset("water-n10", seed=seed))
-        scores = ms.ttest_baseline(lab.matrix)
+        scores = score_matrix(lab.matrix, "ttest")
         res = select(scores, "bh_fdr", q=q)
         truth = ms.score_against_truth(res, lab.truth_map())
         fdrs.append(truth.empirical_fdr)
