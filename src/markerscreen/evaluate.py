@@ -10,7 +10,7 @@ from scipy import special
 
 from ._rng import derive_seed, substream
 from .errors import MarkerScreenError, TruthMismatch
-from .ks import DEFAULT_REPLICATES, _ks_columns
+from .ks import DEFAULT_REPLICATES, _ks_columns, _null_table
 from .lr import ScoreTable, _by_row_blocks, _deviance_core, _lr_columns, _sorted_moments
 from .matrix import ExpressionMatrix, rows_per_block
 from .select import SelectionResult, apply_policy, parse_policy
@@ -216,8 +216,9 @@ def benchmark(
 
     The whole plan is checked before the first run is simulated: a
     ValueError refuses an empty or repeated method or preset, an unknown
-    preset, and a method that is not stat+policy with a known statistic and
-    a policy parse_policy reads at the preset's n (parsed once per preset).
+    preset, a method that is not stat+policy with a known statistic and a
+    policy parse_policy reads at the preset's n (parsed once per preset), and
+    ks_replicates too few for the null table of a preset a ks method runs on.
 
     Per-run seeds derive from (seed, preset, run index) only, so every
     method sees the same matrices and comparisons are paired. Failing runs
@@ -249,6 +250,8 @@ def benchmark(
                 raise ValueError(f"method {method!r} must look like 'lr+gap' or 'ttest+bh:0.05'")
             policy = parse_policy(policy_spec, available[preset_name].n_per_condition)
             plan.append((method, *_scorer(stat), policy))
+            if stat == "ks":  # the cached table the runs look up
+                _null_table(2 * available[preset_name].n_per_condition, ks_replicates)
     report = EvalReport()
     for preset_name, plan in plans.items():
         spec = available[preset_name]

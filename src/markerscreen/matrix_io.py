@@ -161,8 +161,8 @@ def ingest_matrix(path: str, layout_spec: str | None = None) -> ExpressionMatrix
 
 @contextlib.contextmanager
 def _opened(path: str):
-    """path read as UTF-8 less a leading byte-order mark, with newline="" (lines
-    split as csv.reader splits them, a quoted CR kept); read and csv errors raise ParseError."""
+    """path read as UTF-8 less a leading byte-order mark, with newline="" (lines split as
+    csv.reader splits them, a quoted CR kept); read, decode and csv errors raise ParseError."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             if fh.buffer.peek(3).startswith(b"\xef\xbb\xbf"):  # dropped before any text is read
@@ -170,7 +170,7 @@ def _opened(path: str):
             yield fh
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except csv.Error as exc:  # e.g. a field over csv's size limit
+    except (csv.Error, UnicodeDecodeError) as exc:  # e.g. an overlong field, a non-UTF-8 byte
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -278,6 +278,8 @@ def write_matrix(path: str, matrix: ExpressionMatrix, header_lines=()) -> None:
 
 def write_truth(path: str, protein_ids, truth, header_lines=()) -> None:
     _refuse_comment_ids(protein_ids)
+    if len(truth) != len(protein_ids):
+        raise ValueError(f"{len(truth)} truth flags for {len(protein_ids)} protein ids")
     _write_csv(path, header_lines, ["protein_id", "is_true"], len(protein_ids),
                lambda i, j: [protein_ids[i:j], ["1" if flag else "0" for flag in truth[i:j]]])
 

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import markerscreen as ms
+import markerscreen.evaluate
+import markerscreen.ks
 from markerscreen.errors import NoGapFound
 from markerscreen.evaluate import score_matrix
 
@@ -47,7 +49,7 @@ def record(num, name, ok, detail):
 
 
 def test_01_null_tail_calibration():
-    rows = ms.convergence_table(sorted(TARGET_TAILS), replicates=20000, seed=0)
+    rows = ms.evaluate.convergence_table(sorted(TARGET_TAILS), replicates=20000, seed=0)
     misses = []
     for row in rows:
         target = TARGET_TAILS[row["n"]][ALPHAS.index(row["alpha"])]
@@ -65,7 +67,7 @@ def test_01_null_tail_calibration():
 
 
 def test_02_deviance_benchmark_n10():
-    rep = ms.benchmark(["lr+gap"], ["water-n10", "human-n10"], runs=50, seed=0)
+    rep = ms.evaluate.benchmark(["lr+gap"], ["water-n10", "human-n10"], runs=50, seed=0)
     agg = {row["preset"]: row for row in rep.aggregate()}
     water_ok = (abs(agg["water-n10"]["sensitivity"] - 0.90) <= 0.10
                 and abs(agg["water-n10"]["empirical_fdr"] - 0.15) <= 0.10)
@@ -86,7 +88,7 @@ def test_02_deviance_benchmark_n10():
 
 
 def test_03_kernel_benchmark_n3():
-    rep = ms.benchmark(["ks+gap"], ["water-n3", "human-n3"], runs=50, seed=0)
+    rep = ms.evaluate.benchmark(["ks+gap"], ["water-n3", "human-n3"], runs=50, seed=0)
     agg = {row["preset"]: row for row in rep.aggregate()}
     water_ok = (abs(agg["water-n3"]["sensitivity"] - 0.67) <= 0.15
                 and abs(agg["water-n3"]["empirical_fdr"] - 0.20) <= 0.15)
@@ -107,7 +109,7 @@ def test_03_kernel_benchmark_n3():
 
 
 def test_04_welch_baseline_benchmark():
-    rep = ms.benchmark(["ttest+bh:0.05"], ["water-n10"], runs=50, seed=0)
+    rep = ms.evaluate.benchmark(["ttest+bh:0.05"], ["water-n10"], runs=50, seed=0)
     agg = rep.aggregate()[0]
     ok = (abs(agg["sensitivity"] - 0.70) <= 0.15
           and abs(agg["empirical_fdr"] - 0.29) <= 0.15)
@@ -175,12 +177,12 @@ def test_06_oracle_equivalence():
             em_misses += 1
         em_worst = max(em_worst, grid - fit.loglik)
 
-        h = ms.select_bandwidth(x)
-        est = ms.KernelEstimate(centers=x, bandwidth=h)
+        h = ms.ks.select_bandwidth(x)
+        est = ms.ks.KernelEstimate(centers=x, bandwidth=h)
         t = float(rng.normal(0, 2))
         kernel_worst = max(
             kernel_worst,
-            abs(float(ms.kernel_cdf(est, t)) - kernel_cdf_oracle(x, h, t)))
+            abs(float(ms.ks.kernel_cdf(est, t)) - kernel_cdf_oracle(x, h, t)))
 
         t_ref, _, p_ref = welch_oracle(x[:n1], x[n1:])
         row = ms.ExpressionMatrix(
@@ -228,7 +230,7 @@ def test_07_invariant_suite(tmp_path, water10, water10_scores):
     for seed in range(50):
         lab = ms.generate(ms.preset("water-n10", seed=seed))
         res = select(score_matrix(lab.matrix, "ttest"), "bh_fdr", q=0.05)
-        fdrs.append(ms.score_against_truth(res, lab.truth_map()).empirical_fdr)
+        fdrs.append(ms.evaluate.score_against_truth(res, lab.truth_map()).empirical_fdr)
     mean_fdr = float(np.mean(fdrs))
     checks["bh-fdr"] = mean_fdr <= 0.05 + 0.03
 

@@ -407,10 +407,12 @@ def test_bench_reports_a_statistic_outside_its_regime_once(methods, preset, line
     ("lr+bogus", "water-n3"),
     ("", "water-n3"),
     ("ttest+bh,ttest+bh", "water-n3"),
+    ("ks+gap", "water-n3"),  # 10 replicates, too few for the null table
 ])
 def test_bench_refuses_a_bad_plan_with_only_its_error(methods, presets, tmp_path, capsys):
+    # 10 replicates matter only to a plan with a ks method
     assert run_cli("bench", "--methods", methods, "--presets", presets, "--runs", "2",
-                   "--out-dir", str(tmp_path / "o"), "--deterministic") == 2
+                   "--replicates", "10", "--out-dir", str(tmp_path / "o"), "--deterministic") == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error [input]: ")
     assert not (tmp_path / "o").exists()

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 import markerscreen as ms
+import markerscreen.evaluate
 from markerscreen._rng import derive_seed
 from markerscreen.errors import DegenerateData, MarkerScreenError, TruthMismatch
 from markerscreen.evaluate import EvalRun, _truth_score, score_matrix
@@ -32,7 +33,7 @@ def test_truth_counting_exact_recovery():
     universe = [f"P{i:04d}" for i in range(1, 11)]
     truth = {pid: pid in universe[:3] for pid in universe}
     res = _result(universe[:3], universe)
-    ts = ms.score_against_truth(res, truth)
+    ts = ms.evaluate.score_against_truth(res, truth)
     assert ts.sensitivity == 1.0
     assert ts.empirical_fdr == 0.0
     assert ts.tp == 3 and ts.fp == 0
@@ -43,7 +44,7 @@ def test_truth_counting_mixed_selection():
     universe = [f"P{i:04d}" for i in range(1, 201)]
     truth = {pid: i <= 51 for i, pid in enumerate(universe, start=1)}
     selected = universe[:50] + universe[60:64]  # 50 true + 4 false
-    ts = ms.score_against_truth(_result(selected, universe), truth)
+    ts = ms.evaluate.score_against_truth(_result(selected, universe), truth)
     assert ts.sensitivity == pytest.approx(50 / 51)
     assert ts.empirical_fdr == pytest.approx(4 / 54)
     assert ts.tp + ts.fp == ts.selected_count == 54
@@ -51,16 +52,16 @@ def test_truth_counting_mixed_selection():
 
 def test_truth_counting_empty_selection_is_zero_zero():
     universe = ["P0001", "P0002"]
-    ts = ms.score_against_truth(_result([], universe),
-                                {"P0001": True, "P0002": False})
+    ts = ms.evaluate.score_against_truth(_result([], universe),
+                                         {"P0001": True, "P0002": False})
     assert ts.sensitivity == 0.0
     assert ts.empirical_fdr == 0.0
 
 
 def test_truth_mismatch_on_unknown_ids():
     with pytest.raises(TruthMismatch):
-        ms.score_against_truth(_result(["P0001"], ["P0001"]),
-                               {"OTHER": True})
+        ms.evaluate.score_against_truth(_result(["P0001"], ["P0001"]),
+                                        {"OTHER": True})
 
 
 # ------------------------------------------------------------ Welch baseline
@@ -139,7 +140,7 @@ def test_welch_holds_about_one_block(layout):
 # -------------------------------------------------------- convergence table
 
 def test_convergence_n30_row_matches_nominal():
-    rows = ms.convergence_table([30], replicates=20000, seed=0)
+    rows = ms.evaluate.convergence_table([30], replicates=20000, seed=0)
     got = {r["alpha"]: r["tail_prob"] for r in rows}
     assert abs(got[0.01] - 0.01) <= 0.02
     assert abs(got[0.05] - 0.05) <= 0.02
@@ -153,14 +154,14 @@ def test_convergence_n30_row_matches_nominal():
     "of the reference's own estimator (see decisions ledger D4)",
 )
 def test_convergence_n3_alpha05_near_reference_band():
-    rows = ms.convergence_table([3], replicates=20000, seed=0)
+    rows = ms.evaluate.convergence_table([3], replicates=20000, seed=0)
     got = {r["alpha"]: r["tail_prob"] for r in rows}
     assert abs(got[0.05] - 0.30) <= 0.08
 
 
 def test_convergence_monte_carlo_consistency():
-    small = ms.convergence_table([10], replicates=4000, seed=11)
-    big = ms.convergence_table([10], replicates=32000, seed=12)
+    small = ms.evaluate.convergence_table([10], replicates=4000, seed=11)
+    big = ms.evaluate.convergence_table([10], replicates=32000, seed=12)
     p_small = {r["alpha"]: r["tail_prob"] for r in small}
     p_big = {r["alpha"]: r["tail_prob"] for r in big}
     for alpha in (0.01, 0.05, 0.10):
@@ -169,8 +170,8 @@ def test_convergence_monte_carlo_consistency():
 
 
 def test_convergence_text_layout():
-    rows = ms.convergence_table([5, 10], replicates=2000, seed=0)
-    text = ms.convergence_text(rows)
+    rows = ms.evaluate.convergence_table([5, 10], replicates=2000, seed=0)
+    text = ms.evaluate.convergence_text(rows)
     lines = text.strip().splitlines()
     assert lines[0].startswith("n")
     assert len(lines) == 3
@@ -179,10 +180,10 @@ def test_convergence_text_layout():
 # ----------------------------------------------------------------- benchmark
 
 def test_benchmark_is_deterministic_and_paired():
-    a = ms.benchmark(["ttest+bh:0.05", "lr+bh:0.05"], ["water-n10"],
-                     runs=3, seed=0)
-    b = ms.benchmark(["ttest+bh:0.05", "lr+bh:0.05"], ["water-n10"],
-                     runs=3, seed=0)
+    a = ms.evaluate.benchmark(["ttest+bh:0.05", "lr+bh:0.05"], ["water-n10"],
+                              runs=3, seed=0)
+    b = ms.evaluate.benchmark(["ttest+bh:0.05", "lr+bh:0.05"], ["water-n10"],
+                              runs=3, seed=0)
     assert a.to_text() == b.to_text()
     # both methods see the same per-run matrices (paired seeds)
     seeds = {}
@@ -193,13 +194,13 @@ def test_benchmark_is_deterministic_and_paired():
 
 def test_benchmark_builds_one_ks_null_table_for_all_runs():
     _null_table.cache_clear()
-    ms.benchmark(["ks+gap"], ["water-n3"], runs=3, seed=0)
+    ms.evaluate.benchmark(["ks+gap"], ["water-n3"], runs=3, seed=0)
     assert _null_table.cache_info().misses == 1
 
 
 def test_benchmark_formats_default_ids_once_for_all_runs():
     _default_ids.cache_clear()
-    ms.benchmark(["ks+gap", "ttest+bh:0.1"], ["water-n3", "human-n3"], runs=3, seed=0)
+    ms.evaluate.benchmark(["ks+gap", "ttest+bh:0.1"], ["water-n3", "human-n3"], runs=3, seed=0)
     assert _default_ids.cache_info().misses == 1
 
 
@@ -213,8 +214,8 @@ def _selection_alone(method, m, replicates):
 def test_benchmark_counts_as_score_against_truth_does():
     # benchmark counts against each run's planted ids; scoring the same run's
     # selection against its whole truth map must give the same numbers
-    rep = ms.benchmark(["lr+gap", "ks+gap", "ttest+bh:0.1"], ["water-n3", "water-n10"],
-                       runs=3, seed=0, ks_replicates=1000)
+    rep = ms.evaluate.benchmark(["lr+gap", "ks+gap", "ttest+bh:0.1"], ["water-n3", "water-n10"],
+                                runs=3, seed=0, ks_replicates=1000)
     assert len(rep.runs) == 18
     for run in rep.runs:
         labeled = ms.generate(dataclasses.replace(ms.presets()[run.preset], seed=run.seed))
@@ -224,7 +225,7 @@ def test_benchmark_counts_as_score_against_truth_does():
             assert run.error == exc.category
             continue
         assert run.error is None
-        expected = vars(ms.score_against_truth(result, labeled.truth_map()))
+        expected = vars(ms.evaluate.score_against_truth(result, labeled.truth_map()))
         assert {k: getattr(run, k) for k in expected} == expected
     assert sum(run.error is None for run in rep.runs) >= 12
     assert any(run.tp and run.fp for run in rep.runs)
@@ -244,7 +245,7 @@ def test_benchmark_groups_give_the_rows_of_one_run_at_a_time(monkeypatch, group,
         monkeypatch.setitem(ms.evaluate._SCORERS, stat, (kind, spy(columns)))
     methods = ["lr+gap", "ks+gap", "ttest+bh:0.1", "ttest+gap:strict"]
     presets = ["water-n3", "cauchy-n3"]
-    rep = ms.benchmark(methods, presets, runs=runs, seed=5, ks_replicates=1000)
+    rep = ms.evaluate.benchmark(methods, presets, runs=runs, seed=5, ks_replicates=1000)
     sizes = [1000 * min(group, runs - first) for first in range(0, runs, group)]
     assert stacked == [size for size in sizes * len(presets) for _ in methods]
     reference = []
@@ -278,8 +279,9 @@ def test_benchmark_memory_stays_near_one_group():
     _default_ids.cache_clear()
     tracemalloc.start()
     try:
-        ms.benchmark(["ks+gap", "ttest+bh:0.1"], ["water-n3", "human-n3", "cauchy-n3", "chisq-n3"],
-                     runs=21, seed=0, ks_replicates=1000)
+        ms.evaluate.benchmark(["ks+gap", "ttest+bh:0.1"],
+                              ["water-n3", "human-n3", "cauchy-n3", "chisq-n3"],
+                              runs=21, seed=0, ks_replicates=1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -287,7 +289,7 @@ def test_benchmark_memory_stays_near_one_group():
 
 
 def test_benchmark_counting_identity():
-    rep = ms.benchmark(["lr+gap"], ["water-n10"], runs=5, seed=1)
+    rep = ms.evaluate.benchmark(["lr+gap"], ["water-n10"], runs=5, seed=1)
     for run in rep.runs:
         assert run.tp + run.fp == run.selected_count
         assert 0.0 <= run.sensitivity <= 1.0
@@ -295,7 +297,7 @@ def test_benchmark_counting_identity():
 
 
 def test_benchmark_strict_gap_flags_exactly_the_runs_that_fall_back():
-    rep = ms.benchmark(["lr+gap", "lr+gap:strict"], ["water-n10"], runs=3, seed=0)
+    rep = ms.evaluate.benchmark(["lr+gap", "lr+gap:strict"], ["water-n10"], runs=3, seed=0)
     plain = {r.seed: r for r in rep.runs if r.method == "lr+gap"}
     strict = {r.seed: r for r in rep.runs if r.method == "lr+gap:strict"}
     assert len(plain) == 3 and plain.keys() == strict.keys()
@@ -307,8 +309,8 @@ def test_benchmark_strict_gap_flags_exactly_the_runs_that_fall_back():
 def test_benchmark_flags_regime_violations_without_aborting():
     # lr on an n=3 preset violates the statistic's regime: rows are flagged,
     # the other preset still completes
-    rep = ms.benchmark(["lr+bh:0.05"], ["water-n3", "water-n10"],
-                       runs=2, seed=0)
+    rep = ms.evaluate.benchmark(["lr+bh:0.05"], ["water-n3", "water-n10"],
+                                runs=2, seed=0)
     flagged = [r for r in rep.runs if r.error is not None]
     clean = [r for r in rep.runs if r.error is None]
     assert len(flagged) == 2 and all("regime" in r.error for r in flagged)
@@ -321,9 +323,9 @@ def test_benchmark_flags_regime_violations_without_aborting():
 
 def test_benchmark_rejects_bad_method_ids():
     with pytest.raises(ValueError):
-        ms.benchmark(["nonsense+gap"], ["water-n10"], runs=1, seed=0)
+        ms.evaluate.benchmark(["nonsense+gap"], ["water-n10"], runs=1, seed=0)
     with pytest.raises(ValueError):
-        ms.benchmark(["lr"], ["water-n10"], runs=1, seed=0)
+        ms.evaluate.benchmark(["lr"], ["water-n10"], runs=1, seed=0)
 
 
 @pytest.mark.parametrize("methods, presets", [
@@ -336,17 +338,18 @@ def test_benchmark_rejects_bad_method_ids():
     (["ttest+bh", "lr"], ["water-n3"]),
     (["ttest+bh", "nonsense+gap"], ["water-n3"]),
     (["ttest+bh:2"], ["water-n3"]),
+    (["ks+gap"], ["water-n3"]),  # 10 replicates, too few for the null table
 ])
 def test_benchmark_refuses_a_bad_plan_before_simulating(monkeypatch, methods, presets):
     simulated = []
     monkeypatch.setattr(ms.evaluate, "generate", simulated.append)
-    with pytest.raises(ValueError):
-        ms.benchmark(methods, presets, runs=2, seed=0)
+    with pytest.raises(ValueError):  # 10 replicates matter only to a plan with a ks method
+        ms.evaluate.benchmark(methods, presets, runs=2, seed=0, ks_replicates=10)
     assert simulated == []
 
 
 def test_benchmark_water_recovery_near_reference():
-    rep = ms.benchmark(["lr+gap"], ["water-n10"], runs=50, seed=0)
+    rep = ms.evaluate.benchmark(["lr+gap"], ["water-n10"], runs=50, seed=0)
     agg = rep.aggregate()[0]
     assert abs(agg["sensitivity"] - 0.90) <= 0.10
     assert abs(agg["empirical_fdr"] - 0.15) <= 0.10
@@ -360,7 +363,7 @@ def test_benchmark_water_recovery_near_reference():
     "reference (see decisions ledger D4)",
 )
 def test_benchmark_human_recovery_near_reference():
-    rep = ms.benchmark(["lr+gap"], ["human-n10"], runs=50, seed=0)
+    rep = ms.evaluate.benchmark(["lr+gap"], ["human-n10"], runs=50, seed=0)
     agg = rep.aggregate()[0]
     assert abs(agg["sensitivity"] - 0.77) <= 0.12
     assert abs(agg["empirical_fdr"] - 0.17) <= 0.12
@@ -373,7 +376,7 @@ def test_benchmark_human_recovery_near_reference():
     "(see decisions ledger D4)",
 )
 def test_ttest_water_benchmark_near_reference():
-    rep = ms.benchmark(["ttest+bh:0.05"], ["water-n10"], runs=50, seed=0)
+    rep = ms.evaluate.benchmark(["ttest+bh:0.05"], ["water-n10"], runs=50, seed=0)
     agg = rep.aggregate()[0]
     assert abs(agg["sensitivity"] - 0.70) <= 0.15
     assert abs(agg["empirical_fdr"] - 0.29) <= 0.15
@@ -385,7 +388,7 @@ def test_ttest_water_benchmark_near_reference():
     "backgrounds, far from the ~0.67 reference (see decisions ledger D4)",
 )
 def test_ks_water_n3_benchmark_near_reference():
-    rep = ms.benchmark(["ks+gap"], ["water-n3"], runs=50, seed=0)
+    rep = ms.evaluate.benchmark(["ks+gap"], ["water-n3"], runs=50, seed=0)
     agg = rep.aggregate()[0]
     assert abs(agg["sensitivity"] - 0.67) <= 0.15
     assert abs(agg["empirical_fdr"] - 0.20) <= 0.15
@@ -399,8 +402,8 @@ def test_ks_water_n3_benchmark_near_reference():
     "(see decisions ledger D4)",
 )
 def test_deviance_dominates_welch_on_water():
-    rep = ms.benchmark(["lr+gap", "ttest+bh:0.05"], ["water-n10"],
-                       runs=50, seed=0)
+    rep = ms.evaluate.benchmark(["lr+gap", "ttest+bh:0.05"], ["water-n10"],
+                                runs=50, seed=0)
     agg = {row["method"]: row for row in rep.aggregate()}
     dev, welch = agg["lr+gap"], agg["ttest+bh:0.05"]
     assert dev["sensitivity"] >= welch["sensitivity"]

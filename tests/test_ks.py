@@ -7,6 +7,8 @@ import pytest
 from scipy.stats import norm
 
 import markerscreen as ms
+import markerscreen.evaluate
+import markerscreen.ks
 from markerscreen.cli import RunConfig
 from markerscreen.errors import DegenerateData
 from markerscreen.evaluate import score_matrix
@@ -23,20 +25,20 @@ def test_bandwidth_matches_direct_formula():
     rng = np.random.default_rng(6)
     x = rng.standard_normal(6)
     ref = bandwidth_oracle(x)
-    assert abs(ms.select_bandwidth(x) - ref) < 1e-12
+    assert abs(ms.ks.select_bandwidth(x) - ref) < 1e-12
 
 
 def test_bandwidth_scale_equivariance():
     rng = np.random.default_rng(13)
     x = rng.standard_normal(8)
-    h = ms.select_bandwidth(x)
+    h = ms.ks.select_bandwidth(x)
     for c in (0.1, 3.0, 250.0):
-        assert ms.select_bandwidth(c * x) == pytest.approx(c * h, rel=1e-12)
+        assert ms.ks.select_bandwidth(c * x) == pytest.approx(c * h, rel=1e-12)
 
 
 def test_bandwidth_constant_sample_raises():
     with pytest.raises(DegenerateData):
-        ms.select_bandwidth([1.0, 1.0, 1.0])
+        ms.ks.select_bandwidth([1.0, 1.0, 1.0])
 
 
 @pytest.mark.parametrize("N", range(3, 31))
@@ -52,35 +54,35 @@ def test_sorted_row_quantiles_match_percentile(N):
 def test_single_sample_rejects_non_finite_or_overflowing_spread():
     for x in ([1.0, 2.0, np.nan], [1.0, 2.0, 4.0, np.inf]):
         with pytest.raises(ValueError, match="non-finite"):
-            ms.select_bandwidth(x)
+            ms.ks.select_bandwidth(x)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
-        ms.select_bandwidth([1e200, 0.0, 1.0, 2.0])
+        ms.ks.select_bandwidth([1e200, 0.0, 1.0, 2.0])
 
 
 def test_bandwidth_zero_iqr_falls_back_to_sd():
     # more than half the points tied: IQR = 0 but s > 0
     x = np.array([5.0, 5.0, 5.0, 5.0, 5.0, 9.0])
     s = float(np.std(x, ddof=1))
-    assert ms.select_bandwidth(x) == pytest.approx(1.06 * s * 6 ** (-0.2))
+    assert ms.ks.select_bandwidth(x) == pytest.approx(1.06 * s * 6 ** (-0.2))
 
 
 # --------------------------------------------------------------- kernel CDF
 
 def test_kernel_cdf_symmetry_half():
-    est = ms.KernelEstimate(centers=np.array([-2.0, -1.0, 1.0, 2.0]),
-                            bandwidth=0.7)
-    assert ms.kernel_cdf(est, 0.0) == pytest.approx(0.5, abs=1e-12)
+    est = ms.ks.KernelEstimate(centers=np.array([-2.0, -1.0, 1.0, 2.0]),
+                               bandwidth=0.7)
+    assert ms.ks.kernel_cdf(est, 0.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_kernel_cdf_upper_limit():
-    est = ms.KernelEstimate(centers=np.array([0.0, 4.0, -3.0]), bandwidth=1.0)
-    assert ms.kernel_cdf(est, 1e9) == pytest.approx(1.0, abs=1e-12)
+    est = ms.ks.KernelEstimate(centers=np.array([0.0, 4.0, -3.0]), bandwidth=1.0)
+    assert ms.ks.kernel_cdf(est, 1e9) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kernel_cdf_single_center_is_normal_cdf():
     ref = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))  # 0.8413...
-    est = ms.KernelEstimate(centers=np.array([0.0]), bandwidth=1.0)
-    assert ms.kernel_cdf(est, 1.0) == pytest.approx(ref, abs=1e-12)
+    est = ms.ks.KernelEstimate(centers=np.array([0.0]), bandwidth=1.0)
+    assert ms.ks.kernel_cdf(est, 1.0) == pytest.approx(ref, abs=1e-12)
     assert ref == pytest.approx(0.8413447460685429)
 
 
@@ -88,26 +90,27 @@ def test_kernel_cdf_matches_loop_oracle():
     rng = np.random.default_rng(23)
     centers = rng.normal(2.0, 3.0, 9)
     h = 0.9
-    est = ms.KernelEstimate(centers=centers, bandwidth=h)
+    est = ms.ks.KernelEstimate(centers=centers, bandwidth=h)
     for t in (-1.0, 0.0, 2.5, 7.0):
         ref = kernel_cdf_oracle(centers, h, t)
-        assert abs(float(ms.kernel_cdf(est, t)) - ref) < 1e-12
+        assert abs(float(ms.ks.kernel_cdf(est, t)) - ref) < 1e-12
 
 
 def test_kernel_cdf_rejects_a_bad_bandwidth_or_center():
     centers = np.array([0.0, 1.0, 2.0])
     for h in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
-            ms.kernel_cdf(ms.KernelEstimate(centers=centers, bandwidth=h), 0.5)
+            ms.ks.kernel_cdf(ms.ks.KernelEstimate(centers=centers, bandwidth=h), 0.5)
     with pytest.raises(ValueError, match="centers finite"):
-        ms.kernel_cdf(ms.KernelEstimate(centers=np.array([0.0, np.nan, 2.0]), bandwidth=1.0), 0.5)
+        ms.ks.kernel_cdf(ms.ks.KernelEstimate(centers=np.array([0.0, np.nan, 2.0]),
+                                              bandwidth=1.0), 0.5)
 
 
 def test_kernel_cdf_monotone_on_grid():
     rng = np.random.default_rng(31)
-    est = ms.KernelEstimate(centers=rng.normal(0, 1, 7), bandwidth=0.5)
+    est = ms.ks.KernelEstimate(centers=rng.normal(0, 1, 7), bandwidth=0.5)
     grid = np.linspace(-4, 4, 200)
-    vals = ms.kernel_cdf(est, grid)
+    vals = ms.ks.kernel_cdf(est, grid)
     assert np.all(np.diff(vals) >= 0)
 
 
@@ -118,7 +121,7 @@ def test_ks_d_matches_loop_oracle():
     x = rng.normal(1.0, 2.0, 6)
     ref = ks_d_oracle(x)
     assert abs(ks_d(x) - ref) < 1e-12
-    assert ms.select_bandwidth(x) == pytest.approx(bandwidth_oracle(x))
+    assert ms.ks.select_bandwidth(x) == pytest.approx(bandwidth_oracle(x))
 
 
 @pytest.mark.parametrize("N", [3, 4, 6, 8, 20])
@@ -175,7 +178,8 @@ def test_scorer_d_uses_the_kernel_cdf_that_acceptance_6_checks(N):
     ])
     worst = 0.0
     for x in rows[np.ptp(rows, axis=1) > 0]:
-        kernel = ms.kernel_cdf(ms.KernelEstimate(centers=x, bandwidth=ms.select_bandwidth(x)), x)
+        est = ms.ks.KernelEstimate(centers=x, bandwidth=ms.ks.select_bandwidth(x))
+        kernel = ms.ks.kernel_cdf(est, x)
         fitted = norm.cdf((x - x.mean()) / x.std())
         worst = max(worst, abs(ks_d(x) - np.abs(kernel - fitted).max()))
     assert worst <= 1e-14
@@ -355,7 +359,7 @@ def test_ks_in_the_lr_regime_warns_on_no_design():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         score_matrix(_matrix(rng.normal(0, 1, (2, 12)), 6), "ks", 1000)
-        report = ms.benchmark(["ks+gap"], ["water-n10"], runs=1, ks_replicates=1000)
+        report = ms.evaluate.benchmark(["ks+gap"], ["water-n10"], runs=1, ks_replicates=1000)
     assert [r.error for r in report.runs] == [None]
 
 

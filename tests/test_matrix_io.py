@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -221,6 +222,30 @@ def test_inputs_and_artifacts_are_utf8_whatever_the_locale(tmp_path):
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert "\r\nPé," in (out / "scores.csv").read_bytes().decode("utf-8")
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error_naming_it(tmp_path, capsys):
+    # a Latin-1 export: 0xe9 is `é` there and no UTF-8 sequence
+    matrix, sidecar, truth = (tmp_path / name for name in ("m.csv", "layout.csv", "truth.csv"))
+    matrix.write_bytes(b"# layout: 1,1,2,2\nprotein_id,a,b,c,d\nP\xe9,1,2,3,5\nP2,1,2,3,4\n")
+    sidecar.write_bytes(b"sample_id,condition\na,1\nb,1\nc,2\nd\xe9,2\n")
+    truth.write_bytes(b"protein_id,is_true\nP\xe9,1\n")
+    good = tmp_path / "good.csv"
+    good.write_text("protein_id,a,b,c,d\nP1,1,2,3,5\n")
+    for path, read in ((matrix, ingest_matrix), (truth, read_truth),
+                       (sidecar, lambda sidecar: ingest_matrix(str(good), sidecar))):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't"):
+            read(str(path))
+    from markerscreen.cli import main
+    assert main(["score", "--input", str(matrix), "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error [parse-error]: {matrix}: 'utf-8' codec")
+
+
+def test_write_truth_refuses_flags_that_do_not_match_the_ids(tmp_path):
+    path = tmp_path / "truth.csv"
+    with pytest.raises(ValueError, match="1 truth flags for 3 protein ids"):
+        write_truth(str(path), ("a", "b", "c"), [True])
+    assert not path.exists()
 
 
 def _csv_writer_text(comments, rows):

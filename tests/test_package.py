@@ -1,6 +1,7 @@
-"""The package's import surface. ks and evaluate import scipy, so they and
-their names load on first use rather than at `import markerscreen`; so does
-numpy.random, which the package needs only to draw."""
+"""The package's import surface. ks and evaluate import scipy, so `import
+markerscreen` loads neither of them, nor numpy.random, which the package needs
+only to draw; the package exports exactly what it loads, and the ks and
+evaluate names are reached through their modules."""
 
 import os
 import subprocess
@@ -15,18 +16,23 @@ import markerscreen as ms
 
 early = {"scipy", "numpy.random", "markerscreen.ks", "markerscreen.evaluate"} & set(sys.modules)
 assert not early, f"imported by `import markerscreen`: {sorted(early)}"
-assert set(ms.__all__) <= set(dir(ms))
-assert ms.evaluate is sys.modules["markerscreen.evaluate"]
-assert ms.ks is sys.modules["markerscreen.ks"]
-assert callable(ms.evaluate.score_matrix)
-gone = ("deviance_lr", "ks_d_statistic", "KsScore", "lilliefors_pvalue", "score_matrix_ks",
-        "ttest_baseline")  # score_matrix and score_matrix_lr score a matrix
-assert not [name for name in gone if hasattr(ms, name) or name in dir(ms)], gone
 for name in ms.__all__:
     obj = getattr(ms, name)
     home = getattr(obj, "__module__", None)
     assert home is None or getattr(sys.modules[home], name) is obj, name
 assert ms.errors is sys.modules["markerscreen.errors"]
+homes = {"ks": ("KernelEstimate", "select_bandwidth", "kernel_cdf"),
+         "evaluate": ("TruthScore", "EvalRun", "EvalReport", "score_against_truth",
+                      "convergence_table", "convergence_text", "benchmark")}
+gone = ("deviance_lr", "ks_d_statistic", "KsScore", "lilliefors_pvalue", "score_matrix_ks",
+        "ttest_baseline")  # score_matrix and score_matrix_lr score a matrix
+on_package = [name for name in (*homes["ks"], *homes["evaluate"], *gone) if hasattr(ms, name)]
+assert not on_package, f"attributes of markerscreen: {on_package}"
+from markerscreen import ks, evaluate
+for module, names in ((ks, homes["ks"]), (evaluate, homes["evaluate"])):
+    for name in names:
+        assert getattr(module, name).__module__ == module.__name__, name
+assert callable(evaluate.score_matrix)
 try:
     ms.no_such_name
 except AttributeError as exc:

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import markerscreen as ms
+import markerscreen.ks
 from markerscreen.errors import DegenerateData
 from markerscreen.evaluate import _welch_columns, score_matrix
 from markerscreen.ks import _ks_columns
@@ -244,8 +245,8 @@ def test_constant_rows_are_degenerate(N, v):
         table = _score(m, stat)
         assert (table.value[0], table.p_value[0], table.degenerate[0]) == (0.0, 1.0, True)
         assert not table.degenerate[1]
-    for fit in (ms.select_bandwidth, ms.fit_pooled_normal,
-                lambda x: ms.fit_mixture_fixed_weights(x, n, n)):
+    for fit in (ms.ks.select_bandwidth, ms.fit_pooled_normal,
+                   lambda x: ms.fit_mixture_fixed_weights(x, n, n)):
         with pytest.raises(DegenerateData):
             fit(row)
 

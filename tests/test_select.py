@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import markerscreen as ms
+import markerscreen.evaluate
 from markerscreen.errors import NoGapFound
 from markerscreen.evaluate import score_matrix
 from markerscreen.select import MIN_GAP_RATIO
@@ -52,7 +53,7 @@ def test_fixed_cutoff_on_hrm_style_simulation():
     log10_ratio = dataclasses.replace(
         scores, value=scores.value / (2.0 * math.log(10.0)))
     res = select(log10_ratio, "fixed_cutoff", c=2.5)
-    truth = ms.score_against_truth(res, lab.truth_map())
+    truth = ms.evaluate.score_against_truth(res, lab.truth_map())
     assert 11 <= len(res.selected) <= 15
     assert truth.tp >= 12
 
@@ -100,7 +101,7 @@ def test_gap_window_excludes_cliffs_past_the_edge():
 
 def test_gap_fallback_recovers_planted_markers_on_water_background(water10, water10_scores):
     res = ms.apply_policy(water10_scores, ms.parse_policy("gap", 10))
-    truth = ms.score_against_truth(res, water10.truth_map())
+    truth = ms.evaluate.score_against_truth(res, water10.truth_map())
     assert res.fallback_used
     assert 28 <= len(res.selected) <= 32
     assert truth.tp >= 25
@@ -165,7 +166,7 @@ def test_bh_empirical_fdr_within_guarantee():
         lab = ms.generate(ms.preset("water-n10", seed=seed))
         scores = score_matrix(lab.matrix, "ttest")
         res = select(scores, "bh_fdr", q=q)
-        truth = ms.score_against_truth(res, lab.truth_map())
+        truth = ms.evaluate.score_against_truth(res, lab.truth_map())
         fdrs.append(truth.empirical_fdr)
     assert float(np.mean(fdrs)) <= q + 0.03
 
