@@ -4,17 +4,18 @@ Commands: score, select, simulate, calibrate, bench. Each accepts
 --deterministic, --out-dir and the settings COMMANDS lists for it; any other
 flag is an argparse error (exit 2). Only simulate, calibrate and bench draw
 random numbers, so only they take --seed; the ks null table of score and
-select depends on (N, replicates) alone. An unset flag keeps RunConfig's
-default, which overrides the library's (convergence_table's is 20,000).
-Every artifact embeds the tool version, the seed where the command takes
-one, and a digest of the canonical config; reruns with the same config write
-byte-identical artifacts when --deterministic suppresses the timestamp line.
+select depends on (N, replicates) alone. Each RunConfig field carries its
+flag, and an unset flag keeps the field's default. Every artifact embeds the
+tool version, the seed where the command takes one, and a digest of the
+canonical config; reruns with the same config write byte-identical artifacts
+when --deterministic suppresses the timestamp line.
 
 score and select run the statistic matrix.regime picks for the design (lr at
 n >= LR_MIN_N per condition, ks below) unless --stat names one, and say on
 stderr which statistic ran and why. select's --cutoff-scale says how c of
 fixed:<c> is given; every artifact is on the deviance scale. bench checks
-its methods and presets before its first run and prints stat: lines after.
+its methods and presets before its first run, and after it prints the stat:
+lines of the statistics that benchmark reports run outside their regime.
 
 Exit codes: 0 success, 2 input error, 3 --stat lr on a design below the lr
 regime, 4 no gap found (only with --policy gap:strict; plain gap falls back
@@ -30,7 +31,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -48,29 +49,36 @@ from .matrix_io import (
     write_truth,
 )
 from .select import apply_policy, parse_policy
-from .simulate import generate, preset, presets
+from .simulate import generate, preset
 
 EXIT_CODES = {RegimeViolation: 3, NoGapFound: 4}  # other MarkerScreenErrors exit 2
+
+
+def _flag(flag: str, default, **kwargs):
+    """A RunConfig field set by flag, which build_parser adds with the argparse
+    keywords kwargs and no default: an unset flag keeps this field's default."""
+    return field(default=default, metadata={"flag": flag, "kwargs": kwargs})
 
 
 @dataclass
 class RunConfig:
     command: str
-    input: str | None = None
-    layout: str | None = None
-    stat: str = "auto"
-    policy: str = "gap"
-    cutoff_scale: str = "deviance"
-    seed: int = 0
-    replicates: int = DEFAULT_REPLICATES
-    preset: str | None = None
-    deterministic: bool = False
-    out_dir: str = "."
-    n_values: str = "3,5,8,10,15,20,30"
-    alphas: str = "0.01,0.05,0.10"
-    methods: str = "lr+gap,ttest+bh"
-    presets: str = "water-n10,human-n10"
-    runs: int = 50
+    input: str | None = _flag("--input", None)
+    layout: str | None = _flag("--layout", None,
+                               help="inline labels like 1,1,2,2 or a sidecar CSV path")
+    stat: str = _flag("--stat", "auto", choices=["lr", "ks", "auto"])
+    policy: str = _flag("--policy", "gap", help="fixed:<c> | gap | gap:strict | bh:<q>")
+    cutoff_scale: str = _flag("--cutoff-scale", "deviance", choices=["deviance", "lnR", "R"])
+    seed: int = _flag("--seed", 0, type=int)
+    replicates: int = _flag("--replicates", DEFAULT_REPLICATES, type=int)
+    preset: str | None = _flag("--preset", None)
+    deterministic: bool = _flag("--deterministic", False, action="store_true")
+    out_dir: str = _flag("--out-dir", ".")
+    n_values: str = _flag("--n", "3,5,8,10,15,20,30")
+    alphas: str = _flag("--alpha", "0.01,0.05,0.10")
+    methods: str = _flag("--methods", "lr+gap,ttest+bh")
+    presets: str = _flag("--presets", "water-n10,human-n10")
+    runs: int = _flag("--runs", 50, type=int)
 
 
 def _takes_seed(cfg: RunConfig) -> bool:
@@ -189,13 +197,8 @@ def cmd_bench(cfg: RunConfig) -> int:
     preset_names = [tok.strip() for tok in cfg.presets.split(",") if tok.strip()]
     report = benchmark(methods, preset_names, runs=cfg.runs, seed=cfg.seed,
                        ks_replicates=cfg.replicates)  # checks the whole plan first
-    # One stat: line per statistic and preset outside its regime, not one per run.
-    specs = presets()
-    for name in preset_names:
-        decision = regime(specs[name].n_per_condition, specs[name].n_per_condition)
-        for stat in dict.fromkeys(m.partition("+")[0] for m in methods):
-            if stat in ("lr", "ks") and stat != decision.stat:
-                print(f"stat: {stat} on {name} (regime says {decision.stat})", file=sys.stderr)
+    for stat, name, regime_stat in report.off_regime:  # one line per pair, not one per run
+        print(f"stat: {stat} on {name} (regime says {regime_stat})", file=sys.stderr)
     header = _header_lines(cfg)
     run_rows = [{**vars(r), "selected": r.selected_count, "fallback_used": int(r.fallback_used),
                  "error": r.error or ""} for r in report.runs]
@@ -219,24 +222,6 @@ COMMANDS = {
     "bench": (cmd_bench, ("seed", "methods", "presets", "runs", "replicates")),
 }
 
-# RunConfig field -> (flag, argparse keywords); no defaults here, unset stays None
-_OPTIONS = {
-    "seed": ("--seed", {"type": int}),
-    "out_dir": ("--out-dir", {}),
-    "input": ("--input", {}),
-    "layout": ("--layout", {"help": "inline labels like 1,1,2,2 or a sidecar CSV path"}),
-    "stat": ("--stat", {"choices": ["lr", "ks", "auto"]}),
-    "replicates": ("--replicates", {"type": int}),
-    "policy": ("--policy", {"help": "fixed:<c> | gap | gap:strict | bh:<q>"}),
-    "cutoff_scale": ("--cutoff-scale", {"choices": ["deviance", "lnR", "R"]}),
-    "preset": ("--preset", {}),
-    "n_values": ("--n", {}),
-    "alphas": ("--alpha", {}),
-    "methods": ("--methods", {}),
-    "presets": ("--presets", {}),
-    "runs": ("--runs", {"type": int}),
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -244,12 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Marker discovery for two-condition expression matrices",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {f.name: f.metadata for f in fields(RunConfig)}
     for name, (_, settings) in COMMANDS.items():
         p = sub.add_parser(name)
-        for dest in ("out_dir",) + settings:
-            flag, kwargs = _OPTIONS[dest]
-            p.add_argument(flag, dest=dest, **kwargs)
-        p.add_argument("--deterministic", action="store_true")
+        for dest in ("out_dir", *settings, "deterministic"):
+            p.add_argument(options[dest]["flag"], dest=dest, **options[dest]["kwargs"])
     return parser
 
 

@@ -12,7 +12,7 @@ from ._rng import derive_seed, substream
 from .errors import MarkerScreenError, TruthMismatch
 from .ks import DEFAULT_REPLICATES, _ks_columns, _null_table
 from .lr import ScoreTable, _by_row_blocks, _deviance_core, _lr_columns, _sorted_moments
-from .matrix import ExpressionMatrix, rows_per_block
+from .matrix import ExpressionMatrix, regime, rows_per_block
 from .select import SelectionResult, apply_policy, parse_policy
 from .simulate import generate, presets
 
@@ -46,6 +46,9 @@ class EvalRun:
 @dataclass
 class EvalReport:
     runs: list[EvalRun] = field(default_factory=list)
+    # (statistic, preset, the regime's statistic) for each lr or ks run outside
+    # a preset's regime, once each, in plan order
+    off_regime: list[tuple[str, str, str]] = field(default_factory=list)
 
     def aggregate(self) -> list[dict]:
         """Mean sensitivity/FDR per (method, preset), input order, flagged
@@ -157,7 +160,7 @@ def score_matrix(m: ExpressionMatrix, stat: str, replicates: int = DEFAULT_REPLI
 
 def convergence_table(
     n_values=DEFAULT_N_VALUES,
-    replicates: int = 20000,
+    replicates: int = DEFAULT_REPLICATES,
     seed: int = 0,
     alphas=DEFAULT_ALPHAS,
 ) -> list[dict]:
@@ -219,6 +222,7 @@ def benchmark(
     preset, a method that is not stat+policy with a known statistic and a
     policy parse_policy reads at the preset's n (parsed once per preset), and
     ks_replicates too few for the null table of a preset a ks method runs on.
+    The check lists each lr or ks run outside a preset's regime in off_regime.
 
     Per-run seeds derive from (seed, preset, run index) only, so every
     method sees the same matrices and comparisons are paired. Failing runs
@@ -240,19 +244,23 @@ def benchmark(
         if not names or len(set(names)) < len(names):
             raise ValueError(f"need at least one {what}, none repeated: {names}")
     plans = {}  # preset -> (method, table kind, columns step, policy) per method
+    report = EvalReport()
     for preset_name in preset_names:
         if preset_name not in available:
             raise ValueError(f"unknown preset {preset_name!r}")
+        n = available[preset_name].n_per_condition
+        regime_stat = regime(n, n).stat
         plans[preset_name] = plan = []
         for method in methods:
             stat, _, policy_spec = method.partition("+")
             if not policy_spec:
                 raise ValueError(f"method {method!r} must look like 'lr+gap' or 'ttest+bh:0.05'")
-            policy = parse_policy(policy_spec, available[preset_name].n_per_condition)
-            plan.append((method, *_scorer(stat), policy))
+            plan.append((method, *_scorer(stat), parse_policy(policy_spec, n)))
             if stat == "ks":  # the cached table the runs look up
-                _null_table(2 * available[preset_name].n_per_condition, ks_replicates)
-    report = EvalReport()
+                _null_table(2 * n, ks_replicates)
+            off = (stat, preset_name, regime_stat)
+            if stat in ("lr", "ks") and stat != regime_stat and off not in report.off_regime:
+                report.off_regime.append(off)
     for preset_name, plan in plans.items():
         spec = available[preset_name]
         group = max(1, rows_per_block((2 * spec.n_per_condition) ** 2) // spec.p)

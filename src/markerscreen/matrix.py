@@ -39,10 +39,10 @@ def regime(n1: int, n2: int) -> Regime:
 
 
 class _UniqueIds(tuple):
-    """Protein ids already checked to be unique non-empty strs, one per row:
-    the form every ExpressionMatrix holds, and the one a ScoreTable keeps as
-    it is. ingest_matrix checks its ids while it reads, so the matrix keeps
-    them without a second pass."""
+    """Protein ids already checked to be unique non-empty strs, none starting
+    with `#`, one per row: the form every ExpressionMatrix holds, and the one
+    a ScoreTable keeps as it is. ingest_matrix checks its ids while it reads,
+    so the matrix keeps them without a second pass."""
 
 
 def _refuse_comment_ids(ids) -> None:

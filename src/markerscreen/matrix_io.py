@@ -51,13 +51,16 @@ def _read_keyed(path: str, columns: tuple[str, str], flags: tuple[str, str],
 
 def _parse_layout_spec(layout_spec: str | None, sample_names: list[str],
                        file_layout: str | None) -> np.ndarray:
+    """The samples' condition labels: from layout_spec, a sidecar when a file
+    is at that path and inline labels otherwise, or else from the matrix's
+    `# layout:` comment, file_layout, which is always read as labels."""
     if layout_spec is None:
         if file_layout is None:
             raise LayoutError(
                 "no layout given and the matrix file carries no layout comment"
             )
         layout_spec = file_layout
-    if os.path.exists(layout_spec):
+    elif os.path.exists(layout_spec):
         mapping = _read_keyed(layout_spec, ("sample_id", "condition"), ("1", "2"), LayoutError)
         missing = [s for s in sample_names if s not in mapping]
         if missing:
@@ -81,10 +84,10 @@ def _condition_label(token: str) -> int:
 def ingest_matrix(path: str, layout_spec: str | None = None) -> ExpressionMatrix:
     """Read and validate a proteins-as-rows CSV matrix.
 
-    Raises ParseError for structural problems, LayoutError for condition
-    mapping problems, and ValueError naming (protein, sample) for any
-    non-numeric or non-finite cell. A cell is numeric when Python's float()
-    accepts it.
+    Raises ParseError for structural problems (an id starting with `#`, read
+    back as a comment, is one), LayoutError for condition mapping problems,
+    and ValueError naming (protein, sample) for any non-numeric or
+    non-finite cell. A cell is numeric when Python's float() accepts it.
 
     The file is read once, in blocks of rows. Up to its first `"`, a record
     is a line split at every comma, in blocks of rows_per_block(samples)
@@ -92,10 +95,11 @@ def ingest_matrix(path: str, layout_spec: str | None = None) -> ExpressionMatrix
     csv.reader in blocks of rows_per_block(8 * samples), as a str cell
     weighs about eight float64s, and each is rejoined into a line without
     its id. Each block's lines are parsed by one loadtxt call, or cell by
-    cell if loadtxt rejects them or an id is empty or repeats; a value cell
-    holding a comma, a quote or a line break is one loadtxt rejects. Blocks
-    go into one values array, sized when a block does not fit for the rows
-    the bytes left hold at the bytes per row so far.
+    cell if loadtxt rejects them or an id is empty, starts with `#` or
+    repeats; a value cell holding a comma, a quote or a line break is one
+    loadtxt rejects. Blocks go into one values array, sized when a block
+    does not fit for the rows the bytes left hold at the bytes per row so
+    far.
     """
     meta: dict[str, str] = {}
     records = header = None
@@ -139,8 +143,8 @@ def ingest_matrix(path: str, layout_spec: str | None = None) -> ExpressionMatrix
             if not lines:
                 continue
             block = _parse_block(lines, n)
-            new = set(block_ids)
-            if block is None or "" in new or len(new) < len(lines) or not seen.isdisjoint(new):
+            new = set(block_ids)  # "" and ids starting with "#" sort below "$"
+            if block is None or min(new) < "$" or len(new) < len(lines) or not seen.isdisjoint(new):
                 if records is None:
                     rows = [line.rstrip("\r\n").split(",") for line in lines]
                 block_ids, block = _parse_cells(path, header, rows, len(ids), seen)
@@ -226,6 +230,9 @@ def _parse_cells(path: str, header: list[str], rows: list[list[str]], first: int
         pid = row[0].strip()
         if not pid:
             raise ParseError(f"{path}: row {first + i + 2} has an empty protein id")
+        if pid.startswith("#"):
+            raise ParseError(f"{path}: row {first + i + 2} has protein id {pid!r}, which "
+                             "starts with '#' and would read back as a comment")
         if pid in seen:
             raise ParseError(f"{path}: duplicate protein id {pid!r}")
         seen.add(pid)
@@ -269,7 +276,6 @@ def _write_csv(path: str, header_lines, columns, rows: int, block) -> None:
 
 
 def write_matrix(path: str, matrix: ExpressionMatrix, header_lines=()) -> None:
-    _refuse_comment_ids(matrix.protein_ids)  # ingest keeps `#x` from a line ` #x,...`
     _write_csv(path, [*header_lines, "layout: " + ",".join(map(str, matrix.layout.tolist()))],
                ["protein_id"] + [f"s{i + 1:02d}" for i in range(matrix.N)], matrix.p,
                lambda i, j: [matrix.protein_ids[i:j]]

@@ -113,7 +113,7 @@ def _result(scores: ScoreTable, cutoff: float, policy: SelectionPolicy,
     )
 
 
-def _gap(scores: ScoreTable, window: np.ndarray) -> SelectionResult:
+def _gap(scores: ScoreTable, policy: SelectionPolicy, window: np.ndarray) -> SelectionResult:
     """Cut at the largest sudden drop of the descending statistic curve.
 
     Restricted to the top GAP_WINDOW sorted values (window clamped to p
@@ -142,7 +142,7 @@ def _gap(scores: ScoreTable, window: np.ndarray) -> SelectionResult:
             f"no drop with ratio >= {MIN_GAP_RATIO} in the top {w} values"
         )
     cutoff = 0.5 * (top[i] + top[i + 1])  # just below s_i
-    return _result(scores, cutoff, SelectionPolicy(kind="gap_knee"), window)
+    return _result(scores, cutoff, policy, window)
 
 
 def _bh(scores: ScoreTable, q: float, window: np.ndarray) -> SelectionResult:
@@ -175,7 +175,7 @@ def apply_policy(scores: ScoreTable, policy: SelectionPolicy) -> SelectionResult
     if policy.kind == "bh_fdr":
         return _bh(scores, policy.q, window)
     try:
-        return _gap(scores, window)
+        return _gap(scores, policy, window)
     except NoGapFound:
         if policy.q is None:
             raise

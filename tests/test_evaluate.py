@@ -177,6 +177,13 @@ def test_convergence_text_layout():
     assert len(lines) == 3
 
 
+def test_convergence_table_defaults_to_the_calibrate_replicate_count():
+    from markerscreen.cli import RunConfig
+
+    rows = ms.evaluate.convergence_table([3], alphas=[0.05])
+    assert rows[0]["replicates"] == RunConfig("calibrate").replicates
+
+
 # ----------------------------------------------------------------- benchmark
 
 def test_benchmark_is_deterministic_and_paired():
@@ -286,6 +293,16 @@ def test_benchmark_memory_stays_near_one_group():
     finally:
         tracemalloc.stop()
     assert peak < 3.75 * 2**20
+
+
+def test_benchmark_records_each_statistic_outside_its_regime_once_in_plan_order():
+    # ks runs outside the regime on n = 10, lr on n = 3; ttest has no regime
+    rep = ms.evaluate.benchmark(["ks+gap", "lr+gap", "ttest+bh:0.1", "lr+bh", "ks+bh"],
+                                ["water-n10", "water-n3", "human-n10"], runs=1, seed=0,
+                                ks_replicates=1000)
+    assert rep.off_regime == [("ks", "water-n10", "lr"), ("lr", "water-n3", "ks"),
+                              ("ks", "human-n10", "lr")]
+    assert ms.evaluate.benchmark(["ttest+bh"], ["water-n3"], runs=1).off_regime == []
 
 
 def test_benchmark_counting_identity():

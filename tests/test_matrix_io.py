@@ -143,17 +143,38 @@ def test_truth_round_trip(tmp_path):
 
 def test_writers_refuse_an_id_read_back_as_a_comment(tmp_path):
     # csv.reader strips the quotes a writer could add, so quoting cannot save
-    # it; ingest takes `#x` from a line ` #x,...`, which is no comment
+    # it; a matrix cannot hold such an id (ExpressionMatrix and ingest refuse it)
     path = tmp_path / "out.csv"
     with pytest.raises(ValueError, match="'#x' starts with '#'"):
         write_truth(str(path), ("y", "#x"), [True, False])
-    source = tmp_path / "m.csv"
-    source.write_text(HEAD + "y,1,2,3,4\n #x,5,6,7,8\n")
-    m = ingest_matrix(str(source), "1,1,2,2")
-    assert m.protein_ids == ("y", "#x")
-    with pytest.raises(ValueError, match="'#x' starts with '#'"):
-        write_matrix(str(path), m)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("two_row_blocks", [False, True])
+@pytest.mark.parametrize("rows", [
+    "y,1,2,3,4\n #x,5,6,7,8\n",  # lines: ` #x` is no comment, and strips to `#x`
+    '"y,1",1,2,3,4\n #x,5,6,7,8\n',  # csv records from the first quote on
+    'y,1,2,3,4\n" #x",5,6,7,8\n',
+], ids=["lines", "records", "quoted-id"])
+def test_ingest_refuses_an_id_read_back_as_a_comment(tmp_path, monkeypatch, rows,
+                                                     two_row_blocks):
+    if two_row_blocks:
+        monkeypatch.setattr(ms.matrix, "BLOCK_ELEMENTS", 8)
+    source = tmp_path / "m.csv"
+    source.write_text(HEAD + rows)
+    with pytest.raises(ParseError, match="row 3 has protein id '#x', which starts with '#'"):
+        ingest_matrix(str(source), "1,1,2,2")
+
+
+def test_a_layout_comment_is_read_as_labels_never_as_a_path(tmp_path, monkeypatch):
+    # a file named like the comment's labels in the working directory is no sidecar
+    # of the comment; --layout still reads an existing path as one
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "1,1,2,2").write_text("sample_id,condition\ns1,2\ns2,1\ns3,1\ns4,2\n")
+    source = tmp_path / "m.csv"
+    source.write_text("# layout: 1,1,2,2\n" + HEAD + "P1,1,2,3,4\nP2,5,6,7,8\n")
+    assert ingest_matrix(str(source)).layout.tolist() == [1, 1, 2, 2]
+    assert ingest_matrix(str(source), "1,1,2,2").layout.tolist() == [2, 1, 1, 2]
 
 
 # Each fault in both keyed files: a truth file (flags 0, 1; faults raise

@@ -15,12 +15,16 @@ def test_readme_python_api_block_runs_verbatim(capsys):
 
 def test_readme_cli_table_lists_the_flags_each_command_reads():
     # besides --deterministic and --out-dir, which every command takes
-    from markerscreen.cli import _OPTIONS, COMMANDS
+    from dataclasses import fields
+
+    from markerscreen.cli import COMMANDS, RunConfig
+
+    flags = {f.name: f.metadata["flag"] for f in fields(RunConfig) if f.metadata}
 
     table = README.read_text().split("| command | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
     listed = {}
     for command, cell in re.findall(r"^\| `(\w+)` \| (.*) \|$", table, re.M):
         shared = re.findall(r"the `(\w+)` flags", cell)
         listed[command] = sorted(sum((listed[c] for c in shared), re.findall(r"--[\w-]+", cell)))
-    assert listed == {command: sorted(_OPTIONS[setting][0] for setting in settings)
+    assert listed == {command: sorted(flags[setting] for setting in settings)
                       for command, (_, settings) in COMMANDS.items()}

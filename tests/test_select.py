@@ -186,6 +186,14 @@ def test_policy_validation():
         ms.SelectionPolicy(kind="nonsense")
 
 
+def test_a_gap_selection_reports_the_policy_it_applied():
+    vals = [50.0, 48.0, 47.0] + list(np.linspace(2.0, 1.0, 60))
+    policy = ms.parse_policy("gap", 10)
+    res = ms.apply_policy(_scores(vals), policy)
+    assert not res.fallback_used and len(res.selected) == 3
+    assert res.policy == policy  # gap keeps its fallback level q even when unused
+
+
 def test_apply_policy_gap_falls_back_to_bh():
     vals = [100.0 * 1.05 ** (-k) for k in range(120)]
     pvals = list(np.linspace(0.2, 0.9, 120))  # nothing BH-significant
