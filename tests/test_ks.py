@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -183,6 +184,32 @@ def test_scorer_d_uses_the_kernel_cdf_that_acceptance_6_checks(N):
         fitted = norm.cdf((x - x.mean()) / x.std())
         worst = max(worst, abs(ks_d(x) - np.abs(kernel - fitted).max()))
     assert worst <= 1e-14
+
+
+# sha256 of score_matrix(m, "ks", 1000)'s value and p_value bytes for normal,
+# Cauchy, rounded (tied, with -0.0) and chi-square rows, one flat row each:
+# a faster d must not move a bit of either column.
+KS_DIGESTS = {
+    3: "74dad57422a5d429701a594017a2c236dcbc3a8e0673dd029cea9d462640362c",
+    4: "944f03705b3345276941c6278a76f700a3317a120b29f6159a49a9b8c8106bb0",
+    6: "706f5cd86eb132f94cdf551b7c73be0d7f084ec39265276bc7e1c4c9a6bcf7dc",
+    7: "86aef031f4b9c25b0bf5936935bfcafff9935c5cc1ed16e8e5bf29ad8c5d8edb",
+    8: "907fa5e1bfc8902b9f7b00c4c77e9b2b8fa32322aac3a83b4619608579594e10",
+    20: "57e9c379f8be08aba167260af5b160eca7cbe5c96ecff593000cf0332f7d6d30",
+}
+
+
+@pytest.mark.parametrize("N", [3, 4, 6, 7, 8, 20])
+def test_score_matrix_ks_bytes_are_pinned(N):
+    rng = np.random.default_rng(900 + N)
+    digest = hashlib.sha256()
+    for values in (rng.normal(5, 2, (1500, N)), rng.standard_cauchy((1500, N)),
+                   np.round(rng.normal(0, 1, (1500, N))), rng.chisquare(3, (1500, N))):
+        values[700] = values[700, 0]  # flat: the degenerate (masked) path
+        table = score_matrix(_matrix(values, N // 2), "ks", 1000)
+        assert table.degenerate[700]
+        digest.update(table.value.tobytes() + table.p_value.tobytes())
+    assert digest.hexdigest() == KS_DIGESTS[N]
 
 
 def test_d_blocks_memory_stays_below_one_full_kernel():
