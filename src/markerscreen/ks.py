@@ -105,23 +105,27 @@ def _d_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if N < 3:
         raise ValueError("need at least 3 observations")
     mean, ss = _sorted_moments(x)
-    dev = x - mean
     s = np.sqrt(ss / (N - 1))
     d = np.where(np.isfinite(s), 0.0, np.nan)
     h = d.copy()
     scored = np.isfinite(s) & (s != 0.0)
-    if not scored.all():
-        x, dev, ss = x[:, scored], dev[:, scored], ss[scored]
+    if not scored.all():  # compress keeps x C-ordered, as x[:, scored] would not
+        x, mean, ss = x.compress(scored, axis=1), mean[scored], ss[scored]
     h[scored] = h_scored = _bandwidth(x.T, s[scored])
     g = np.repeat(np.arange(N) + 0.5, len(ss)).reshape(N, -1)
+    phi = np.empty_like(g)
     for t in range(1, N):  # the pairs (i, i + t)
-        phi = x[:N - t] - x[t:]
-        phi /= h_scored
-        ndtr(phi, out=phi)
-        g[:N - t] += phi
-        g[t:] -= phi
+        pair = np.subtract(x[:N - t], x[t:], out=phi[:N - t])
+        pair /= h_scored
+        ndtr(pair, out=pair)
+        g[:N - t] += pair
+        g[t:] -= pair
     # the reference normal is fitted with the MLE scale
-    d[scored] = np.abs(g / N - ndtr(dev / np.sqrt(ss / N))).max(axis=0)
+    np.subtract(x, mean, out=phi)
+    phi /= np.sqrt(ss / N)
+    g /= N
+    g -= ndtr(phi, out=phi)
+    d[scored] = np.abs(g, out=g).max(axis=0)
     return d, h, s == 0.0
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateData, RegimeViolation
-from .matrix import ExpressionMatrix, _UniqueIds, regime, rows_per_block
+from .matrix import ExpressionMatrix, _UniqueIds, _unique_ids, regime, rows_per_block
 
 # Variances below 1e-8 x (pooled variance) are clamped. A row is degenerate
 # (carries no information) only when its pooled variance is exactly zero.
@@ -81,7 +81,8 @@ class ScoreTable:
     """Scores of every protein as columns, in matrix row order.
 
     ids is the scored matrix's tuple of protein ids, held as it is; ids
-    given any other way are converted once to a tuple of str. value,
+    given any other way are converted once to a tuple of str, which must be
+    unique, non-empty and not start with `#`, as a matrix's ids. value,
     p_value and degenerate are length-p arrays, held read-only: one that
     already is a read-only array of its dtype owning its data is kept as it
     is, any other is copied. A NaN value or p-value raises ValueError
@@ -106,7 +107,7 @@ class ScoreTable:
             ids = np.array(self.ids, dtype=str)
             if ids.shape != (len(self.ids),):
                 raise ValueError("ids needs one entry per protein id")
-            object.__setattr__(self, "ids", tuple(ids.tolist()))
+            object.__setattr__(self, "ids", _unique_ids(ids.tolist()))
         for name, dtype in (("value", float), ("p_value", float), ("degenerate", bool)):
             column = _read_only(getattr(self, name), dtype)
             if column.shape != (len(self.ids),):
@@ -288,11 +289,13 @@ def _sorted_moments(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the sum of squared deviations, each added over xs row by row (DECISIONS.md
     D18). ss is exactly 0 on a column whose x_0 equals x_{N-1}. Besides xs,
     only column-sized arrays are made."""
-    if len(xs) > 4:
+    if len(xs) > 8 or xs.shape[1] < 16 << len(xs):
         xs.sort(axis=0)
-    else:  # odd-even transposition: cheaper than numpy's sort call per column at N <= 4
+    else:  # odd-even transposition: cheaper than numpy's sort call per column on blocks
+        # of 16 * 2^N rows or more. minimum and maximum return their second argument
+        # on a tie, so a tie is never swapped and the network is stable (±0.0 included)
         for i in (i for k in range(len(xs)) for i in range(k % 2, len(xs) - 1, 2)):
-            xs[i], xs[i + 1] = np.minimum(xs[i], xs[i + 1]), np.maximum(xs[i], xs[i + 1])
+            xs[i], xs[i + 1] = np.minimum(xs[i + 1], xs[i]), np.maximum(xs[i], xs[i + 1])
     mean = _row_sums(xs.T) / len(xs)
     dev = xs[0] - mean
     ss = np.square(dev)  # a square is never -0.0, so no + 0.0 as in _row_sums

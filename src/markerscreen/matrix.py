@@ -52,6 +52,18 @@ def _refuse_comment_ids(ids) -> None:
             raise ValueError(f"protein id {pid!r} starts with '#' and would read back as a comment")
 
 
+def _unique_ids(ids) -> _UniqueIds:
+    """The str ids as a _UniqueIds, after the checks its name promises: ValueError
+    on a duplicate, an empty id or one starting with `#`."""
+    ids = _UniqueIds(ids)
+    if len(set(ids)) != len(ids):
+        raise ValueError("protein_ids must be unique")
+    if "" in ids:
+        raise ValueError("protein_ids must not be empty strings")
+    _refuse_comment_ids(ids)
+    return ids
+
+
 @lru_cache(maxsize=1)
 def _default_ids(p: int) -> _UniqueIds:
     """P0001.. for p proteins, zero-padded to at least four digits. Only the
@@ -93,14 +105,9 @@ class ExpressionMatrix:
         if isinstance(self.protein_ids, _UniqueIds):
             ids = self.protein_ids
         elif self.protein_ids is not None and len(self.protein_ids):
-            ids = _UniqueIds(str(i) for i in self.protein_ids)
+            ids = _unique_ids(str(i) for i in self.protein_ids)
             if len(ids) != values.shape[0]:
                 raise ValueError("protein_ids length must equal protein count")
-            if len(set(ids)) != len(ids):
-                raise ValueError("protein_ids must be unique")
-            if "" in ids:
-                raise ValueError("protein_ids must not be empty strings")
-            _refuse_comment_ids(ids)
         else:
             ids = _default_ids(values.shape[0])
         object.__setattr__(self, "protein_ids", ids)

@@ -324,16 +324,31 @@ def test_score_matrix_holds_about_one_block(layout, p, diagnostics):
     assert peak - held < 1.5 * ms.matrix.BLOCK_ELEMENTS * 8
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 9])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 7, 8, 9])
 def test_sorted_moments_sort_every_width(N):
-    # rows of 4 or fewer go through a min/max network, wider ones through numpy
-    x = np.random.default_rng(N).integers(-3, 4, (500, N)) / 3
-    x[:50] = x[:50, :1]  # constant rows
-    xs = x.T.copy()  # sample-major, sorted in place
-    mean, ss = _sorted_moments(xs)
-    assert np.array_equal(xs, np.sort(x, axis=1).T)
-    assert np.array_equal(ss == 0.0, (x == x[:, :1]).all(axis=1))
-    np.testing.assert_allclose(mean, x.mean(axis=1), rtol=1e-15, atol=1e-15)
+    # Blocks of 16 * 2^N rows or more at N <= 8 go through a min/max network,
+    # the rest through numpy's sort, so these row counts run both sides of
+    # the cut. Compared by bytes, -0.0 is not 0.0: xs must hold numpy's sort
+    # (its stable one where the network runs), and mean and ss the bytes of
+    # sums added sample by sample over numpy's sorted rows.
+    for rows in (1, 100, 1000, 5000):
+        rng = np.random.default_rng(N * rows)
+        x = rng.integers(-3, 4, (rows, N)) / 3
+        x[x == 0.0] = rng.choice([0.0, -0.0], np.count_nonzero(x == 0.0))  # ties of ±0.0
+        x[:rows // 10] = x[:rows // 10, :1]  # constant rows
+        xs = x.T.copy()  # sample-major, sorted in place
+        mean, ss = _sorted_moments(xs)
+        sorts = {np.sort(x, axis=1, kind=kind).T.tobytes() for kind in ("stable", None)}
+        assert xs.tobytes() in sorts
+        columns = np.sort(x, axis=1).T
+        total = 0.0
+        for column in columns:
+            total = total + column
+        mean_ref = total / N
+        ss_ref = sum(np.square(column - mean_ref) for column in columns)
+        ss_ref[columns[0] == columns[-1]] = 0.0
+        assert mean.tobytes() == mean_ref.tobytes() and ss.tobytes() == ss_ref.tobytes()
+        assert np.array_equal(ss == 0.0, (x == x[:, :1]).all(axis=1))
 
 
 def test_score_table_ids_are_read_only():
@@ -356,6 +371,19 @@ def test_score_tables_keep_their_own_explicit_ids():
         assert list(table.ids) == [str(i) for i in ids]
     with pytest.raises(ValueError, match="one entry per protein id"):  # unhashable ids
         ms.ScoreTable((["A"], ["B"]), "deviance_lr", [0.0, 0.0], [1.0, 1.0], [True, True])
+
+
+@pytest.mark.parametrize("ids, refusal", [
+    (("a", "b", "a"), "must be unique"),
+    (("a", "", "c"), "must not be empty strings"),
+    (("a", "#b", "c"), "'#b' starts with '#'"),  # read back, a comment line
+])
+def test_score_tables_refuse_the_ids_a_matrix_refuses(ids, refusal):
+    values = np.arange(30.0).reshape(3, 10) ** 2
+    with pytest.raises(ValueError, match=refusal):
+        ms.ExpressionMatrix(values=values, layout=np.array([1] * 5 + [2] * 5), protein_ids=ids)
+    with pytest.raises(ValueError, match=refusal):
+        ms.ScoreTable(ids, "deviance_lr", [1.0, 2.0, 3.0], [0.1, 0.2, 0.3], [False] * 3)
 
 
 def test_score_tables_hold_the_matrix_ids_tuple_itself():
