@@ -88,8 +88,10 @@ def _d_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sorted in place: (d, h, degenerate) per row, degenerate where the ddof-1
     standard deviation s is 0. d compares the kernel CDF against the normal
     fitted with the MLE variance, at the observed points only.
-    lr._by_row_blocks passes blocks of rows_per_block(N^2) rows, which
-    bounds their N(N-1)/2 pair terms.
+    lr._by_row_blocks passes blocks of rows_per_block(N^2) rows: the N^2
+    width sets bench's group size (D24) and bounds the block's three
+    (N, rows) arrays, x, g and one scratch array that every pair segment
+    and the fitted-normal term are computed in.
 
     Everything comes from the sorted x, held as N contiguous columns
     x_0 <= ... <= x_{N-1} (lr._sorted_moments): the moments, the IQR,

@@ -214,9 +214,8 @@ def test_score_matrix_ks_bytes_are_pinned(N):
 
 def test_d_blocks_memory_stays_below_one_full_kernel():
     # 20,000 x 20 is 31 blocks of 655 rows. Summing pair segments in place
-    # peaks at 0.73 MiB with d, h and degenerate as outputs (0.97 MiB with a
-    # fresh array per segment); building each block's (655, 400) kernel
-    # (2 MiB) peaked at 3.76 MiB.
+    # peaks at 0.73 MiB with d, h and degenerate as outputs; building each
+    # block's (655, 400) kernel (2 MiB) peaked at 3.76 MiB.
     rows = np.random.default_rng(81).normal(0, 1, (20_000, 20))
     tracemalloc.start()
     try:
