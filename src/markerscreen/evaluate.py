@@ -177,10 +177,10 @@ def convergence_table(
         raise ValueError("need at least one n and one alpha")
     if not all(0.0 < a < 1.0 for a in alphas):
         raise ValueError("alpha must lie in (0, 1)")
+    if not all(n >= 2 for n in n_values):  # every n checked before any is drawn
+        raise ValueError("per-condition size must be >= 2")
     rows = []
     for n in n_values:
-        if n < 2:
-            raise ValueError("per-condition size must be >= 2")
         rng = substream(seed, f"null-calibration:{n}")
         draws = rng.standard_normal((replicates, 2 * n))
         dev = _by_row_blocks(draws, np.arange(2 * n), 2 * n, _deviance_core(n))[0]

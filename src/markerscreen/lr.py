@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateData, RegimeViolation
-from .matrix import ExpressionMatrix, _UniqueIds, _unique_ids, regime, rows_per_block
+from .matrix import ExpressionMatrix, _checked_ids, regime, rows_per_block
 
 # Variances below 1e-8 x (pooled variance) are clamped. A row is degenerate
 # (carries no information) only when its pooled variance is exactly zero.
@@ -81,18 +81,17 @@ class ScoreTable:
     """Scores of every protein as columns, in matrix row order.
 
     ids is the scored matrix's tuple of protein ids, held as it is; ids
-    given any other way are converted once to a tuple of str, which must be
-    unique, non-empty and not start with `#`, as a matrix's ids. value,
-    p_value and degenerate are length-p arrays, held read-only: one that
-    already is a read-only array of its dtype owning its data is kept as it
-    is, any other is copied. A NaN value or p-value raises ValueError
-    naming the first such protein. A table holds no ranking: select.py
-    ranks the rows a selection can return or show (DECISIONS.md D17).
-    fits, set only by lr scoring with diagnostics, is a (p, 10) float array
-    of per-row fits with columns mu1, mu2, sigma21, sigma22, w1, w2, split
-    loglik, pooled mu, pooled sigma2, pooled loglik, checked and held
-    read-only like the other columns. len(), table[j] and iteration give
-    ProteinScore row views, built from one list per column.
+    given any other way are converted and checked by the rule a matrix's ids
+    pass (matrix._checked_ids). value, p_value and degenerate are length-p
+    arrays, held read-only: one that already is a read-only array of its
+    dtype owning its data is kept as it is, any other is copied. A NaN value
+    or p-value raises ValueError naming the first such protein. A table
+    holds no ranking: select.py ranks the rows a selection can return or
+    show (DECISIONS.md D17). fits, set only by lr scoring with diagnostics,
+    is a (p, 10) float array of per-row fits with columns mu1, mu2, sigma21,
+    sigma22, w1, w2, split loglik, pooled mu, pooled sigma2, pooled loglik,
+    checked and held read-only like the other columns. len(), table[j] and
+    iteration give ProteinScore row views, built from one list per column.
     """
 
     ids: tuple[str, ...]
@@ -103,11 +102,7 @@ class ScoreTable:
     fits: np.ndarray | None = None
 
     def __post_init__(self):
-        if not isinstance(self.ids, _UniqueIds):
-            ids = np.array(self.ids, dtype=str)
-            if ids.shape != (len(self.ids),):
-                raise ValueError("ids needs one entry per protein id")
-            object.__setattr__(self, "ids", _unique_ids(ids.tolist()))
+        object.__setattr__(self, "ids", _checked_ids(self.ids))
         for name, dtype in (("value", float), ("p_value", float), ("degenerate", bool)):
             column = _read_only(getattr(self, name), dtype)
             if column.shape != (len(self.ids),):

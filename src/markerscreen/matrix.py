@@ -40,27 +40,27 @@ def regime(n1: int, n2: int) -> Regime:
 
 class _UniqueIds(tuple):
     """Protein ids already checked to be unique non-empty strs, none starting
-    with `#`, one per row: the form every ExpressionMatrix holds, and the one
-    a ScoreTable keeps as it is. ingest_matrix checks its ids while it reads,
-    so the matrix keeps them without a second pass."""
+    with `#`, one per row: the form every ExpressionMatrix and ScoreTable holds,
+    made by _checked_ids. ingest_matrix checks its ids while it reads, so the
+    matrix keeps them without a second pass."""
 
 
-def _refuse_comment_ids(ids) -> None:
-    """Raise ValueError naming the first id that starts with `#`: read back, it is a comment."""
-    for pid in ids:
-        if pid.startswith("#"):
-            raise ValueError(f"protein id {pid!r} starts with '#' and would read back as a comment")
-
-
-def _unique_ids(ids) -> _UniqueIds:
-    """The str ids as a _UniqueIds, after the checks its name promises: ValueError
-    on a duplicate, an empty id or one starting with `#`."""
-    ids = _UniqueIds(ids)
+def _checked_ids(ids) -> _UniqueIds:
+    """A caller's protein ids as a _UniqueIds: one kept as it is, any other converted once with
+    np.array(ids, dtype=str); ValueError on an id that is a sequence, repeated, empty or `#`-led."""
+    if isinstance(ids, _UniqueIds):
+        return ids
+    array = np.array(ids, dtype=str)  # ids of ragged nesting raise ValueError here
+    if array.shape != (len(ids),):
+        raise ValueError("protein_ids must hold one entry per protein id, none a sequence")
+    ids = _UniqueIds(array.tolist())
     if len(set(ids)) != len(ids):
         raise ValueError("protein_ids must be unique")
     if "" in ids:
         raise ValueError("protein_ids must not be empty strings")
-    _refuse_comment_ids(ids)
+    for pid in ids:
+        if pid.startswith("#"):
+            raise ValueError(f"protein id {pid!r} starts with '#' and would read back as a comment")
     return ids
 
 
@@ -78,9 +78,9 @@ class ExpressionMatrix:
 
     values: (p, N) float array, one row per protein.
     layout: length-N int array of condition labels, each 1 or 2.
-    protein_ids: optional names, held as a tuple of unique non-empty strs,
-        none starting with `#`; P0001.. when omitted, formatted once per p
-        and shared by every matrix of that p.
+    protein_ids: optional names, exactly one per row, made a _UniqueIds by the
+        rule a ScoreTable and write_truth share (_checked_ids); P0001.. when
+        omitted, formatted once per p and shared by every matrix of that p.
     """
 
     values: np.ndarray
@@ -102,14 +102,12 @@ class ExpressionMatrix:
             raise ValueError("both conditions need at least one sample")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "layout", layout)
-        if isinstance(self.protein_ids, _UniqueIds):
-            ids = self.protein_ids
-        elif self.protein_ids is not None and len(self.protein_ids):
-            ids = _unique_ids(str(i) for i in self.protein_ids)
-            if len(ids) != values.shape[0]:
-                raise ValueError("protein_ids length must equal protein count")
-        else:
+        if self.protein_ids is None or not len(self.protein_ids):
             ids = _default_ids(values.shape[0])
+        else:
+            ids = _checked_ids(self.protein_ids)
+        if len(ids) != values.shape[0]:
+            raise ValueError("protein_ids length must equal protein count")
         object.__setattr__(self, "protein_ids", ids)
 
     @property

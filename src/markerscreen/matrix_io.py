@@ -18,7 +18,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import LayoutError, ParseError
-from .matrix import ExpressionMatrix, _UniqueIds, _refuse_comment_ids, rows_per_block
+from .matrix import ExpressionMatrix, _checked_ids, _UniqueIds, rows_per_block
 
 _QUOTED_CHARS = frozenset(',"\r\n')  # csv.writer quotes a cell holding any of these
 
@@ -283,7 +283,8 @@ def write_matrix(path: str, matrix: ExpressionMatrix, header_lines=()) -> None:
 
 
 def write_truth(path: str, protein_ids, truth, header_lines=()) -> None:
-    _refuse_comment_ids(protein_ids)
+    """One row per protein id and its 0/1 flag; ids pass matrix._checked_ids, as read_truth needs."""
+    protein_ids = _checked_ids(protein_ids)
     if len(truth) != len(protein_ids):
         raise ValueError(f"{len(truth)} truth flags for {len(protein_ids)} protein ids")
     _write_csv(path, header_lines, ["protein_id", "is_true"], len(protein_ids),

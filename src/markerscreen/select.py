@@ -197,10 +197,14 @@ def parse_policy(spec: str, n_per_condition: int) -> SelectionPolicy:
     name, colon, arg = spec.partition(":")
     if spec in ("gap", "gap:strict"):
         return SelectionPolicy(kind="gap_knee", q=default_q if spec == "gap" else None)
+    try:
+        number = float(arg) if colon else default_q
+    except ValueError:  # not a number: refused below, naming the token
+        name = ""
     if name == "bh":
-        return SelectionPolicy(kind="bh_fdr", q=float(arg) if colon else default_q)
+        return SelectionPolicy(kind="bh_fdr", q=number)
     if name == "fixed" and colon:
-        return SelectionPolicy(kind="fixed_cutoff", c=float(arg))
+        return SelectionPolicy(kind="fixed_cutoff", c=number)
     raise ValueError(
         f"unknown policy {spec!r}; expected fixed:<c>, gap, gap:strict or bh:<q>"
     )

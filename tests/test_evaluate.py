@@ -169,6 +169,15 @@ def test_convergence_monte_carlo_consistency():
         assert abs(p_small[alpha] - p_big[alpha]) < 4.0 * se + 1e-3
 
 
+def test_convergence_table_checks_every_n_before_drawing(monkeypatch):
+    calls = []
+    real = ms.evaluate.substream
+    monkeypatch.setattr(ms.evaluate, "substream", lambda *a: calls.append(a) or real(*a))
+    with pytest.raises(ValueError, match="per-condition size must be >= 2"):
+        ms.evaluate.convergence_table([30, 1], replicates=2000)
+    assert calls == []  # n = 30 drew nothing before n = 1 was refused
+
+
 def test_convergence_text_layout():
     rows = ms.evaluate.convergence_table([5, 10], replicates=2000, seed=0)
     text = ms.evaluate.convergence_text(rows)

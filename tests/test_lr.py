@@ -11,6 +11,7 @@ from markerscreen._rng import substream
 from markerscreen.errors import DegenerateData, RegimeViolation
 from markerscreen.evaluate import score_matrix
 from markerscreen.lr import _deviance_core, _sorted_moments
+from markerscreen.matrix_io import write_truth
 
 from _oracles import (
     deviance_column_major_reference,
@@ -373,17 +374,33 @@ def test_score_tables_keep_their_own_explicit_ids():
         ms.ScoreTable((["A"], ["B"]), "deviance_lr", [0.0, 0.0], [1.0, 1.0], [True, True])
 
 
+_TWO_IDS = ms.ExpressionMatrix(values=np.zeros((2, 2)), layout=np.array([1, 2]),
+                               protein_ids=("x", "y")).protein_ids  # another matrix's ids
+_TWO_FOR_THREE = ("protein_ids length must equal protein count",  # matrix, table, truth file
+                  "value needs one entry per protein id", "3 truth flags for 2 protein ids")
+
+
 @pytest.mark.parametrize("ids, refusal", [
     (("a", "b", "a"), "must be unique"),
     (("a", "", "c"), "must not be empty strings"),
     (("a", "#b", "c"), "'#b' starts with '#'"),  # read back, a comment line
+    (("a", ("b", "c"), "d"), "sequence"),  # an id that is itself a sequence
+    ((("a",), ("b",), ("c",)), "one entry per protein id, none a sequence"),
+    (["x", "y"], _TWO_FOR_THREE),
+    (_TWO_IDS, _TWO_FOR_THREE),  # held as it is, and still counted
 ])
-def test_score_tables_refuse_the_ids_a_matrix_refuses(ids, refusal):
+def test_score_tables_refuse_the_ids_a_matrix_refuses(tmp_path, ids, refusal):
+    # one rule (matrix._checked_ids) decides the ids of a matrix, a table and a truth file
+    in_matrix, in_table, in_truth = refusal if isinstance(refusal, tuple) else (refusal,) * 3
     values = np.arange(30.0).reshape(3, 10) ** 2
-    with pytest.raises(ValueError, match=refusal):
+    with pytest.raises(ValueError, match=in_matrix):
         ms.ExpressionMatrix(values=values, layout=np.array([1] * 5 + [2] * 5), protein_ids=ids)
-    with pytest.raises(ValueError, match=refusal):
+    with pytest.raises(ValueError, match=in_table):
         ms.ScoreTable(ids, "deviance_lr", [1.0, 2.0, 3.0], [0.1, 0.2, 0.3], [False] * 3)
+    path = tmp_path / "truth.csv"
+    with pytest.raises(ValueError, match=in_truth):
+        write_truth(str(path), ids, [True, False, True])
+    assert not path.exists()  # read_truth could not read it back
 
 
 def test_score_tables_hold_the_matrix_ids_tuple_itself():

@@ -221,9 +221,12 @@ def test_parse_policy_table(spec, n, policy):
     assert ms.parse_policy(spec, n) == policy
 
 
-@pytest.mark.parametrize("spec", ["", "gap:loose", "fixed", "fixed:-1", "bh:2", "bh:x"])
+@pytest.mark.parametrize("spec", ["", "gap:loose", "fixed", "fixed:-1", "bh:2", "bh:x",
+                                  "bh:", "fixed:", "fixed:abc"])
 def test_parse_policy_rejects_malformed_tokens(spec):
-    with pytest.raises(ValueError):
+    # a number out of range keeps SelectionPolicy's message; any other token is named
+    refusal = {"fixed:-1": "fixed_cutoff needs c > 0", "bh:2": r"bh_fdr needs q in \(0, 1\)"}
+    with pytest.raises(ValueError, match=refusal.get(spec, f"^unknown policy {spec!r}; expected")):
         ms.parse_policy(spec, 10)
 
 
