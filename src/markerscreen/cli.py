@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__
 from .errors import MarkerScreenError, NoGapFound, ParseError, RegimeViolation
 from .evaluate import DEFAULT_REPLICATES, benchmark, convergence_table, convergence_text, score_matrix
-from .matrix import regime
+from .matrix import LR_MIN_N, regime
 from .matrix_io import (
     ingest_matrix,
     write_matrix,
@@ -166,6 +166,7 @@ def cmd_score(cfg: RunConfig) -> int:
 
 
 def cmd_select(cfg: RunConfig) -> int:
+    parse_policy(cfg.policy, LR_MIN_N)  # checked before ingest; only the default q needs n
     matrix, scores, stat = _score(cfg)
     policy = parse_policy(cfg.policy, min(matrix.n1, matrix.n2))
     result = apply_policy(scores, _deviance_policy(policy, stat, cfg.cutoff_scale))

@@ -12,9 +12,9 @@ class MarkerScreenError(Exception):
 
 class DegenerateData(MarkerScreenError):
     """A single row carries no usable variation (e.g. all values identical).
-    Raised by fit_pooled_normal (so also fit_mixture_fixed_weights) and
-    select_bandwidth. Matrix-level scorers never raise it: they flag such
-    rows degenerate in their ScoreTable."""
+    Raised by fit_pooled_normal (so also fit_mixture_fixed_weights).
+    Matrix-level scorers never raise it: they flag such rows degenerate in
+    their ScoreTable."""
 
     category = "degenerate-data"
 

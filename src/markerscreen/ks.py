@@ -18,25 +18,15 @@ Lilliefors' published table, that null depends only on N: one table per
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr
 
 from ._rng import substream
-from .errors import DegenerateData
 from .lr import _by_row_blocks, _sorted_moments
 
 DEFAULT_REPLICATES = 10000
-
-
-@dataclass
-class KernelEstimate:
-    """Gaussian kernel located at the observed points with one bandwidth."""
-
-    centers: np.ndarray
-    bandwidth: float
 
 
 def _sorted_quantile(xs: np.ndarray, q: float) -> np.ndarray:
@@ -50,37 +40,12 @@ def _sorted_quantile(xs: np.ndarray, q: float) -> np.ndarray:
 
 
 def _bandwidth(xs: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Gaussian-reference bandwidth of each sorted (m, N) row; see select_bandwidth."""
+    """Gaussian-reference bandwidth of each sorted (m, N) row with ddof-1
+    standard deviation s, minimizing mean integrated squared error:
+    h = 1.06 * min(s, IQR/1.349) * N^(-1/5), or s alone where the IQR is 0."""
     iqr = _sorted_quantile(xs, 0.75) - _sorted_quantile(xs, 0.25)
     scale = np.where(iqr > 0, np.minimum(s, iqr / 1.349), s)
     return 1.06 * scale * xs.shape[1] ** (-1.0 / 5.0)
-
-
-def select_bandwidth(x) -> float:
-    """Gaussian-reference bandwidth minimizing mean integrated squared error.
-
-    h = 1.06 * min(s, IQR/1.349) * N^(-1/5), with s the ddof-1 standard
-    deviation. When the IQR collapses to 0 but s > 0, s alone is used.
-    x is one pooled sample of at least 3 observations.
-    """
-    x = np.array(x, dtype=float).reshape(-1, 1)  # sample-major, sorted in place
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite observations")
-    _, h, degenerate = _d_rows(x)
-    if degenerate[0]:
-        raise DegenerateData("zero sample standard deviation")
-    if np.isnan(h[0]):
-        raise ValueError("sample standard deviation overflows")
-    return float(h[0])
-
-
-def kernel_cdf(est: KernelEstimate, t):
-    """CDF of the kernel estimate: mean of Phi((t - x_k)/h) over centers."""
-    if not (np.isfinite(est.bandwidth) and est.bandwidth > 0 and np.all(np.isfinite(est.centers))):
-        raise ValueError("bandwidth must be positive and finite, and centers finite")
-    t = np.asarray(t, dtype=float)
-    z = (t[..., None] - est.centers) / est.bandwidth
-    return ndtr(z).mean(axis=-1)
 
 
 def _d_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -39,17 +39,20 @@ def regime(n1: int, n2: int) -> Regime:
 
 
 class _UniqueIds(tuple):
-    """Protein ids already checked to be unique non-empty strs, none starting
-    with `#`, one per row: the form every ExpressionMatrix and ScoreTable holds,
-    made by _checked_ids. ingest_matrix checks its ids while it reads, so the
-    matrix keeps them without a second pass."""
+    """Protein ids already checked to be unique non-empty strs, none starting with `#` or
+    holding a NUL, one per row: the form every ExpressionMatrix and ScoreTable holds,
+    made by _checked_ids. ingest_matrix checks its ids while it reads, so the matrix
+    keeps them without a second pass."""
 
 
 def _checked_ids(ids) -> _UniqueIds:
     """A caller's protein ids as a _UniqueIds: one kept as it is, any other converted once with
-    np.array(ids, dtype=str); ValueError on an id that is a sequence, repeated, empty or `#`-led."""
+    np.array(ids, dtype=str); ValueError on an id that is a sequence, repeated, empty or `#`-led,
+    or holds a NUL, which that conversion would drop from the end of a str."""
     if isinstance(ids, _UniqueIds):
         return ids
+    if any("\x00" in pid for pid in ids if isinstance(pid, str)):
+        raise ValueError("protein_ids must not hold NUL characters")
     array = np.array(ids, dtype=str)  # ids of ragged nesting raise ValueError here
     if array.shape != (len(ids),):
         raise ValueError("protein_ids must hold one entry per protein id, none a sequence")

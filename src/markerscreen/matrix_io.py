@@ -89,17 +89,16 @@ def ingest_matrix(path: str, layout_spec: str | None = None) -> ExpressionMatrix
     and ValueError naming (protein, sample) for any non-numeric or
     non-finite cell. A cell is numeric when Python's float() accepts it.
 
-    The file is read once, in blocks of rows. Up to its first `"`, a record
-    is a line split at every comma, in blocks of rows_per_block(samples)
-    lines. From the line holding the first `"` on, records are read by
-    csv.reader in blocks of rows_per_block(8 * samples), as a str cell
-    weighs about eight float64s, and each is rejoined into a line without
-    its id. Each block's lines are parsed by one loadtxt call, or cell by
-    cell if loadtxt rejects them or an id is empty, starts with `#` or
-    repeats; a value cell holding a comma, a quote or a line break is one
-    loadtxt rejects. Blocks go into one values array, sized when a block
-    does not fit for the rows the bytes left hold at the bytes per row so
-    far.
+    The file is read once, in blocks of rows. Up to its first `"`, a record is a
+    line split at every comma, in blocks of rows_per_block(samples) lines. From
+    the line holding the first `"` on, records are read by csv.reader in blocks
+    of rows_per_block(8 * samples), as a str cell weighs about eight float64s,
+    and each is rejoined into a line without its id. Each block's lines are
+    parsed by one loadtxt call, or cell by cell if loadtxt rejects them or an id
+    is empty, starts with `#`, holds a NUL or repeats; a value cell holding a
+    comma, a quote or a line break is one loadtxt rejects. Blocks go into one
+    values array, sized when a block does not fit for the rows the bytes left
+    hold at the bytes per row so far.
     """
     meta: dict[str, str] = {}
     records = header = None
@@ -144,7 +143,8 @@ def ingest_matrix(path: str, layout_spec: str | None = None) -> ExpressionMatrix
                 continue
             block = _parse_block(lines, n)
             new = set(block_ids)  # "" and ids starting with "#" sort below "$"
-            if block is None or min(new) < "$" or len(new) < len(lines) or not seen.isdisjoint(new):
+            if (block is None or min(new) < "$" or "\x00" in "".join(new) or len(new) < len(lines)
+                    or not seen.isdisjoint(new)):
                 if records is None:
                     rows = [line.rstrip("\r\n").split(",") for line in lines]
                 block_ids, block = _parse_cells(path, header, rows, len(ids), seen)
@@ -233,6 +233,8 @@ def _parse_cells(path: str, header: list[str], rows: list[list[str]], first: int
         if pid.startswith("#"):
             raise ParseError(f"{path}: row {first + i + 2} has protein id {pid!r}, which "
                              "starts with '#' and would read back as a comment")
+        if "\x00" in pid:
+            raise ParseError(f"{path}: row {first + i + 2} has protein id {pid!r}, which holds a NUL")
         if pid in seen:
             raise ParseError(f"{path}: duplicate protein id {pid!r}")
         seen.add(pid)

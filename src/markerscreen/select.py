@@ -57,10 +57,6 @@ class SelectionResult:
     policy: SelectionPolicy
     fallback_used: bool = False
 
-    @property
-    def selected_set(self) -> frozenset:
-        return frozenset(self.selected)
-
 
 def _rank(scores: ScoreTable, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """The row indices `rows`, which callers pass in ascending order (as

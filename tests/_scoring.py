@@ -5,7 +5,7 @@ import numpy as np
 
 import markerscreen as ms
 from markerscreen.evaluate import score_matrix
-from markerscreen.ks import _mc_pvalue, _null_table
+from markerscreen.ks import _d_rows, _mc_pvalue, _null_table
 from markerscreen.lr import _deviance_core
 
 KS_REPLICATES = 1000  # d does not depend on the null table; the smallest is cheapest
@@ -32,6 +32,13 @@ def lr_row(x, n1: int, n2: int) -> ms.ProteinScore:
 def ks_d(x) -> float:
     """The ks statistic d of one pooled sample: the one-row matrix through score_matrix."""
     return float(score_matrix(one_row(x, len(x) // 2), "ks", KS_REPLICATES).value[0])
+
+
+def ks_dh(x) -> tuple[float, float, bool]:
+    """(d, h, degenerate) of one pooled sample from ks._d_rows, the kernel every ks
+    score runs: d, its Gaussian-reference bandwidth h, and whether the sample is flat."""
+    d, h, degenerate = _d_rows(np.array(x, dtype=float).reshape(-1, 1))  # sorted in place
+    return float(d[0]), float(h[0]), bool(degenerate[0])
 
 
 def ks_p(d: float, N: int, replicates: int) -> float:

@@ -13,17 +13,17 @@ import pytest
 
 import markerscreen as ms
 import markerscreen.evaluate
-import markerscreen.ks
 from markerscreen.errors import NoGapFound
 from markerscreen.evaluate import score_matrix
 
 from _oracles import (
+    bandwidth_oracle,
     grid_best_mixture_loglik,
-    kernel_cdf_oracle,
+    ks_d_oracle,
     welch_oracle,
 )
 from _policies import select
-from _scoring import ks_d, lr_row
+from _scoring import ks_d, ks_dh, lr_row
 
 RESULTS = []
 
@@ -177,12 +177,11 @@ def test_06_oracle_equivalence():
             em_misses += 1
         em_worst = max(em_worst, grid - fit.loglik)
 
-        h = ms.ks.select_bandwidth(x)
-        est = ms.ks.KernelEstimate(centers=x, bandwidth=h)
-        t = float(rng.normal(0, 2))
-        kernel_worst = max(
-            kernel_worst,
-            abs(float(ms.ks.kernel_cdf(est, t)) - kernel_cdf_oracle(x, h, t)))
+        d, h, _ = ks_dh(x)  # the kernel every ks score runs
+        # t, the point a kernel CDF was once checked at, is still drawn:
+        # without it, instances 2-100 would be other draws
+        rng.normal(0, 2)
+        kernel_worst = max(kernel_worst, abs(d - ks_d_oracle(x)), abs(h - bandwidth_oracle(x)))
 
         t_ref, _, p_ref = welch_oracle(x[:n1], x[n1:])
         row = ms.ExpressionMatrix(
@@ -195,7 +194,7 @@ def test_06_oracle_equivalence():
 
     ok = em_worst <= 1e-3 and kernel_worst <= 1e-9 and welch_worst <= 1e-9
     detail = (f"EM vs lattice: {100 - em_misses}/100 within 1e-3, worst gap "
-              f"{em_worst:.2e}; kernel cdf worst {kernel_worst:.2e}, Welch "
+              f"{em_worst:.2e}; ks d and h worst {kernel_worst:.2e}, Welch "
               f"worst {welch_worst:.2e} (caps 1e-9)")
     line = record(6, "oracle equivalence on 100 small instances", ok, detail)
     if not ok:

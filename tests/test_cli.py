@@ -341,6 +341,15 @@ def test_exit_2_on_a_nan_fixed_cutoff(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_select_checks_its_policy_before_reading_the_input(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert run_cli("select", "--input", str(missing), "--policy", "bh:",
+                   "--out-dir", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "unknown policy 'bh:'" in err and str(missing) not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_2_on_oversized_csv_field(tmp_path, capsys):
     # csv.reader's field limit (131,072 characters) is a parse error, not a crash
     long_id = "P" * 200_000

@@ -1,5 +1,4 @@
 import hashlib
-import math
 import tracemalloc
 import warnings
 
@@ -11,35 +10,34 @@ import markerscreen as ms
 import markerscreen.evaluate
 import markerscreen.ks
 from markerscreen.cli import RunConfig
-from markerscreen.errors import DegenerateData
 from markerscreen.evaluate import score_matrix
 from markerscreen.ks import _d_rows, _mc_pvalue, _null_table, _sorted_quantile
 from markerscreen.lr import _by_row_blocks
 
 from _oracles import bandwidth_oracle, kernel_cdf_oracle, ks_d_oracle, ks_kernel_mean_reference
-from _scoring import ks_d, ks_p
+from _scoring import ks_d, ks_dh, ks_p
 
 
 # ---------------------------------------------------------------- bandwidth
+# h is read from ks._d_rows, the kernel every ks score runs (tests/_scoring.py)
 
 def test_bandwidth_matches_direct_formula():
     rng = np.random.default_rng(6)
     x = rng.standard_normal(6)
     ref = bandwidth_oracle(x)
-    assert abs(ms.ks.select_bandwidth(x) - ref) < 1e-12
+    assert abs(ks_dh(x)[1] - ref) < 1e-12
 
 
 def test_bandwidth_scale_equivariance():
     rng = np.random.default_rng(13)
     x = rng.standard_normal(8)
-    h = ms.ks.select_bandwidth(x)
+    h = ks_dh(x)[1]
     for c in (0.1, 3.0, 250.0):
-        assert ms.ks.select_bandwidth(c * x) == pytest.approx(c * h, rel=1e-12)
+        assert ks_dh(c * x)[1] == pytest.approx(c * h, rel=1e-12)
 
 
-def test_bandwidth_constant_sample_raises():
-    with pytest.raises(DegenerateData):
-        ms.ks.select_bandwidth([1.0, 1.0, 1.0])
+def test_bandwidth_constant_sample_is_degenerate():
+    assert ks_dh([1.0, 1.0, 1.0]) == (0.0, 0.0, True)
 
 
 @pytest.mark.parametrize("N", range(3, 31))
@@ -53,66 +51,24 @@ def test_sorted_row_quantiles_match_percentile(N):
 
 
 def test_single_sample_rejects_non_finite_or_overflowing_spread():
+    # the kernel gives d = h = NaN and no degenerate flag; a one-row matrix refuses
+    # a non-finite cell, and its score table the NaN d of an overflowing spread
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in ([1.0, 2.0, np.nan], [1.0, 2.0, 4.0, np.inf], [1e200, 0.0, 1.0, 2.0]):
+            d, h, degenerate = ks_dh(x)
+            assert np.isnan(d) and np.isnan(h) and not degenerate
     for x in ([1.0, 2.0, np.nan], [1.0, 2.0, 4.0, np.inf]):
         with pytest.raises(ValueError, match="non-finite"):
-            ms.ks.select_bandwidth(x)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
-        ms.ks.select_bandwidth([1e200, 0.0, 1.0, 2.0])
+            ks_d(x)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="scored NaN"):
+        ks_d([1e200, 0.0, 1.0, 2.0])
 
 
 def test_bandwidth_zero_iqr_falls_back_to_sd():
     # more than half the points tied: IQR = 0 but s > 0
     x = np.array([5.0, 5.0, 5.0, 5.0, 5.0, 9.0])
     s = float(np.std(x, ddof=1))
-    assert ms.ks.select_bandwidth(x) == pytest.approx(1.06 * s * 6 ** (-0.2))
-
-
-# --------------------------------------------------------------- kernel CDF
-
-def test_kernel_cdf_symmetry_half():
-    est = ms.ks.KernelEstimate(centers=np.array([-2.0, -1.0, 1.0, 2.0]),
-                               bandwidth=0.7)
-    assert ms.ks.kernel_cdf(est, 0.0) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_kernel_cdf_upper_limit():
-    est = ms.ks.KernelEstimate(centers=np.array([0.0, 4.0, -3.0]), bandwidth=1.0)
-    assert ms.ks.kernel_cdf(est, 1e9) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_kernel_cdf_single_center_is_normal_cdf():
-    ref = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))  # 0.8413...
-    est = ms.ks.KernelEstimate(centers=np.array([0.0]), bandwidth=1.0)
-    assert ms.ks.kernel_cdf(est, 1.0) == pytest.approx(ref, abs=1e-12)
-    assert ref == pytest.approx(0.8413447460685429)
-
-
-def test_kernel_cdf_matches_loop_oracle():
-    rng = np.random.default_rng(23)
-    centers = rng.normal(2.0, 3.0, 9)
-    h = 0.9
-    est = ms.ks.KernelEstimate(centers=centers, bandwidth=h)
-    for t in (-1.0, 0.0, 2.5, 7.0):
-        ref = kernel_cdf_oracle(centers, h, t)
-        assert abs(float(ms.ks.kernel_cdf(est, t)) - ref) < 1e-12
-
-
-def test_kernel_cdf_rejects_a_bad_bandwidth_or_center():
-    centers = np.array([0.0, 1.0, 2.0])
-    for h in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
-            ms.ks.kernel_cdf(ms.ks.KernelEstimate(centers=centers, bandwidth=h), 0.5)
-    with pytest.raises(ValueError, match="centers finite"):
-        ms.ks.kernel_cdf(ms.ks.KernelEstimate(centers=np.array([0.0, np.nan, 2.0]),
-                                              bandwidth=1.0), 0.5)
-
-
-def test_kernel_cdf_monotone_on_grid():
-    rng = np.random.default_rng(31)
-    est = ms.ks.KernelEstimate(centers=rng.normal(0, 1, 7), bandwidth=0.5)
-    grid = np.linspace(-4, 4, 200)
-    vals = ms.ks.kernel_cdf(est, grid)
-    assert np.all(np.diff(vals) >= 0)
+    assert ks_dh(x)[1] == pytest.approx(1.06 * s * 6 ** (-0.2))
 
 
 # ------------------------------------------------------------- d statistic
@@ -122,7 +78,7 @@ def test_ks_d_matches_loop_oracle():
     x = rng.normal(1.0, 2.0, 6)
     ref = ks_d_oracle(x)
     assert abs(ks_d(x) - ref) < 1e-12
-    assert ms.ks.select_bandwidth(x) == pytest.approx(bandwidth_oracle(x))
+    assert ks_dh(x)[1] == pytest.approx(bandwidth_oracle(x))
 
 
 @pytest.mark.parametrize("N", [3, 4, 6, 8, 20])
@@ -168,9 +124,10 @@ def test_d_rows_match_the_full_kernel_reference(N):
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6, 8, 10, 20, 40])
 def test_scorer_d_uses_the_kernel_cdf_that_acceptance_6_checks(N):
-    # d, summed from pair segments, against kernel_cdf at the sample points
-    # minus the fitted normal. Rows are centred near 0: far from it in sd
-    # units the mean's rounding dominates d's error (DECISIONS.md D18).
+    # d, summed from pair segments, against kernel_cdf_oracle (the loop
+    # acceptance 6's ks_d_oracle sums) at the sample points, with the oracle's
+    # bandwidth, minus the fitted normal. Rows are centred near 0: far from it
+    # in sd units the mean's rounding dominates d's error (DECISIONS.md D18).
     rng = np.random.default_rng(400 + N)
     rows = np.vstack([
         rng.normal(0, 1, (50, N)),
@@ -179,8 +136,8 @@ def test_scorer_d_uses_the_kernel_cdf_that_acceptance_6_checks(N):
     ])
     worst = 0.0
     for x in rows[np.ptp(rows, axis=1) > 0]:
-        est = ms.ks.KernelEstimate(centers=x, bandwidth=ms.ks.select_bandwidth(x))
-        kernel = ms.ks.kernel_cdf(est, x)
+        h = bandwidth_oracle(x)
+        kernel = np.array([kernel_cdf_oracle(x, h, t) for t in x])
         fitted = norm.cdf((x - x.mean()) / x.std())
         worst = max(worst, abs(ks_d(x) - np.abs(kernel - fitted).max()))
     assert worst <= 1e-14

@@ -388,6 +388,8 @@ _TWO_FOR_THREE = ("protein_ids length must equal protein count",  # matrix, tabl
     ((("a",), ("b",), ("c",)), "one entry per protein id, none a sequence"),
     (["x", "y"], _TWO_FOR_THREE),
     (_TWO_IDS, _TWO_FOR_THREE),  # held as it is, and still counted
+    (("a\x00", "b", "c"), "must not hold NUL"),  # np.array(ids, dtype=str) would drop it
+    (("a", "a\x00", "c"), "must not hold NUL"),  # not refused as a repeat of "a"
 ])
 def test_score_tables_refuse_the_ids_a_matrix_refuses(tmp_path, ids, refusal):
     # one rule (matrix._checked_ids) decides the ids of a matrix, a table and a truth file

@@ -166,6 +166,22 @@ def test_ingest_refuses_an_id_read_back_as_a_comment(tmp_path, monkeypatch, rows
         ingest_matrix(str(source), "1,1,2,2")
 
 
+@pytest.mark.parametrize("two_row_blocks", [False, True])
+@pytest.mark.parametrize("rows", [
+    "y,1,2,3,4\na\x00,5,6,7,8\n",  # lines
+    '"y,1",1,2,3,4\na\x00,5,6,7,8\n',  # csv records from the first quote on
+    'y,1,2,3,4\n"a\x00",5,6,7,8\n',
+], ids=["lines", "records", "quoted-id"])
+def test_ingest_refuses_an_id_holding_a_nul(tmp_path, monkeypatch, rows, two_row_blocks):
+    # as ExpressionMatrix does: its id conversion would drop a trailing NUL
+    if two_row_blocks:
+        monkeypatch.setattr(ms.matrix, "BLOCK_ELEMENTS", 8)
+    source = tmp_path / "m.csv"
+    source.write_text(HEAD + rows)
+    with pytest.raises(ParseError, match=r"row 3 has protein id 'a\\x00', which holds a NUL"):
+        ingest_matrix(str(source), "1,1,2,2")
+
+
 def test_a_layout_comment_is_read_as_labels_never_as_a_path(tmp_path, monkeypatch):
     # a file named like the comment's labels in the working directory is no sidecar
     # of the comment; --layout still reads an existing path as one

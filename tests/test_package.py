@@ -1,7 +1,7 @@
 """The package's import surface. ks and evaluate import scipy, so `import
 markerscreen` loads neither of them, nor numpy.random, which the package needs
-only to draw; the package exports exactly what it loads, and the ks and
-evaluate names are reached through their modules."""
+only to draw; the package exports exactly what it loads, and the evaluate
+names are reached through their module."""
 
 import os
 import subprocess
@@ -21,17 +21,17 @@ for name in ms.__all__:
     home = getattr(obj, "__module__", None)
     assert home is None or getattr(sys.modules[home], name) is obj, name
 assert ms.errors is sys.modules["markerscreen.errors"]
-homes = {"ks": ("KernelEstimate", "select_bandwidth", "kernel_cdf"),
-         "evaluate": ("TruthScore", "EvalRun", "EvalReport", "score_against_truth",
+homes = {"evaluate": ("TruthScore", "EvalRun", "EvalReport", "score_against_truth",
                       "convergence_table", "convergence_text", "benchmark")}
 gone = ("deviance_lr", "ks_d_statistic", "KsScore", "lilliefors_pvalue", "score_matrix_ks",
-        "ttest_baseline")  # score_matrix and score_matrix_lr score a matrix
-on_package = [name for name in (*homes["ks"], *homes["evaluate"], *gone) if hasattr(ms, name)]
+        "ttest_baseline",  # score_matrix and score_matrix_lr score a matrix
+        "KernelEstimate", "select_bandwidth", "kernel_cdf")  # ks._d_rows is the one kernel
+on_package = [name for name in (*homes["evaluate"], *gone) if hasattr(ms, name)]
 assert not on_package, f"attributes of markerscreen: {on_package}"
 from markerscreen import ks, evaluate
-for module, names in ((ks, homes["ks"]), (evaluate, homes["evaluate"])):
-    for name in names:
-        assert getattr(module, name).__module__ == module.__name__, name
+for name in homes["evaluate"]:
+    assert getattr(evaluate, name).__module__ == evaluate.__name__, name
+assert not [name for name in gone if hasattr(ks, name)]
 assert callable(evaluate.score_matrix)
 try:
     ms.no_such_name

@@ -32,7 +32,7 @@ def _shuffled(scores, rng):
 
 def test_fixed_cutoff_includes_ties():
     res = select(_scores([0.1, 3.0, 2.5]), "fixed_cutoff", c=2.5)
-    assert res.selected_set == {"P0002", "P0003"}
+    assert set(res.selected) == {"P0002", "P0003"}
     assert res.cutoff_used == 2.5
 
 
@@ -64,7 +64,7 @@ def test_gap_single_cliff():
     vals = [50.0, 48.0, 47.0] + list(np.linspace(2.0, 1.0, 60))
     res = select(_scores(vals), "gap_knee")
     assert len(res.selected) == 3
-    assert res.selected_set == {"P0001", "P0002", "P0003"}
+    assert set(res.selected) == {"P0001", "P0002", "P0003"}
     assert 2.0 < res.cutoff_used < 47.0
 
 
@@ -112,7 +112,7 @@ def test_gap_fallback_recovers_planted_markers_on_water_background(water10, wate
 def test_bh_hand_checkable():
     scores = _scores([5.0, 1.0, 0.1], pvals=[0.001, 0.2, 0.9])
     res = select(scores, "bh_fdr", q=0.05)
-    assert res.selected_set == {"P0001"}
+    assert set(res.selected) == {"P0001"}
     assert res.cutoff_used == pytest.approx(0.001)
 
 
@@ -129,7 +129,7 @@ def test_bh_matches_stepup_oracle():
         mask_ref = bh_oracle(pvals, 0.1)
         scores = _scores(list(-np.log(pvals + 1e-12)), pvals=list(pvals))
         res = select(scores, "bh_fdr", q=0.1)
-        got = np.array([s.protein_id in res.selected_set for s in scores])
+        got = np.array([s.protein_id in res.selected for s in scores])
         assert np.array_equal(got, mask_ref)
 
 
@@ -239,7 +239,7 @@ def test_strict_gap_raises_instead_of_falling_back():
 def test_apply_policy_passthrough_for_fixed():
     res = ms.apply_policy(_scores([3.0, 1.0]),
                           ms.SelectionPolicy(kind="fixed_cutoff", c=2.0))
-    assert res.selected_set == {"P0001"}
+    assert set(res.selected) == {"P0001"}
     assert not res.fallback_used
 
 
@@ -254,13 +254,13 @@ def test_selection_order_invariance():
         ms.SelectionPolicy(kind="fixed_cutoff", c=10.0),
         ms.SelectionPolicy(kind="bh_fdr", q=0.1),
     ):
-        a = ms.apply_policy(scores, policy).selected_set
-        b = ms.apply_policy(shuffled, policy).selected_set
+        a = set(ms.apply_policy(scores, policy).selected)
+        b = set(ms.apply_policy(shuffled, policy).selected)
         assert a == b
     cliff = _scores([60.0, 55.0] + list(np.linspace(2, 1, 80)))
     shuffled_cliff = _shuffled(cliff, rng)
-    assert (select(cliff, "gap_knee").selected_set
-            == select(shuffled_cliff, "gap_knee").selected_set)
+    assert (set(select(cliff, "gap_knee").selected)
+            == set(select(shuffled_cliff, "gap_knee").selected))
 
 
 def test_raising_statistic_never_drops_a_selection():
@@ -270,7 +270,7 @@ def test_raising_statistic_never_drops_a_selection():
     vals2 = list(vals)
     vals2[5] = 49.0  # promote one below-cutoff protein
     res2 = select(_scores(vals2), "fixed_cutoff", c=cutoff)
-    assert res.selected_set <= res2.selected_set
+    assert set(res.selected) <= set(res2.selected)
 
 
 def test_preview_is_descending_and_bounded():
